@@ -27,14 +27,15 @@ def main():
         source=CoefficientField.constant(1.0),
     )
     quad = build_angular_quadrature(16)
+    op = base.kernel.build(quad)
 
     print("eps      cells  iterations   |u_eps - u0|_L2   mid-slab gap")
     for k in (1, 2, 3, 4, 5, 6):
         eps = 2.0**-k
         n = cells_for_eps(eps, base.grid.length)
         problem = dataclasses.replace(base, grid=Grid1D(1.0, n))
-        diffusion = solve_diffusion(problem)
-        transport = solve_transport(problem, eps, quad)
+        diffusion = solve_diffusion(problem, op)
+        transport = solve_transport(problem, eps, quad, operator=op)
         u0 = diffusion.at_centers()
         err = space_velocity_norm(transport.u - u0[:, None], problem.grid, quad)
         gap = abs(transport.u_bar[n // 2] - u0[n // 2])

@@ -21,6 +21,7 @@ from .velocity_space import (
     build_angular_quadrature,
     build_sphere_quadrature,
     certify_assumptions,
+    diffusion_moment,
     diffusion_tensor,
     kernel_isotropic,
     kernel_linear,
@@ -76,7 +77,8 @@ __all__ = [
     "CertReport", "DiffusionTensor",
     "build_sphere_quadrature", "build_angular_quadrature",
     "kernel_isotropic", "kernel_linear", "assemble_scattering",
-    "certify_assumptions", "apply_K", "pinv_apply", "diffusion_tensor",
+    "certify_assumptions", "apply_K", "pinv_apply", "diffusion_moment",
+    "diffusion_tensor",
     "Grid1D", "CoefficientField", "KernelSpec", "ProblemSpec",
     "ManufacturedCase", "manufactured_case", "scale", "cells_for_eps",
     "mms_transport_source", "mms_diffusion_source",

@@ -389,7 +389,7 @@ def _study_row(args):
     grid = Grid1D(problem.grid.length, n)
     local = dc_replace(problem, grid=grid)
     op = local.kernel.build(quad)
-    diffusion = solve_diffusion(local)
+    diffusion = solve_diffusion(local, op)
     transport = solve_transport(local, eps, quad, options, operator=op)
 
     u0c = diffusion.at_centers()

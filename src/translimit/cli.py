@@ -37,6 +37,7 @@ from .velocity_space import (
     build_angular_quadrature,
     build_sphere_quadrature,
     certify_assumptions,
+    diffusion_moment,
     diffusion_tensor,
 )
 
@@ -120,11 +121,11 @@ def cmd_tensor(ns, argv):
     xc = cfg.problem.grid.centers
     tensor = diffusion_tensor(op, cfg.problem.sigma(xc))
 
-    rows = []
-    for x, mat in zip(xc, tensor.matrices):
-        eig = np.linalg.eigvalsh(mat)
-        rows.append([x, mat[0, 0], mat[0, 1], mat[0, 2],
-                     mat[1, 1], mat[1, 2], mat[2, 2], eig[0]])
+    # every cell tensor is moment / sigma, so one eigen-solve gives them all
+    mat = tensor.matrices
+    min_eig = np.linalg.eigvalsh(tensor.moment)[0] / tensor.sigma
+    rows = np.column_stack([xc, mat[:, 0, 0], mat[:, 0, 1], mat[:, 0, 2],
+                            mat[:, 1, 1], mat[:, 1, 2], mat[:, 2, 2], min_eig])
     path = os.path.join(out, "tensor.csv")
     _write_csv(path, ["x", "a11", "a12", "a13", "a22", "a23", "a33", "min_eig"], rows)
     summary = os.path.join(out, "tensor_summary.json")
@@ -140,19 +141,19 @@ def cmd_tensor(ns, argv):
     return EXIT_OK
 
 
-def _mms_diffusion_cmd(cfg, ns, out, argv):
+def _mms_diffusion_cmd(cfg, op, ns, out, argv):
     case = manufactured_case(cfg.study.mms, cfg.problem.grid.length)
     if not case.is_diffusion:
         raise ValidationError(
             f"manufactured case {cfg.study.mms!r} is not a diffusion case"
         )
-    src = mms_diffusion_source(case, cfg.problem.sigma, cfg.problem.gamma)
+    src = mms_diffusion_source(case, cfg.problem.sigma, cfg.problem.gamma, op)
     rows = []
     errs = []
     for n in cfg.study.meshes:
         grid = Grid1D(cfg.problem.grid.length, n)
         problem = dataclasses.replace(cfg.problem, grid=grid, source=src)
-        sol = solve_diffusion(problem)
+        sol = solve_diffusion(problem, op)
         err = float(np.max(np.abs(sol.u_nodes - case.ubar(grid.edges))))
         errs.append(err)
         order = (math.log2(errs[-2] / err) if len(errs) > 1 else float("nan"))
@@ -166,9 +167,10 @@ def _mms_diffusion_cmd(cfg, ns, out, argv):
 
 
 def _solve_diffusion_cmd(cfg, ns, out, argv):
+    op = cfg.problem.kernel.build(build_angular_quadrature(cfg.n_ordinates))
     if cfg.study.mms:
-        return _mms_diffusion_cmd(cfg, ns, out, argv)
-    sol = solve_diffusion(cfg.problem)
+        return _mms_diffusion_cmd(cfg, op, ns, out, argv)
+    sol = solve_diffusion(cfg.problem, op)
     grid = sol.grid
     nodes = grid.edges
     # gradient interpolated to the nodes so one CSV covers all fields
@@ -194,7 +196,7 @@ def _solve_diffusion_cmd(cfg, ns, out, argv):
         g = cfg.problem.gamma.value
         f = cfg.problem.source.value
         L = grid.length
-        kappa = math.sqrt(3.0 * s * g)
+        kappa = math.sqrt(g * s / diffusion_moment(op)[0, 0])
         exact = (f / g) * (1.0 - np.cosh(kappa * (nodes - L / 2))
                            / np.cosh(kappa * L / 2))
         max_err = float(np.max(np.abs(sol.u_nodes - exact)))
@@ -241,7 +243,8 @@ def _solve_transport_cmd(cfg, ns, out, argv):
     if cfg.study.mms:
         return _mms_transport_cmd(cfg, ns, out, argv)
     quad = build_angular_quadrature(cfg.n_ordinates)
-    sol = solve_transport(cfg.problem, ns.eps, quad, cfg.solver)
+    op = cfg.problem.kernel.build(quad)
+    sol = solve_transport(cfg.problem, ns.eps, quad, cfg.solver, operator=op)
     grid = sol.grid
     xc = grid.centers
     rows = []
@@ -257,7 +260,6 @@ def _solve_transport_cmd(cfg, ns, out, argv):
     outputs = [path, avg_path, log_path]
     outputs.append(_write_manifest(out, argv, ns.config, outputs))
 
-    op = cfg.problem.kernel.build(quad)
     ns_set = norms(sol, ns.eps, cfg.problem.sigma(xc), cfg.problem.gamma(xc),
                    op, grid, ps=cfg.study.p_norms)
     print(f"transport solve: eps={ns.eps:g}, {sol.log.iterations} iterations, "

@@ -1,12 +1,14 @@
 """Finite-volume solver for the limit diffusion problem on the slab.
 
 Solves -(a(x) u')' + gamma(x) u = f(x) on (0, L) with u = 0 at both ends,
-where a is the slab component of the diffusion tensor (1/(3 sigma) for
-isotropic scattering).  Unknowns sit at cell centers; interface diffusivities
-are harmonic averages, which keeps the flux single-valued at material jumps
-and the scheme second order.  The solution object also carries exact nodal
-values reconstructed from the fluxes (zero at the boundary nodes by
-construction), the interface fluxes, and flux-recovered cell gradients.
+where a = m_K / sigma and m_K is the slab component of the velocity moment
+of the certified scattering operator (velocity_space.diffusion_moment): 1/3
+for isotropic scattering, 1/(3(1-g)) for the linear kernel.  Unknowns sit at
+cell centers; interface diffusivities are harmonic averages, which keeps the
+flux single-valued at material jumps and the scheme second order.  The
+solution object also carries exact nodal values reconstructed from the
+fluxes (zero at the boundary nodes by construction), the interface fluxes,
+and flux-recovered cell gradients.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ValidationError
-from .velocity_space import DiffusionTensor
+from .velocity_space import diffusion_moment
 
 __all__ = ["DiffusionSolution", "solve_diffusion", "weak_residual"]
 
@@ -89,39 +91,21 @@ class DiffusionSolution:
         return 0.5 * (self.u_nodes[:-1] + self.u_nodes[1:])
 
 
-def _slab_diffusivity(problem, tensor, xc):
-    sigma = problem.sigma(xc)
-    if tensor is None:
-        return 1.0 / (3.0 * sigma)
-    if isinstance(tensor, DiffusionTensor):
-        if tensor.coercivity_lb <= 0.0:
-            raise ValidationError("diffusion tensor is not coercive")
-        a = tensor.a11
-        if a.size != xc.size:
-            raise ValidationError(
-                f"tensor has {a.size} cells but the grid has {xc.size}"
-            )
-        return np.asarray(a, dtype=float)
-    return float(tensor) / sigma
-
-
-def solve_diffusion(problem, tensor=None, grid=None):
+def solve_diffusion(problem, op):
     """Solve the limit diffusion problem with homogeneous Dirichlet data.
 
     Parameters
     ----------
-    problem : ProblemSpec; uses the unscaled sigma, gamma, source fields.
-    tensor : None for the isotropic closed form 1/(3 sigma), a float
-        velocity factor t giving a = t/sigma, or a DiffusionTensor whose 11
-        component is used per cell.
-    grid : optional Grid1D override (defaults to problem.grid).
+    problem : ProblemSpec; uses its grid and the unscaled sigma, gamma,
+        source fields.
+    op : certified ScatteringOperator of the problem's kernel, on a slab or
+        a sphere quadrature; the diffusivity is a = m_K / sigma with
+        m_K = diffusion_moment(op)[0, 0].
     """
-    grid = grid if grid is not None else problem.grid
+    grid = problem.grid
     xc = grid.centers
     h = grid.h
-    a = _slab_diffusivity(problem, tensor, xc)
-    if np.any(a <= 0.0):
-        raise ValidationError("slab diffusivity must be strictly positive")
+    a = diffusion_moment(op)[0, 0] / problem.sigma(xc)
     gamma = problem.gamma(xc)
     rhs = problem.source(xc)
 
@@ -129,16 +113,16 @@ def solve_diffusion(problem, tensor=None, grid=None):
     flux = _fluxes(u, a, h)
 
     # within each cell the profile has slope -flux/a; evaluating it at the
-    # cell faces gives single-valued nodal values, exactly zero at the ends
-    nodes = np.empty(u.size + 1)
-    nodes[:-1] = u + (h / 2.0) * flux[:-1] / a
-    nodes[-1] = u[-1] - (h / 2.0) * flux[-1] / a[-1]
+    # interior faces gives single-valued nodal values; the end nodes carry
+    # the Dirichlet value itself, which the closure fluxes are built from
+    nodes = np.zeros(u.size + 1)
+    nodes[1:-1] = u[1:] + (h / 2.0) * flux[1:-1] / a[1:]
     grad = -0.5 * (flux[:-1] + flux[1:]) / a
     return DiffusionSolution(grid=grid, a11=a, u_cell=u, u_nodes=nodes,
                              flux=flux, grad=grad)
 
 
-def weak_residual(solution, problem, tensor=None, grid=None):
+def weak_residual(solution, problem, u_cell=None):
     """Weak-form residual against the interior nodal hat functions.
 
     Evaluates (a u', psi') + (gamma u, psi) - (f, psi) with the quadrature
@@ -150,17 +134,13 @@ def weak_residual(solution, problem, tensor=None, grid=None):
     boundary-adjacent entries retain the O(1) truncation of the half-cell
     Dirichlet closure (which the solution error does not inherit).
 
-    Accepts a DiffusionSolution or a raw (n,) array of cell values (fluxes
-    are then rebuilt from those values).
+    The grid and diffusivity a11 come from the DiffusionSolution; u_cell
+    optionally replaces its cell values with an (n,) array to be tested
+    (fluxes are then rebuilt from those values).
     """
-    if isinstance(solution, DiffusionSolution):
-        grid = solution.grid
-        u = solution.u_cell
-        a = solution.a11
-    else:
-        grid = grid if grid is not None else problem.grid
-        u = np.asarray(solution, dtype=float)
-        a = _slab_diffusivity(problem, tensor, grid.centers)
+    grid = solution.grid
+    a = solution.a11
+    u = solution.u_cell if u_cell is None else np.asarray(u_cell, dtype=float)
     if u.size != grid.n_cells:
         raise ValidationError("cell-value array does not match the grid")
     h = grid.h

@@ -19,6 +19,7 @@ from .velocity_space import (
     AngularQuadrature,
     apply_K,
     assemble_scattering,
+    diffusion_moment,
     kernel_isotropic,
     kernel_linear,
 )
@@ -335,25 +336,25 @@ def mms_transport_source(case, sigma, gamma, op, grid):
     return mu[None, :] * du + gamma(xc)[:, None] * u - sigma(xc)[:, None] * scatter
 
 
-def mms_diffusion_source(case, sigma, gamma, velocity_factor=1.0 / 3.0):
+def mms_diffusion_source(case, sigma, gamma, op):
     """Source callable making the manufactured diffusion solution exact.
 
-    The slab diffusivity is a(x) = velocity_factor / sigma(x); the factor is
-    1/3 for isotropic scattering and 1/(3(1-g)) for the linear kernel.  sigma
-    must expose derivative(x) (CoefficientField does); for piecewise fields
-    the derivative is zero away from jumps, so manufactured verification is
+    The slab diffusivity is a(x) = m_K / sigma(x) with m_K the slab moment
+    of the certified operator op (diffusion_moment(op)[0, 0]).  sigma must
+    expose derivative(x) (CoefficientField does); for piecewise fields the
+    derivative is zero away from jumps, so manufactured verification is
     meaningful only for smooth sigma.
     """
     if not case.is_diffusion:
         raise ValidationError(f"case {case.name!r} has no diffusion solution")
-    t = float(velocity_factor)
+    m_k = diffusion_moment(op)[0, 0]
 
     def f(x):
         x = np.asarray(x, dtype=float)
         s = sigma(x)
         ds = sigma.derivative(x) if hasattr(sigma, "derivative") else 0.0
-        a = t / s
-        da = -t * ds / s**2
+        a = m_k / s
+        da = -m_k * ds / s**2
         return -(da * case.dubar_dx(x) + a * case.d2ubar_dx2(x)) + gamma(x) * case.ubar(x)
 
     return f

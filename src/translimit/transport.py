@@ -21,7 +21,7 @@ import numpy as np
 from .diffusion import factor_operator, solve_cells
 from .errors import CertificationError, ConvergenceError, ValidationError
 from .problem import coefficient_views
-from .velocity_space import certify_assumptions
+from .velocity_space import certify_assumptions, diffusion_moment
 
 __all__ = [
     "SolverOptions",
@@ -213,7 +213,8 @@ def solve_transport(problem, eps, quad, options=None, source_override=None,
     Raises ConvergenceError (carrying the residual history) when the
     iteration does not meet both the tolerance and the balance target within
     max_iterations, which is the expected signature of running without
-    acceleration deep in the diffusive regime.
+    acceleration deep in the diffusive regime, and at once when a sweep
+    average or an accelerated average stops being finite.
     """
     options = options if options is not None else SolverOptions()
     if not (eps > 0.0):
@@ -251,7 +252,8 @@ def solve_transport(problem, eps, quad, options=None, source_override=None,
 
     dsa_factor = None
     if options.acceleration == "dsa":
-        dsa_factor = factor_operator(1.0 / (3.0 * sigma_e), gamma_e, grid.h)
+        m_k = diffusion_moment(op)[0, 0]
+        dsa_factor = factor_operator(m_k / sigma_e, gamma_e, grid.h)
 
     kt = op.matrix.T
     u_curr = np.zeros((grid.n_cells, quad.n))
@@ -263,21 +265,38 @@ def solve_transport(problem, eps, quad, options=None, source_override=None,
     converged = False
     iterations = 0
 
+    def log():
+        return IterationLog(
+            residuals=tuple(history), iterations=iterations, converged=converged,
+            spectral_radius_estimate=_spectral_radius_estimate(history),
+            balance_residual=float(balance),
+            negative_fraction=float(np.mean(cells < 0.0)),
+        )
+
+    def require_finite(values, what):
+        if not np.all(np.isfinite(values)):
+            raise ConvergenceError(
+                f"transport iteration diverged: non-finite {what} after "
+                f"{iterations} sweeps", log=log(),
+            )
+
     for _ in range(options.max_iterations):
         emission = sigma_e[:, None] * (u_curr @ kt) + f_e
         cells, edges = sweep(sigma_t, emission, gl, gr, grid, quad, options.scheme)
+        iterations += 1
         sbar = cells @ w
+        require_finite(sbar, "sweep average")
         if dsa_factor is not None:
             delta = solve_cells(dsa_factor, sigma_e * (sbar - ubar_curr))
         else:
             delta = np.zeros_like(sbar)
         ubar_next = sbar + delta
+        require_finite(ubar_next, "accelerated average")
         change = float(
             np.linalg.norm(ubar_next - ubar_curr)
             / max(np.linalg.norm(ubar_next), 1e-300)
         )
         history.append(change)
-        iterations += 1
         balance = particle_balance(cells, edges, gamma_e, f_e, gl, gr, grid, quad)
         if change <= options.tolerance and (
             options.balance_target is None or balance <= options.balance_target
@@ -287,23 +306,15 @@ def solve_transport(problem, eps, quad, options=None, source_override=None,
         u_curr = cells + delta[:, None]
         ubar_curr = ubar_next
 
-    log = IterationLog(
-        residuals=tuple(history),
-        iterations=iterations,
-        converged=converged,
-        spectral_radius_estimate=_spectral_radius_estimate(history),
-        balance_residual=float(balance),
-        negative_fraction=float(np.mean(cells < 0.0)),
-    )
     if not converged:
         raise ConvergenceError(
             f"transport iteration did not converge in {iterations} sweeps "
             f"(last change {history[-1]:.3e}, balance {balance:.3e})",
-            log=log,
+            log=log(),
         )
     return TransportSolution(
         grid=grid, quad=quad, eps=float(eps),
-        u=cells, edges=edges, u_bar=cells @ w, log=log,
+        u=cells, edges=edges, u_bar=cells @ w, log=log(),
     )
 
 

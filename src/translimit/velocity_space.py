@@ -35,6 +35,7 @@ __all__ = [
     "certify_assumptions",
     "apply_K",
     "pinv_apply",
+    "diffusion_moment",
     "diffusion_tensor",
 ]
 
@@ -453,19 +454,26 @@ class DiffusionTensor:
     def n_cells(self):
         return self.matrices.shape[0]
 
-    @property
-    def a11(self):
-        """The slab-relevant 11 component per cell."""
-        return self.matrices[:, 0, 0]
+
+def diffusion_moment(op):
+    """Velocity moment sum_i w_i v_i ((I-K)^+ v)(v_i) of a certified operator.
+
+    The diffusivity of the limit equation is this (d, d) matrix divided by
+    sigma: 1x1 on the slab, 3x3 on the sphere.  The pseudoinverse is applied
+    to each velocity component function, all of which have zero mean by the
+    odd symmetry of the quadrature.
+    """
+    coords = op.quadrature.coords
+    b = coords.T @ (op.weights[:, None] * pinv_apply(op, coords.T).T)
+    return 0.5 * (b + b.T)
 
 
 def diffusion_tensor(op, sigma):
-    """Assemble the diffusion tensor (1/sigma) sum_i w_i v_i ((I-K)^+ v)(v_i).
+    """Assemble the per-cell diffusion tensor diffusion_moment(op) / sigma.
 
-    The pseudoinverse is applied to each velocity component function, all of
-    which have zero mean by the odd symmetry of the quadrature.  Requires a
-    certified operator on a sphere quadrature and strictly positive sigma.
-    Coercivity of each cell tensor against |xi|^2 / (3 sigma) is enforced.
+    Requires a certified operator on a sphere quadrature and strictly
+    positive sigma.  Coercivity of each cell tensor against
+    |xi|^2 / (3 sigma) is enforced.
     """
     if not isinstance(op.quadrature, SphereQuadrature):
         raise ValidationError("diffusion_tensor requires a sphere quadrature")
@@ -474,12 +482,7 @@ def diffusion_tensor(op, sigma):
     if np.any(sigma <= 0.0):
         raise ValidationError("sigma values must be strictly positive")
 
-    quad = op.quadrature
-    v = quad.points
-    g = pinv_apply(op, v.T).T                       # (n, 3), columns (I-K)^+ v_k
-    b = v.T @ (quad.weights[:, None] * g)           # velocity moment, 3x3
-    b = 0.5 * (b + b.T)
-
+    b = diffusion_moment(op)
     eigs = np.linalg.eigvalsh(b)
     if eigs[0] < (1.0 - 1e-8) / 3.0:
         raise CertificationError(

@@ -6,8 +6,10 @@ from translimit import (
     Grid1D,
     KernelSpec,
     ProblemSpec,
+    assemble_scattering,
     build_angular_quadrature,
     build_sphere_quadrature,
+    kernel_isotropic,
 )
 
 
@@ -24,6 +26,12 @@ def quad16():
 @pytest.fixture(scope="session")
 def sphere48():
     return build_sphere_quadrature(4, 8)
+
+
+@pytest.fixture(scope="session")
+def iso8(quad8):
+    """Isotropic scattering operator on 8 ordinates (slab moment 1/3)."""
+    return assemble_scattering(kernel_isotropic(), quad8)
 
 
 def make_problem(n_cells=100, sigma=1.0, gamma=1.0, source=1.0,

@@ -18,6 +18,7 @@ import pytest
 from translimit import (
     CoefficientField,
     ConvergenceError,
+    KernelSpec,
     SolverOptions,
     assemble_scattering,
     build_angular_quadrature,
@@ -150,13 +151,14 @@ class TestCriterion5:
         gamma = CoefficientField.constant(1.0)
 
         dcase = manufactured_case("diffusion-sin")
-        src = mms_diffusion_source(dcase, sigma, gamma)
+        iso = assemble_scattering(kernel_isotropic(), quad8)
+        src = mms_diffusion_source(dcase, sigma, gamma, iso)
         derrs = []
         from translimit import Grid1D, ProblemSpec
         for n in (32, 64, 128, 256):
             grid = Grid1D(1.0, n)
             p = ProblemSpec(grid=grid, sigma=sigma, gamma=gamma, source=src)
-            sol = solve_diffusion(p)
+            sol = solve_diffusion(p, iso)
             derrs.append(np.sqrt(grid.h * np.sum(
                 (sol.u_cell - dcase.ubar(grid.centers)) ** 2)))
         dorders = [np.log2(a / b) for a, b in zip(derrs, derrs[1:])]
@@ -192,6 +194,20 @@ class TestCriterion6:
         ok = 0.85 <= slope <= 1.15 and elapsed < 300.0
         assert report("6 smooth-benchmark total error rate",
                       ok, f"slope {slope:.3f} in [0.85, 1.15], {elapsed:.1f} s")
+
+
+    @pytest.mark.parametrize("g", [0.3, 0.6])
+    def test_linear_kernel_rate(self, quad16, g):
+        # the limit's diffusivity is the kernel's own slab moment
+        # 1/(3(1-g) sigma); against 1/(3 sigma) err_total stalls and grows
+        t0 = time.perf_counter()
+        p = make_problem(n_cells=64, kernel=KernelSpec("linear", g_factor=g))
+        rep = convergence_study(p, EPS_SWEEP, quad16)
+        slope = rep.slopes["err_total"].slope
+        elapsed = time.perf_counter() - t0
+        ok = 0.85 <= slope <= 1.15 and elapsed < 60.0
+        assert report(f"6 linear-kernel (g={g}) total error rate", ok,
+                      f"slope {slope:.3f} in [0.85, 1.15], {elapsed:.1f} s")
 
 
 class TestCriterion7:

@@ -153,8 +153,8 @@ class TestCorrector:
 
     def test_isotropic_closed_form(self, quad8):
         p = make_problem(n_cells=64)
-        d = solve_diffusion(p)
         op = assemble_scattering(kernel_isotropic(), quad8)
+        d = solve_diffusion(p, op)
         u1 = first_order_corrector(d, p.sigma(p.grid.centers), op)
         expected = -d.grad[:, None] * quad8.nodes[None, :]
         np.testing.assert_allclose(u1, expected, atol=1e-13)
@@ -162,8 +162,8 @@ class TestCorrector:
     def test_zero_velocity_average_and_defining_relation(self, quad16):
         p = make_problem(n_cells=64,
                          sigma=CoefficientField.sinusoid(1.0, 0.5, 1.0))
-        d = solve_diffusion(p)
         op = assemble_scattering(kernel_linear(0.5), quad16)
+        d = solve_diffusion(p, op)
         sig = p.sigma(p.grid.centers)
         u1 = first_order_corrector(d, sig, op)
         np.testing.assert_allclose(velocity_average(u1, quad16), 0.0, atol=1e-12)
@@ -187,8 +187,8 @@ class TestRemainder:
         grid = Grid1D(1.0, 32)
         p = make_problem(n_cells=32)
         sol = solve_transport(p, 2.0**-4, quad8)
-        d = solve_diffusion(p)
         op = assemble_scattering(kernel_isotropic(), quad8)
+        d = solve_diffusion(p, op)
         u1 = first_order_corrector(d, p.sigma(grid.centers), op)
         u0c = d.at_centers()
         psi = expansion_remainder(sol.u, u0c, u1, sol.eps)
@@ -325,13 +325,14 @@ class TestWeakConsistency:
         from translimit import cells_for_eps, weak_residual
 
         p = smooth_benchmark()
+        op = p.kernel.build(quad16)
         pairings = {}
         for k in (4, 6):
             eps = 2.0**-k
             n = cells_for_eps(eps, 1.0)
             pe = dataclasses.replace(p, grid=Grid1D(1.0, n))
-            sol = solve_transport(pe, eps, quad16)
-            r = weak_residual(sol.u_bar, pe)
+            sol = solve_transport(pe, eps, quad16, operator=op)
+            r = weak_residual(solve_diffusion(pe, op), pe, sol.u_bar)
             h = pe.grid.h
             psi = np.sin(np.pi * pe.grid.edges[1:-1])
             pairings[k] = abs(np.sum(h * r * psi))

@@ -1,10 +1,14 @@
 import csv
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from translimit.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 ISO = """
 [grid]
@@ -106,6 +110,24 @@ n_azimuth = 8
         summary = json.loads((tmp_path / "tensor_summary.json").read_text())
         assert summary["coercivity_lb"] > 0
 
+    def test_min_eig_matches_per_cell_eigensolve(self, tmp_path):
+        # min_eig comes from one eigen-solve of the moment divided by sigma;
+        # a per-cell solve of the written tensor agrees to a few ulps
+        cfg = write(tmp_path, LINEAR_HALF.replace("n_cells = 16", """n_cells = 16
+[coefficients.sigma]
+kind = sinusoid
+offset = 1.0
+amplitude = 0.5"""))
+        assert main(["tensor", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "tensor.csv")
+        for r in rows:
+            a = {k: float(v) for k, v in r.items()}
+            mat = np.array([[a["a11"], a["a12"], a["a13"]],
+                            [a["a12"], a["a22"], a["a23"]],
+                            [a["a13"], a["a23"], a["a33"]]])
+            np.testing.assert_allclose(a["min_eig"], np.linalg.eigvalsh(mat)[0],
+                                       rtol=1e-15)
+
     def test_certification_gate(self, tmp_path):
         cfg = write(tmp_path, LINEAR_ONE)
         assert main(["tensor", "--config", cfg, "--out", str(tmp_path)]) == 4
@@ -127,6 +149,33 @@ reference = cosh
         rows = read_csv(tmp_path / "diffusion_solution.csv")
         assert len(rows) == 257
         assert float(rows[0]["u0"]) == 0.0 and float(rows[-1]["u0"]) == 0.0
+
+    def test_diffusion_cosh_reference_linear_kernel(self, tmp_path):
+        g = 0.5
+        text = (CONFIGS / "cosh_benchmark.ini").read_text()
+        cfg = write(tmp_path, text + "\n[scattering]\nkernel = linear\n"
+                    f"g_factor = {g}\n")
+        rc = main(["solve", "--config", cfg, "--mode", "diffusion",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        # closed form of -(1/(3(1-g))) u'' + u = 1, u(0) = u(1) = 0
+        kappa = math.sqrt(3.0 * (1.0 - g) * 1.0 * 1.0)
+        rows = read_csv(tmp_path / "diffusion_solution.csv")
+        x = np.array([float(r["x"]) for r in rows])
+        u0 = np.array([float(r["u0"]) for r in rows])
+        exact = 1.0 - np.cosh(kappa * (x - 0.5)) / np.cosh(kappa * 0.5)
+        assert np.max(np.abs(u0 - exact)) < 1e-5
+        ref = json.loads((tmp_path / "reference_error.json").read_text())
+        assert ref["max_nodal_error"] < 1e-5
+
+    def test_transport_divergence_exits_three(self, tmp_path, capsys):
+        # 64 cells at eps = 2^-9 are optically thick (sigma_t h ~ 8), where
+        # the DSA diverges; the solve stops at the first non-finite average
+        rc = main(["solve", "--mode", "transport", "--eps", "0.001953125",
+                   "--config", str(CONFIGS / "smooth_study.ini"),
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_transport_solution_dumps(self, tmp_path):
         cfg = write(tmp_path, ISO)

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from translimit import (
+    CertificationError,
     CoefficientField,
-    DiffusionTensor,
     Grid1D,
     ValidationError,
     assemble_scattering,
-    build_sphere_quadrature,
-    diffusion_tensor,
     kernel_linear,
     manufactured_case,
     mms_diffusion_source,
@@ -37,44 +35,44 @@ class TestCoshBenchmark:
         resid = -d2 / 3.0 + cosh_exact(x) - 1.0
         np.testing.assert_allclose(resid, 0.0, atol=1e-5)
 
-    def test_nodal_error_and_order(self):
+    def test_nodal_error_and_order(self, iso8):
         errs = []
         for n in (64, 128, 256):
             p = make_problem(n_cells=n)
-            sol = solve_diffusion(p)
+            sol = solve_diffusion(p, iso8)
             errs.append(np.max(np.abs(sol.u_nodes - cosh_exact(p.grid.edges))))
         assert errs[-1] < 1e-4
         orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert min(orders) > 1.9
 
-    def test_boundary_nodes_exactly_zero(self):
-        sol = solve_diffusion(make_problem(n_cells=17))
+    def test_boundary_nodes_exactly_zero(self, iso8):
+        sol = solve_diffusion(make_problem(n_cells=17), iso8)
         assert sol.u_nodes[0] == 0.0
         assert sol.u_nodes[-1] == 0.0
 
 
 class TestManufactured:
-    def test_order_with_variable_sigma(self):
+    def test_order_with_variable_sigma(self, iso8):
         from translimit import ProblemSpec
 
         case = manufactured_case("diffusion-sin")
         sigma = CoefficientField.sinusoid(1.0, 0.5, 1.0)
         gamma = CoefficientField.constant(1.0)
-        src = mms_diffusion_source(case, sigma, gamma)
+        src = mms_diffusion_source(case, sigma, gamma, iso8)
         errs = []
         for n in (32, 64, 128, 256):
             grid = Grid1D(1.0, n)
             p = ProblemSpec(grid=grid, sigma=sigma, gamma=gamma, source=src)
-            sol = solve_diffusion(p)
+            sol = solve_diffusion(p, iso8)
             errs.append(
                 np.sqrt(grid.h * np.sum((sol.u_cell - case.ubar(grid.centers)) ** 2))
             )
         orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert min(orders) > 1.9
 
-    def test_zero_source_gives_zero_solution(self):
+    def test_zero_source_gives_zero_solution(self, iso8):
         p = make_problem(n_cells=32, source=0.0)
-        sol = solve_diffusion(p)
+        sol = solve_diffusion(p, iso8)
         np.testing.assert_allclose(sol.u_cell, 0.0, atol=1e-15)
         np.testing.assert_allclose(sol.flux, 0.0, atol=1e-15)
 
@@ -90,7 +88,7 @@ class TestStructure:
         np.testing.assert_allclose(dense, dense.T)
         assert np.linalg.eigvalsh(dense)[0] > 0
 
-    def test_maximum_principle(self):
+    def test_maximum_principle(self, iso8):
         rng = np.random.default_rng(3)
         vals = rng.uniform(0.0, 2.0, 4)
         p = make_problem(
@@ -98,14 +96,14 @@ class TestStructure:
             sigma=CoefficientField.piecewise([0.5], [1.0, 4.0]),
             source=CoefficientField.piecewise([0.2, 0.6, 0.8], tuple(vals)),
         )
-        sol = solve_diffusion(p)
+        sol = solve_diffusion(p, iso8)
         assert np.all(sol.u_cell >= 0.0)
         assert np.all(sol.u_nodes >= 0.0)
 
-    def test_flux_single_valued_at_material_interface(self):
+    def test_flux_single_valued_at_material_interface(self, iso8):
         p = make_problem(n_cells=64,
                          sigma=CoefficientField.piecewise([0.5], [1.0, 4.0]))
-        sol = solve_diffusion(p)
+        sol = solve_diffusion(p, iso8)
         grid = p.grid
         a = sol.a11
         u = sol.u_cell
@@ -116,64 +114,58 @@ class TestStructure:
         np.testing.assert_allclose(left_val, right_val, rtol=1e-12)
         np.testing.assert_allclose(sol.u_nodes[j], left_val, rtol=1e-12)
 
-    def test_tensor_argument_forms_agree(self, sphere48):
+    def test_tensor_argument_forms_agree(self, sphere48, quad8):
+        # the slab and sphere operators of one kernel share the slab moment
         g = 0.5
-        p = make_problem(n_cells=16)
-        op = assemble_scattering(kernel_linear(g), sphere48)
-        tensor = diffusion_tensor(op, p.sigma(p.grid.centers))
-        via_tensor = solve_diffusion(p, tensor=tensor)
-        via_factor = solve_diffusion(p, tensor=1.0 / (3.0 * (1.0 - g)))
-        np.testing.assert_allclose(via_tensor.u_cell, via_factor.u_cell, rtol=1e-10)
+        p = make_problem(n_cells=16,
+                         sigma=CoefficientField.sinusoid(1.0, 0.5, 1.0))
+        via_sphere = solve_diffusion(p, assemble_scattering(kernel_linear(g), sphere48))
+        via_slab = solve_diffusion(p, assemble_scattering(kernel_linear(g), quad8))
+        np.testing.assert_allclose(via_sphere.u_cell, via_slab.u_cell, rtol=1e-10)
+        np.testing.assert_allclose(
+            via_slab.a11, 1.0 / (3.0 * (1.0 - g) * p.sigma(p.grid.centers)),
+            rtol=1e-12)
 
-    def test_noncoercive_tensor_rejected(self):
-        p = make_problem(n_cells=4)
-        bad = DiffusionTensor(
-            matrices=np.tile(np.eye(3), (4, 1, 1)),
-            coercivity_lb=0.0,
-            moment=np.eye(3),
-            sigma=np.ones(4),
-        )
-        with pytest.raises(ValidationError):
-            solve_diffusion(p, tensor=bad)
-
-    def test_tensor_grid_mismatch_rejected(self, sphere48):
-        from translimit import assemble_scattering, kernel_isotropic
+    def test_uncertified_operator_rejected(self, quad8):
         p = make_problem(n_cells=16)
-        op = assemble_scattering(kernel_isotropic(), sphere48)
-        tensor = diffusion_tensor(op, np.ones(8))
-        with pytest.raises(ValidationError):
-            solve_diffusion(p, tensor=tensor)
+        with pytest.raises(CertificationError):
+            solve_diffusion(p, assemble_scattering(kernel_linear(1.0), quad8))
 
 
 class TestWeakResidual:
-    def test_discrete_solution_is_galerkin_orthogonal(self):
+    def test_discrete_solution_is_galerkin_orthogonal(self, iso8):
         p = make_problem(n_cells=100,
                          sigma=CoefficientField.sinusoid(1.0, 0.5, 1.0))
-        sol = solve_diffusion(p)
+        sol = solve_diffusion(p, iso8)
         r = weak_residual(sol, p)
         assert np.max(np.abs(r)) <= 1e-12
 
-    def test_perturbation_grows_linearly(self):
+    def test_perturbation_grows_linearly(self, iso8):
         p = make_problem(n_cells=40)
-        sol = solve_diffusion(p)
+        sol = solve_diffusion(p, iso8)
         base = weak_residual(sol, p)
         k = 17
         hat = np.zeros(40)
         # tent centered at node k, evaluated at the two adjacent cell centers
         hat[k - 1] = 0.5
         hat[k] = 0.5
-        r1 = weak_residual(sol.u_cell + 1e-3 * hat, p)
-        r2 = weak_residual(sol.u_cell + 2e-3 * hat, p)
+        r1 = weak_residual(sol, p, sol.u_cell + 1e-3 * hat)
+        r2 = weak_residual(sol, p, sol.u_cell + 2e-3 * hat)
         np.testing.assert_allclose(r2 - base, 2.0 * (r1 - base), rtol=1e-9)
 
-    def test_interpolated_exact_solution_residual_order(self):
+    def test_interpolated_exact_solution_residual_order(self, iso8):
         # interior tests only: the two boundary-adjacent entries carry the
         # O(1) truncation of the half-cell closure (see weak_residual)
         errs = []
         for n in (64, 128, 256):
             p = make_problem(n_cells=n)
             vals = cosh_exact(p.grid.centers)
-            r = weak_residual(vals, p)
+            r = weak_residual(solve_diffusion(p, iso8), p, vals)
             errs.append(np.max(np.abs(r[1:-1])))
         orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert min(orders) > 1.8
+
+    def test_cell_values_must_match_the_grid(self, iso8):
+        p = make_problem(n_cells=16)
+        with pytest.raises(ValidationError):
+            weak_residual(solve_diffusion(p, iso8), p, np.ones(8))

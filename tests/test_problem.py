@@ -11,6 +11,7 @@ from translimit import (
     assemble_scattering,
     cells_for_eps,
     kernel_isotropic,
+    kernel_linear,
     manufactured_case,
     mms_diffusion_source,
     mms_transport_source,
@@ -235,26 +236,37 @@ class TestTransportSource:
 
 
 class TestDiffusionSource:
-    def test_sin_case_closed_form(self):
+    def test_sin_case_closed_form(self, iso8):
         case = manufactured_case("diffusion-sin")
         f = mms_diffusion_source(case, CoefficientField.constant(1.0),
-                                 CoefficientField.constant(1.0))
+                                 CoefficientField.constant(1.0), iso8)
         x = np.linspace(0.05, 0.95, 13)
         expected = (np.pi**2 / 3.0 + 1.0) * np.sin(np.pi * x)
         np.testing.assert_allclose(f(x), expected, atol=1e-12)
 
-    def test_parabola_case(self):
+    def test_linear_kernel_uses_its_moment(self, quad8):
+        # the slab moment of the linear kernel is 1/(3(1-g))
+        g = 0.5
+        op = assemble_scattering(kernel_linear(g), quad8)
+        case = manufactured_case("diffusion-sin")
+        f = mms_diffusion_source(case, CoefficientField.constant(1.0),
+                                 CoefficientField.constant(1.0), op)
+        x = np.linspace(0.05, 0.95, 13)
+        expected = (np.pi**2 / (3.0 * (1.0 - g)) + 1.0) * np.sin(np.pi * x)
+        np.testing.assert_allclose(f(x), expected, atol=1e-12)
+
+    def test_parabola_case(self, iso8):
         case = manufactured_case("diffusion-parabola")
         f = mms_diffusion_source(case, CoefficientField.constant(1.0),
-                                 CoefficientField.constant(1.0))
+                                 CoefficientField.constant(1.0), iso8)
         x = np.linspace(0.1, 0.9, 9)
         np.testing.assert_allclose(f(x), 2.0 / 3.0 + x * (1 - x), atol=1e-13)
 
-    def test_variable_sigma_against_finite_differences(self):
+    def test_variable_sigma_against_finite_differences(self, iso8):
         case = manufactured_case("diffusion-sin")
         sigma = CoefficientField.sinusoid(1.0, 0.4, 1.0)
         gamma = CoefficientField.constant(1.0)
-        f = mms_diffusion_source(case, sigma, gamma)
+        f = mms_diffusion_source(case, sigma, gamma, iso8)
         x = np.linspace(0.1, 0.9, 17)
         h = 1e-5
         a = lambda t: 1.0 / (3.0 * sigma(t))
@@ -262,11 +274,11 @@ class TestDiffusionSource:
         fd = -(flux(x + h) - flux(x - h)) / (2 * h) + gamma(x) * case.ubar(x)
         np.testing.assert_allclose(f(x), fd, rtol=1e-8, atol=1e-8)
 
-    def test_requires_diffusion_case(self):
+    def test_requires_diffusion_case(self, iso8):
         with pytest.raises(ValidationError):
             mms_diffusion_source(manufactured_case("transport-poly"),
                                  CoefficientField.constant(1.0),
-                                 CoefficientField.constant(1.0))
+                                 CoefficientField.constant(1.0), iso8)
 
 
 class TestMeshRule:

@@ -12,6 +12,7 @@ from translimit import (
     build_angular_quadrature,
     build_sphere_quadrature,
     certify_assumptions,
+    diffusion_moment,
     diffusion_tensor,
     kernel_isotropic,
     kernel_linear,
@@ -233,6 +234,35 @@ class TestApplyK:
         op = assemble_scattering(kernel_isotropic(), quad8)
         with pytest.raises(ValidationError):
             apply_K(op, np.ones(5))
+
+
+class TestDiffusionMoment:
+    def test_isotropic_slab_moment_is_one_third(self, quad8):
+        m = diffusion_moment(assemble_scattering(kernel_isotropic(), quad8))
+        assert m.shape == (1, 1)
+        assert abs(m[0, 0] - 1.0 / 3.0) <= 1e-15
+
+    @pytest.mark.parametrize("g", [0.3, 0.6, 0.9])
+    def test_linear_kernel_closed_form_on_slab_and_sphere(self, quad16, sphere48, g):
+        expected = 1.0 / (3.0 * (1.0 - g))
+        slab = diffusion_moment(assemble_scattering(kernel_linear(g), quad16))
+        np.testing.assert_allclose(slab, [[expected]], rtol=1e-12)
+        sphere = diffusion_moment(assemble_scattering(kernel_linear(g), sphere48))
+        np.testing.assert_allclose(sphere, expected * np.eye(3), rtol=1e-12,
+                                   atol=1e-13 * expected)
+
+    def test_tensor_is_moment_over_sigma(self, sphere48):
+        op = assemble_scattering(kernel_linear(0.4), sphere48)
+        sigma = np.array([1.0, 2.5])
+        t = diffusion_tensor(op, sigma)
+        np.testing.assert_array_equal(t.moment, diffusion_moment(op))
+        np.testing.assert_allclose(t.matrices, t.moment / sigma[:, None, None],
+                                   rtol=1e-15)
+
+    def test_uncertified_operator_rejected(self, quad8):
+        op = assemble_scattering(kernel_linear(1.0), quad8)
+        with pytest.raises(CertificationError):
+            diffusion_moment(op)
 
 
 class TestDiffusionTensor:
