@@ -244,7 +244,13 @@ def _solve_transport_cmd(cfg, ns, out, argv):
         return _mms_transport_cmd(cfg, ns, out, argv)
     quad = build_angular_quadrature(cfg.n_ordinates)
     op = cfg.problem.kernel.build(quad)
-    sol = solve_transport(cfg.problem, ns.eps, quad, cfg.solver, operator=op)
+    log_path = os.path.join(out, "iteration_log.json")
+    try:
+        sol = solve_transport(cfg.problem, ns.eps, quad, cfg.solver, operator=op)
+    except ConvergenceError as exc:
+        _write_json(log_path, exc.log.as_dict())
+        _write_manifest(out, argv, ns.config, [log_path])
+        raise
     grid = sol.grid
     xc = grid.centers
     rows = []
@@ -255,7 +261,6 @@ def _solve_transport_cmd(cfg, ns, out, argv):
     _write_csv(path, ["x", "mu", "u"], rows)
     avg_path = os.path.join(out, "transport_average.csv")
     _write_csv(avg_path, ["x", "u_bar"], zip(xc, sol.u_bar))
-    log_path = os.path.join(out, "iteration_log.json")
     _write_json(log_path, sol.log.as_dict())
     outputs = [path, avg_path, log_path]
     outputs.append(_write_manifest(out, argv, ns.config, outputs))

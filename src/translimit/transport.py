@@ -6,6 +6,13 @@ A synthetic-diffusion correction on the velocity average removes the
 near-unit spectral radius of plain source iteration in the diffusive regime;
 the unaccelerated iteration is kept as a deliberately non-robust control.
 
+A sweep's diamond (or upwind) march along one ordinate is a bidiagonal
+system in that ordinate's edge values, lower-bidiagonal for mu > 0 and upper
+for mu < 0.  All ordinates of one direction are stacked into one
+block-diagonal banded system and solved by a single LAPACK triangular banded
+solve (dtbtrs), so a sweep is two LAPACK calls and no Python loop over
+cells.
+
 The convergence test combines the relative change of the velocity average
 with the discrete particle-balance residual of the current sweep, so every
 returned solution satisfies the balance identity at the requested target
@@ -17,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from .diffusion import factor_operator, solve_cells
 from .errors import CertificationError, ConvergenceError, ValidationError
@@ -107,11 +115,12 @@ def sweep(sigma_t, emission, g_left, g_right, grid, quad, scheme="diamond"):
 
     Positive ordinates march from x = 0 with inflow g_left, negative ones
     from x = L with inflow g_right.  The diamond closure takes the cell value
-    as the edge average; upwind takes the downstream edge.
+    as the edge average; upwind takes the downstream edge.  Each direction's
+    march is one banded triangular solve (see _march).
 
     Parameters
     ----------
-    sigma_t : (n_cells,) total removal gamma_eps + sigma_eps
+    sigma_t : (n_cells,) non-negative total removal gamma_eps + sigma_eps
     emission : (n_cells, n_ordinates) emission sigma_eps K u + f_eps
     g_left : scalar or array over the positive ordinates
     g_right : scalar or array over the negative ordinates
@@ -120,50 +129,86 @@ def sweep(sigma_t, emission, g_left, g_right, grid, quad, scheme="diamond"):
     """
     mu = quad.nodes
     n = grid.n_cells
-    h = grid.h
     m = mu.size
     emission = np.asarray(emission, dtype=float)
     if emission.shape != (n, m):
         raise ValidationError(f"emission has shape {emission.shape}, expected {(n, m)}")
+    sigma_t = np.asarray(sigma_t, dtype=float)
+    if sigma_t.shape != (n,):
+        raise ValidationError(f"sigma_t has shape {sigma_t.shape}, expected {(n,)}")
+    if not np.all(sigma_t >= 0.0):
+        raise ValidationError("sigma_t must be non-negative")
     if np.any(mu == 0.0):
         raise ValidationError("quadrature contains a zero ordinate")
-    sigma_t = np.asarray(sigma_t, dtype=float)
-
-    cells = np.empty((n, m))
-    edges = np.empty((n + 1, m))
+    if scheme not in ("diamond", "upwind"):
+        raise ValidationError(f"unknown scheme {scheme!r}")
     pos = mu > 0.0
     neg = ~pos
-    diamond = scheme == "diamond"
+    g_left = _inflow(g_left, int(pos.sum()), "g_left")
+    g_right = _inflow(g_right, int(neg.sum()), "g_right")
 
-    a_p = mu[pos] / h
+    # per cell: (a + s_out) e_out - (a - s_in) e_in = emission, a = |mu|/h
+    if scheme == "diamond":
+        s_out = s_in = 0.5 * sigma_t
+    else:
+        s_out, s_in = sigma_t, np.zeros(n)
+    edges = np.empty((n + 1, m))
     edges[0, pos] = g_left
-    for i in range(n):
-        e_in = edges[i, pos]
-        if diamond:
-            e_out = ((a_p - 0.5 * sigma_t[i]) * e_in + emission[i, pos]) / (
-                a_p + 0.5 * sigma_t[i]
-            )
-            cells[i, pos] = 0.5 * (e_in + e_out)
-        else:
-            e_out = (a_p * e_in + emission[i, pos]) / (a_p + sigma_t[i])
-            cells[i, pos] = e_out
-        edges[i + 1, pos] = e_out
-
-    a_n = -mu[neg] / h
+    edges[1:, pos] = _march(mu[pos] / grid.h, s_out, s_in, emission, pos,
+                            g_left, forward=True).T
     edges[n, neg] = g_right
-    for i in range(n - 1, -1, -1):
-        e_in = edges[i + 1, neg]
-        if diamond:
-            e_out = ((a_n - 0.5 * sigma_t[i]) * e_in + emission[i, neg]) / (
-                a_n + 0.5 * sigma_t[i]
-            )
-            cells[i, neg] = 0.5 * (e_in + e_out)
-        else:
-            e_out = (a_n * e_in + emission[i, neg]) / (a_n + sigma_t[i])
-            cells[i, neg] = e_out
-        edges[i, neg] = e_out
-
+    edges[:-1, neg] = _march(-mu[neg] / grid.h, s_out, s_in, emission, neg,
+                             g_right, forward=False).T
+    if scheme == "diamond":
+        cells = 0.5 * (edges[:-1] + edges[1:])
+    else:
+        cells = np.where(pos, edges[1:], edges[:-1])
     return cells, edges
+
+
+def _inflow(g, count, name):
+    g = np.asarray(g, dtype=float)
+    if g.shape not in ((), (count,)):
+        raise ValidationError(f"{name} has shape {g.shape}, expected () or {(count,)}")
+    return g
+
+
+def _march(a, s_out, s_in, emission, sel, g, forward):
+    """Outgoing edge values (len(a), n_cells) of the ordinates in sel.
+
+    Ordinate j's march is a bidiagonal system in its n_cells outgoing edges:
+    diagonal a_j + s_out, and -(a_j - s_in) coupling each cell to the edge it
+    enters through.  That edge is the previous unknown (lower-bidiagonal)
+    marching forward from x = 0, the next one (upper) marching back from
+    x = L.  The ordinates' systems are stacked block-diagonally and solved by
+    one dtbtrs call; the diagonal is positive, so no pivoting is needed.
+    """
+    n = s_out.size
+    if a.size == 0:  # dtbtrs reports a spurious info on an empty system
+        return np.empty((0, n))
+    a = a[:, None]
+    # interleaved, so that band.reshape(-1, 2).T is the (2, N) Fortran-order
+    # band storage dtbtrs reads without a copy
+    band = np.empty((a.size, n, 2))
+    diag, coupling = band[..., 0], band[..., 1]
+    if not forward:
+        diag, coupling = coupling, diag
+    np.add(a, s_out, out=diag)
+    # band storage puts a cell's coupling in the column of its incoming edge
+    if forward:
+        np.subtract(s_in[1:], a, out=coupling[:, :-1])
+        coupling[:, -1] = 0.0
+    else:
+        np.subtract(s_in[:-1], a, out=coupling[:, 1:])
+        coupling[:, 0] = 0.0
+    rhs = emission.T[sel]
+    inflow_cell = 0 if forward else -1
+    rhs[:, inflow_cell] += (a[:, 0] - s_in[inflow_cell]) * g
+    edges, info = dtbtrs(band.reshape(-1, 2).T, rhs.reshape(-1, 1),
+                         uplo="L" if forward else "U", overwrite_b=1)
+    if info != 0:
+        raise ValidationError(f"transport sweep system is singular (dtbtrs info {info})")
+    return edges.reshape(a.size, n)
 
 
 def particle_balance(cells, edges, gamma_e, f_e, gl, gr, grid, quad):
@@ -280,31 +325,33 @@ def solve_transport(problem, eps, quad, options=None, source_override=None,
                 f"{iterations} sweeps", log=log(),
             )
 
-    for _ in range(options.max_iterations):
-        emission = sigma_e[:, None] * (u_curr @ kt) + f_e
-        cells, edges = sweep(sigma_t, emission, gl, gr, grid, quad, options.scheme)
-        iterations += 1
-        sbar = cells @ w
-        require_finite(sbar, "sweep average")
-        if dsa_factor is not None:
-            delta = solve_cells(dsa_factor, sigma_e * (sbar - ubar_curr))
-        else:
-            delta = np.zeros_like(sbar)
-        ubar_next = sbar + delta
-        require_finite(ubar_next, "accelerated average")
-        change = float(
-            np.linalg.norm(ubar_next - ubar_curr)
-            / max(np.linalg.norm(ubar_next), 1e-300)
-        )
-        history.append(change)
-        balance = particle_balance(cells, edges, gamma_e, f_e, gl, gr, grid, quad)
-        if change <= options.tolerance and (
-            options.balance_target is None or balance <= options.balance_target
-        ):
-            converged = True
-            break
-        u_curr = cells + delta[:, None]
-        ubar_curr = ubar_next
+    # a diverging iterate overflows before require_finite reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(options.max_iterations):
+            emission = sigma_e[:, None] * (u_curr @ kt) + f_e
+            cells, edges = sweep(sigma_t, emission, gl, gr, grid, quad, options.scheme)
+            iterations += 1
+            sbar = cells @ w
+            require_finite(sbar, "sweep average")
+            if dsa_factor is not None:
+                delta = solve_cells(dsa_factor, sigma_e * (sbar - ubar_curr))
+            else:
+                delta = np.zeros_like(sbar)
+            ubar_next = sbar + delta
+            require_finite(ubar_next, "accelerated average")
+            change = float(
+                np.linalg.norm(ubar_next - ubar_curr)
+                / max(np.linalg.norm(ubar_next), 1e-300)
+            )
+            history.append(change)
+            balance = particle_balance(cells, edges, gamma_e, f_e, gl, gr, grid, quad)
+            if change <= options.tolerance and (
+                options.balance_target is None or balance <= options.balance_target
+            ):
+                converged = True
+                break
+            u_curr = cells + delta[:, None]
+            ubar_curr = ubar_next
 
     if not converged:
         raise ConvergenceError(

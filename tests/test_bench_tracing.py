@@ -9,10 +9,12 @@ it fail here instead.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import translimit
 import translimit.cli  # noqa: F401  (cli is not imported by the package)
+from conftest import make_problem
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -34,3 +36,20 @@ def test_wrapped_name_resolves(module, attribute, span):
     # Instrumented reads the attribute from the owner's own namespace
     assert attr in vars(owner), f"translimit.{module} has no {attribute}"
     assert callable(vars(owner)[attr])
+
+
+def test_sweep_called_once_per_iteration_with_emission_second(monkeypatch, quad8):
+    # transport.sweep.calls and .cell_updates assume that solve_transport
+    # calls transport.sweep through the module once per iteration, with the
+    # (n_cells, n_ordinates) emission as its second positional argument
+    original = translimit.transport.sweep
+    shapes = []
+
+    def counting(*args, **kwargs):
+        shapes.append(np.shape(args[1]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(translimit.transport, "sweep", counting)
+    sol = translimit.solve_transport(make_problem(n_cells=12), 0.5, quad8)
+    assert len(shapes) == sol.log.iterations > 1
+    assert set(shapes) == {(12, quad8.n)}

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -171,11 +172,20 @@ reference = cosh
     def test_transport_divergence_exits_three(self, tmp_path, capsys):
         # 64 cells at eps = 2^-9 are optically thick (sigma_t h ~ 8), where
         # the DSA diverges; the solve stops at the first non-finite average
-        rc = main(["solve", "--mode", "transport", "--eps", "0.001953125",
-                   "--config", str(CONFIGS / "smooth_study.ini"),
-                   "--out", str(tmp_path)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["solve", "--mode", "transport", "--eps", "0.001953125",
+                       "--config", str(CONFIGS / "smooth_study.ini"),
+                       "--out", str(tmp_path)])
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        # the failed solve still leaves its log, listed in the manifest
+        log = json.loads((tmp_path / "iteration_log.json").read_text())
+        assert log["converged"] is False
+        assert log["iterations"] > 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"] == ["iteration_log.json"]
 
     def test_transport_solution_dumps(self, tmp_path):
         cfg = write(tmp_path, ISO)

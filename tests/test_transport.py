@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from translimit import (
+    AngularQuadrature,
     ConvergenceError,
     Grid1D,
     KernelSpec,
@@ -74,6 +78,105 @@ class TestSweep:
         grid = Grid1D(1.0, 10)
         with pytest.raises(ValidationError):
             sweep(np.ones(10), np.zeros((5, 8)), 0.0, 0.0, grid, quad8)
+
+    @pytest.mark.parametrize("sigma_t, g_left, g_right, scheme", [
+        (np.ones(9), 0.0, 0.0, "diamond"),       # sigma_t longer than n_cells
+        (np.ones((4, 1)), 0.0, 0.0, "diamond"),
+        (-np.ones(4), 0.0, 0.0, "diamond"),
+        (np.ones(4), np.zeros(3), 0.0, "diamond"),  # 4 positive ordinates
+        (np.ones(4), 0.0, np.zeros(5), "diamond"),  # 4 negative ordinates
+        (np.ones(4), 0.0, 0.0, "magic"),
+    ], ids=["sigma-length", "sigma-2d", "sigma-negative", "g-left-length",
+            "g-right-length", "scheme"])
+    def test_malformed_input_rejected(self, quad8, sigma_t, g_left, g_right,
+                                      scheme):
+        grid = Grid1D(1.0, 4)
+        with pytest.raises(ValidationError):
+            sweep(sigma_t, np.zeros((4, 8)), g_left, g_right, grid, quad8, scheme)
+
+
+def reference_sweep(sigma_t, emission, g_left, g_right, grid, quad, scheme):
+    """The sweep as a per-cell march, one cell at a time per direction."""
+    mu = quad.nodes
+    n = grid.n_cells
+    cells = np.empty((n, mu.size))
+    edges = np.empty((n + 1, mu.size))
+    for sel, g, forward in ((mu > 0.0, g_left, True), (mu < 0.0, g_right, False)):
+        a = np.abs(mu[sel]) / grid.h
+        e_in = np.broadcast_to(np.asarray(g, dtype=float), a.shape)
+        edges[0 if forward else n, sel] = e_in
+        for i in range(n) if forward else range(n - 1, -1, -1):
+            s = sigma_t[i]
+            if scheme == "diamond":
+                e_out = ((a - 0.5 * s) * e_in + emission[i, sel]) / (a + 0.5 * s)
+                cells[i, sel] = 0.5 * (e_in + e_out)
+            else:
+                e_out = (a * e_in + emission[i, sel]) / (a + s)
+                cells[i, sel] = e_out
+            edges[i + 1 if forward else i, sel] = e_out
+            e_in = e_out
+    return cells, edges
+
+
+@st.composite
+def sweep_inputs(draw):
+    """Random slab, unsorted ordinates with unequal sign counts, and data."""
+    n = draw(st.integers(1, 300))
+    grid = Grid1D(draw(st.floats(0.1, 10.0)), n)
+    n_pos, n_neg = draw(st.tuples(st.integers(0, 6), st.integers(0, 6))
+                        .filter(lambda c: c[0] != c[1]))
+    size = st.floats(0.01, 1.0)
+    mu = np.array(draw(st.lists(size, min_size=n_pos, max_size=n_pos))
+                  + [-m for m in draw(st.lists(size, min_size=n_neg,
+                                               max_size=n_neg))])
+    mu = mu[draw(st.permutations(range(mu.size)))]
+    quad = AngularQuadrature(mu, np.full(mu.size, 1.0 / mu.size))
+    tau = 10.0 ** draw(hnp.arrays(float, n, elements=st.floats(-3.0, 3.0)))
+    sigma_t = tau / grid.h
+    emission = draw(hnp.arrays(float, (n, mu.size),
+                               elements=st.floats(-10.0, 10.0)))
+
+    def inflow(count):
+        value = st.floats(-10.0, 10.0)
+        return draw(st.one_of(value, hnp.arrays(float, count, elements=value)))
+
+    return (sigma_t, emission, inflow(n_pos), inflow(n_neg), grid, quad,
+            draw(st.sampled_from(["diamond", "upwind"])))
+
+
+def close(got, want):
+    """Agreement to 1e-12, relative to each entry and to the field's scale."""
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestSweepProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(sweep_inputs())
+    def test_matches_per_cell_march(self, inputs):
+        cells, edges = sweep(*inputs)
+        ref_cells, ref_edges = reference_sweep(*inputs)
+        close(cells, ref_cells)
+        close(edges, ref_edges)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_inputs(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    def test_linear_in_emission_and_inflow(self, inputs, alpha, beta):
+        sigma_t, emission, g_left, g_right, grid, quad, scheme = inputs
+        rng = np.random.default_rng(emission.size)
+        other = (rng.normal(size=emission.shape), rng.normal(),
+                 rng.normal(size=np.shape(g_right)))
+        one = sweep(sigma_t, emission, g_left, g_right, grid, quad, scheme)
+        two = sweep(sigma_t, *other, grid, quad, scheme)
+        mixed = sweep(sigma_t, alpha * emission + beta * other[0],
+                      alpha * np.asarray(g_left) + beta * other[1],
+                      alpha * np.asarray(g_right) + beta * other[2],
+                      grid, quad, scheme)
+        for got, a, b in zip(mixed, one, two):
+            want = alpha * a + beta * b
+            scale = max(float(np.max(np.abs(alpha * a))),
+                        float(np.max(np.abs(beta * b))), 1e-300)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
 
 class TestSolveTransport:
