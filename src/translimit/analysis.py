@@ -384,11 +384,10 @@ def _validate_eps_list(eps_list):
 
 
 def _study_row(args):
-    problem, eps, quad, options, ps, floor_cells = args
+    problem, eps, quad, op, options, ps, floor_cells = args
     n = cells_for_eps(eps, problem.grid.length, floor=floor_cells)
     grid = Grid1D(problem.grid.length, n)
     local = dc_replace(problem, grid=grid)
-    op = local.kernel.build(quad)
     diffusion = solve_diffusion(local, op)
     transport = solve_transport(local, eps, quad, options, operator=op)
 
@@ -424,7 +423,13 @@ def convergence_study(problem, eps_list, quad, options=None, ps=(1, 4),
     partial report attached to the raised ConvergenceError.
     """
     eps = _validate_eps_list(eps_list)
-    tasks = [(problem, float(e), quad, options, tuple(ps), floor_cells) for e in eps]
+    # the operator does not depend on the mesh: build and certify it once,
+    # so every row (and, pickled with its cached certificate, every worker)
+    # reuses it
+    op = problem.kernel.build(quad)
+    certify_assumptions(op)
+    tasks = [(problem, float(e), quad, op, options, tuple(ps), floor_cells)
+             for e in eps]
 
     rows = []
     cells = []

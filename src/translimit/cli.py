@@ -47,15 +47,26 @@ EXIT_CONVERGENCE = 3
 EXIT_CERTIFICATION = 4
 
 
-def _fmt(x):
-    return f"{x:.17g}"
+# rows per % call in _write_csv: larger blocks are no faster, and their
+# float objects and text would raise the tensor command's peak RSS
+CSV_BLOCK_ROWS = 256
 
 
 def _write_csv(path, header, rows):
+    """Write a numeric table as %.17g text, one % call per block of rows.
+
+    rows is an (n, len(header)) array or any iterable of equal-length rows;
+    "%.17g" % x and f"{x:.17g}" give the same bytes for every double.
+    """
+    table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows),
+                       dtype=float)
+    table = table.reshape(len(table), len(header))
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path, payload):
@@ -65,7 +76,8 @@ def _write_json(path, payload):
 
 
 def _write_manifest(out_dir, args, config_path, outputs):
-    digest = hashlib.sha256(open(config_path, "rb").read()).hexdigest()
+    with open(config_path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     payload = {
         "command": list(args),
         "config": os.path.abspath(config_path),
@@ -253,10 +265,9 @@ def _solve_transport_cmd(cfg, ns, out, argv):
         raise
     grid = sol.grid
     xc = grid.centers
-    rows = []
-    for i, x in enumerate(xc):
-        for j, m in enumerate(quad.nodes):
-            rows.append([x, m, sol.u[i, j]])
+    # one row per (cell, ordinate), cells outermost
+    rows = np.column_stack([np.repeat(xc, quad.n),
+                            np.tile(quad.nodes, grid.n_cells), sol.u.ravel()])
     path = os.path.join(out, "transport_solution.csv")
     _write_csv(path, ["x", "mu", "u"], rows)
     avg_path = os.path.join(out, "transport_average.csv")

@@ -146,7 +146,12 @@ def kernel_linear(g):
     g = float(g)
 
     def k(v, vp):
-        return 1.0 + 3.0 * g * np.sum(v * vp, axis=-1)
+        # one broadcast product per coordinate, summed left to right as
+        # np.sum(v * vp, axis=-1) does, without its (..., d) temporary
+        dot = v[..., 0] * vp[..., 0]
+        for c in range(1, v.shape[-1]):
+            dot += v[..., c] * vp[..., c]
+        return 1.0 + 3.0 * g * dot
 
     return k
 

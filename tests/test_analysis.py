@@ -295,6 +295,25 @@ class TestConvergenceStudy:
             np.testing.assert_array_equal(serial.columns[name],
                                           parallel.columns[name])
 
+    def test_operator_built_and_certified_once(self, quad8, monkeypatch):
+        # the operator does not depend on the mesh, so a whole sweep shares one
+        import translimit.velocity_space as vs
+        from translimit import KernelSpec
+
+        built, decomposed = [], []
+        build, decomposition = KernelSpec.build, vs._decomposition
+        monkeypatch.setattr(KernelSpec, "build",
+                            lambda self, q: built.append(q) or build(self, q))
+        monkeypatch.setattr(vs, "_decomposition",
+                            lambda op: decomposed.append(op._decomp is None)
+                            or decomposition(op))
+        rep = convergence_study(smooth_benchmark(),
+                                [2.0**-k for k in range(1, 5)], quad8,
+                                floor_cells=32)
+        assert len(rep.n_cells) == 4
+        assert len(built) == 1
+        assert decomposed.count(True) == 1
+
     def test_discontinuous_sigma_flags_no_rate(self, quad8):
         p = make_problem(
             n_cells=64,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import warnings
@@ -6,8 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from translimit.cli import main
+from translimit import build_angular_quadrature, solve_transport
+from translimit.cli import CSV_BLOCK_ROWS, _write_csv, main
+from translimit.config import load_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -60,6 +65,77 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def reference_write_csv(path, header, rows):
+    """The per-value writer that _write_csv replaced, kept as its oracle."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+SPECIAL_FLOATS = st.sampled_from([
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+    5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    1e16, 1e17, -1e17, 9007199254740993.0, 1.7976931348623157e308,
+    0.1, 1.0 / 3.0,
+])
+ROW_COUNTS = st.sampled_from([0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                              CSV_BLOCK_ROWS + 1]) | st.integers(0, 40)
+
+
+@st.composite
+def float_tables(draw):
+    """A float table of random bit patterns with drawn special values."""
+    n_rows = draw(ROW_COUNTS)
+    n_cols = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.integers(0, 2**64, size=(n_rows, n_cols), dtype=np.uint64,
+                         endpoint=False).view(np.float64)
+    if table.size:
+        for value in draw(st.lists(st.floats(allow_subnormal=True)
+                                   | SPECIAL_FLOATS, max_size=30)):
+            table.flat[draw(st.integers(0, table.size - 1))] = value
+    return table
+
+
+class TestWriteCsv:
+    """The block writer is byte-identical to the per-value writer."""
+
+    @staticmethod
+    def assert_same_bytes(tmp_dir, header, block_rows, reference_rows):
+        got, want = tmp_dir / "block.csv", tmp_dir / "reference.csv"
+        _write_csv(got, header, block_rows)
+        reference_write_csv(want, header, reference_rows)
+        assert got.read_bytes() == want.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=float_tables())
+    def test_float_table(self, tmp_path_factory, table):
+        header = [f"c{j}" for j in range(table.shape[1])]
+        self.assert_same_bytes(tmp_path_factory.mktemp("csv"), header,
+                               table, table.tolist())
+
+    @settings(max_examples=30, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(-2**62, 2**62),
+                                   st.floats() | SPECIAL_FLOATS,
+                                   st.floats() | SPECIAL_FLOATS), max_size=12))
+    def test_integer_column_rows(self, tmp_path_factory, rows):
+        # as in the MMS tables: [n_cells, h, error, order] lists with an int
+        self.assert_same_bytes(tmp_path_factory.mktemp("csv"),
+                               ["n", "h", "err"], [list(r) for r in rows], rows)
+
+    @settings(max_examples=20, deadline=None)
+    @given(table=float_tables())
+    def test_zip_of_columns(self, tmp_path_factory, table):
+        header = [f"c{j}" for j in range(table.shape[1])]
+        self.assert_same_bytes(tmp_path_factory.mktemp("csv"), header,
+                               zip(*table.T), zip(*table.T))
+
+    def test_row_width_must_match_header(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_csv(tmp_path / "bad.csv", ["a", "b"], np.ones((3, 3)))
+
+
 class TestCertify:
     def test_isotropic_passes(self, tmp_path):
         cfg = write(tmp_path, ISO)
@@ -73,7 +149,8 @@ class TestCertify:
         assert abs(payload["sphere"]["c_K"] - 1.0) < 1e-10
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "certification.json" in manifest["outputs"]
-        assert len(manifest["config_sha256"]) == 64
+        assert manifest["config_sha256"] == hashlib.sha256(
+            Path(cfg).read_bytes()).hexdigest()
 
     def test_linear_half_passes_with_c_k_two(self, tmp_path):
         cfg = write(tmp_path, LINEAR_HALF)
@@ -199,6 +276,20 @@ reference = cosh
         assert set(avg[0]) == {"x", "u_bar"}
         log = json.loads((tmp_path / "iteration_log.json").read_text())
         assert {"residuals", "spectral_radius_estimate", "iterations"} <= set(log)
+        # byte-identical to the nested per-cell, per-ordinate rows the
+        # command used to build, written by the per-value writer
+        config = load_config(cfg)
+        quad = build_angular_quadrature(config.n_ordinates)
+        sol = solve_transport(config.problem, 0.5, quad, config.solver,
+                              operator=config.problem.kernel.build(quad))
+        reference = []
+        for i, x in enumerate(sol.grid.centers):
+            for j, m in enumerate(quad.nodes):
+                reference.append([x, m, sol.u[i, j]])
+        reference_write_csv(tmp_path / "reference.csv", ["x", "mu", "u"],
+                            reference)
+        assert ((tmp_path / "transport_solution.csv").read_bytes()
+                == (tmp_path / "reference.csv").read_bytes())
 
     def test_transport_mms_table(self, tmp_path):
         cfg = write(tmp_path, """

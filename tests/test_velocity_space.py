@@ -116,6 +116,18 @@ class TestAssembleScattering:
         assert any("normalization" in w for w in op.warnings)
         np.testing.assert_allclose(op.matrix @ np.ones(8), 1.0, atol=1e-13)
 
+    @pytest.mark.parametrize("g", [0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("rule", ["quad8", "quad16", "sphere1152"])
+    def test_linear_kernel_bit_identical_to_summed_product(self, request, rule, g):
+        # the per-coordinate dot product must round exactly as the summed
+        # (n, n, d) broadcast product it replaced, so operators keep every bit
+        quad = (build_sphere_quadrature(24, 48) if rule == "sphere1152"
+                else request.getfixturevalue(rule))
+        v, vp = quad.coords[:, None, :], quad.coords[None, :, :]
+        expected = 1.0 + 3.0 * g * np.sum(v * vp, axis=-1)
+        got = kernel_linear(g)(v, vp)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
     def test_negative_kernel_values_recorded(self, quad8):
         op = assemble_scattering(kernel_linear(0.9), quad8)
         assert op.kernel_min < 0
