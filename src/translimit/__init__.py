@@ -37,7 +37,7 @@ from .problem import (
     manufactured_case,
     mms_diffusion_source,
     mms_transport_source,
-    scale,
+    scaled_fields,
 )
 from .diffusion import DiffusionSolution, solve_diffusion, weak_residual
 from .transport import (
@@ -80,7 +80,7 @@ __all__ = [
     "certify_assumptions", "apply_K", "pinv_apply", "diffusion_moment",
     "diffusion_tensor",
     "Grid1D", "CoefficientField", "KernelSpec", "ProblemSpec",
-    "ManufacturedCase", "manufactured_case", "scale", "cells_for_eps",
+    "ManufacturedCase", "manufactured_case", "scaled_fields", "cells_for_eps",
     "mms_transport_source", "mms_diffusion_source",
     "DiffusionSolution", "solve_diffusion", "weak_residual",
     "SolverOptions", "IterationLog", "TransportSolution", "OutflowTrace",

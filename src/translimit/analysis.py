@@ -10,14 +10,13 @@ the two equivalent split expressions are exposed for ratio tests.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
 from .diffusion import solve_diffusion
 from .errors import ConvergenceError, ValidationError
-from .problem import Grid1D, cells_for_eps, coefficient_views
+from .problem import Grid1D, cells_for_eps, scaled_fields
 from .transport import directional_derivative, outflow_trace, solve_transport
 from .velocity_space import (
     _decomposition,
@@ -78,20 +77,6 @@ def spatial_norm(values, grid, p=2):
     return float((grid.h * np.sum(np.abs(values) ** p)) ** (1.0 / p))
 
 
-def inflow_data_norm(problem, eps, quad, p=2):
-    """|mu|-weighted boundary norm of the scaled inflow data."""
-    views = coefficient_views(problem, eps)
-    mu = quad.nodes
-    w = quad.weights
-    pos = mu > 0.0
-    gl = views.g_left(mu[pos])
-    gr = views.g_right(mu[~pos])
-    total = np.sum(w[pos] * mu[pos] * np.abs(gl) ** p) + np.sum(
-        w[~pos] * (-mu[~pos]) * np.abs(gr) ** p
-    )
-    return float(total ** (1.0 / p))
-
-
 @dataclass(frozen=True)
 class NormSet:
     """Bundle of norms of one space-velocity field.
@@ -105,36 +90,19 @@ class NormSet:
 
     l2: float
     lp: dict
-    bdry_plus: float | None
     energy: float
     energy_sq: float
     energy_dual_sq: float
     energy_proxy_sq: float
     energy_dual_proxy_sq: float
 
-    def as_dict(self):
-        return {
-            "l2": self.l2,
-            "lp": {str(k): v for k, v in self.lp.items()},
-            "bdry_plus": self.bdry_plus,
-            "energy": self.energy,
-            "energy_sq": self.energy_sq,
-            "energy_dual_sq": self.energy_dual_sq,
-            "energy_proxy_sq": self.energy_proxy_sq,
-            "energy_dual_proxy_sq": self.energy_dual_proxy_sq,
-        }
-
 
 def norms(field, eps, sigma_cells, gamma_cells, op, grid, ps=()):
-    """Norm bundle of a field (or a TransportSolution, adding its trace norm).
+    """Norm bundle of an (n_cells, n_ordinates) field.
 
     sigma_cells and gamma_cells are the unscaled coefficient values at the
     cell centers; the eps scaling is applied internally.
     """
-    bdry = None
-    if hasattr(field, "u") and hasattr(field, "edges"):
-        bdry = outflow_trace(field).norm(2)
-        field = field.u
     field = np.asarray(field, dtype=float)
     quad = op.quadrature
     w = quad.weights
@@ -168,7 +136,6 @@ def norms(field, eps, sigma_cells, gamma_cells, op, grid, ps=()):
     return NormSet(
         l2=space_velocity_norm(field, grid, quad, 2),
         lp=lp,
-        bdry_plus=bdry,
         energy=math.sqrt(energy_sq),
         energy_sq=energy_sq,
         energy_dual_sq=dual_sq,
@@ -271,8 +238,7 @@ def apriori_check(eps_list, solutions, problem):
     }
     for eps, sol in zip(eps_arr, solutions):
         grid, quad = sol.grid, sol.quad
-        views = coefficient_views(problem, eps)
-        xc = grid.centers
+        fields = scaled_fields(problem, eps, grid, quad)
         mean, fluct = split_mean_fluctuation(sol.u, quad)
         trace = outflow_trace(sol).norm(2)
         fluct_norm = space_velocity_norm(fluct, grid, quad)
@@ -283,10 +249,13 @@ def apriori_check(eps_list, solutions, problem):
         cols["mean_norm"].append(mean_norm)
         cols["deriv_norm"].append(deriv_norm)
         lhs = trace**2 + fluct_norm**2 / eps + eps * mean_norm**2
-        f_vals = views.f(xc)
-        fbar_sq = grid.h * float(np.sum(f_vals**2))  # isotropic source: f = fbar
-        g_norm = inflow_data_norm(problem, eps, quad)
-        rhs = g_norm**2 + fbar_sq / eps
+        fbar_sq = grid.h * float(np.sum(fields["source"]**2))  # isotropic: f = fbar
+        # |mu|-weighted boundary norm of the scaled inflow data
+        mu, w = quad.nodes, quad.weights
+        pos = mu > 0.0
+        g_sq = float(np.sum(w[pos] * mu[pos] * fields["g_left"]**2)
+                     + np.sum(w[~pos] * -mu[~pos] * fields["g_right"]**2))
+        rhs = g_sq + fbar_sq / eps
         cols["energy_ratio"].append(lhs / max(rhs, 1e-300))
         cols["max_abs"].append(float(np.max(np.abs(sol.u))))
     columns = {k: np.asarray(v) for k, v in cols.items()}
@@ -383,8 +352,7 @@ def _validate_eps_list(eps_list):
     return eps
 
 
-def _study_row(args):
-    problem, eps, quad, op, options, ps, floor_cells = args
+def _study_row(problem, eps, quad, op, options, ps, floor_cells):
     n = cells_for_eps(eps, problem.grid.length, floor=floor_cells)
     grid = Grid1D(problem.grid.length, n)
     local = dc_replace(problem, grid=grid)
@@ -411,7 +379,7 @@ def _study_row(args):
 
 
 def convergence_study(problem, eps_list, quad, options=None, ps=(1, 4),
-                      jobs=1, floor_cells=64):
+                      floor_cells=64):
     """Solve the scaled transport problem over a geometric eps sweep and
     measure every convergence quantity against the diffusion limit.
 
@@ -424,39 +392,24 @@ def convergence_study(problem, eps_list, quad, options=None, ps=(1, 4),
     """
     eps = _validate_eps_list(eps_list)
     # the operator does not depend on the mesh: build and certify it once,
-    # so every row (and, pickled with its cached certificate, every worker)
-    # reuses it
+    # so every row reuses it
     op = problem.kernel.build(quad)
     certify_assumptions(op)
-    tasks = [(problem, float(e), quad, op, options, tuple(ps), floor_cells)
-             for e in eps]
 
     rows = []
     cells = []
     iters = []
     partial_error = None
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
-            futures = [pool.submit(_study_row, t) for t in tasks]
-            for fut in futures:
-                try:
-                    row, n, it = fut.result()
-                except ConvergenceError as exc:
-                    partial_error = exc
-                    break
-                rows.append(row)
-                cells.append(n)
-                iters.append(it)
-    else:
-        for t in tasks:
-            try:
-                row, n, it = _study_row(t)
-            except ConvergenceError as exc:
-                partial_error = exc
-                break
-            rows.append(row)
-            cells.append(n)
-            iters.append(it)
+    for e in eps:
+        try:
+            row, n, it = _study_row(problem, float(e), quad, op, options, ps,
+                                    floor_cells)
+        except ConvergenceError as exc:
+            partial_error = exc
+            break
+        rows.append(row)
+        cells.append(n)
+        iters.append(it)
 
     names = list(rows[0]) if rows else list(_REPORT_COLUMNS)
     columns = {

@@ -19,6 +19,7 @@ import os
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .analysis import convergence_study, norms, space_velocity_norm
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .problem import Grid1D, manufactured_case, mms_diffusion_source, \
     mms_transport_source
-from .transport import solve_transport
+from .transport import outflow_trace, solve_transport
 from .velocity_space import (
     build_angular_quadrature,
     build_sphere_quadrature,
@@ -85,6 +86,7 @@ def _write_manifest(out_dir, args, config_path, outputs):
         "versions": {
             "translimit": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -153,6 +155,25 @@ def cmd_tensor(ns, argv):
     return EXIT_OK
 
 
+def _mms_table(cfg, ns, out, argv, error_name, mesh_error):
+    """Mesh-refinement table of mesh_error(grid) over the study meshes, with
+    the observed order log2(err[i-1] / err[i]) of each refinement."""
+    rows = []
+    errs = []
+    for n in cfg.study.meshes:
+        grid = Grid1D(cfg.problem.grid.length, n)
+        err = mesh_error(grid)
+        errs.append(err)
+        order = (math.log2(errs[-2] / err) if len(errs) > 1 else float("nan"))
+        rows.append([n, grid.h, err, order])
+        print(f"mms n={n:5d}  {error_name}={err:.6e}"
+              + (f"  order={order:.3f}" if len(errs) > 1 else ""))
+    path = os.path.join(out, "mms_table.csv")
+    _write_csv(path, ["n_cells", "h", error_name, "order"], rows)
+    _write_manifest(out, argv, ns.config, outputs=[path])
+    return EXIT_OK
+
+
 def _mms_diffusion_cmd(cfg, op, ns, out, argv):
     case = manufactured_case(cfg.study.mms, cfg.problem.grid.length)
     if not case.is_diffusion:
@@ -160,22 +181,13 @@ def _mms_diffusion_cmd(cfg, op, ns, out, argv):
             f"manufactured case {cfg.study.mms!r} is not a diffusion case"
         )
     src = mms_diffusion_source(case, cfg.problem.sigma, cfg.problem.gamma, op)
-    rows = []
-    errs = []
-    for n in cfg.study.meshes:
-        grid = Grid1D(cfg.problem.grid.length, n)
+
+    def max_nodal_error(grid):
         problem = dataclasses.replace(cfg.problem, grid=grid, source=src)
         sol = solve_diffusion(problem, op)
-        err = float(np.max(np.abs(sol.u_nodes - case.ubar(grid.edges))))
-        errs.append(err)
-        order = (math.log2(errs[-2] / err) if len(errs) > 1 else float("nan"))
-        rows.append([n, grid.h, err, order])
-        print(f"mms n={n:5d}  max_nodal_error={err:.6e}"
-              + (f"  order={order:.3f}" if len(errs) > 1 else ""))
-    path = os.path.join(out, "mms_table.csv")
-    _write_csv(path, ["n_cells", "h", "max_nodal_error", "order"], rows)
-    _write_manifest(out, argv, ns.config, outputs=[path])
-    return EXIT_OK
+        return float(np.max(np.abs(sol.u_nodes - case.ubar(grid.edges))))
+
+    return _mms_table(cfg, ns, out, argv, "max_nodal_error", max_nodal_error)
 
 
 def _solve_diffusion_cmd(cfg, ns, out, argv):
@@ -229,26 +241,17 @@ def _mms_transport_cmd(cfg, ns, out, argv):
             f"manufactured case {cfg.study.mms!r} is not a transport case"
         )
     quad = build_angular_quadrature(cfg.n_ordinates)
-    rows = []
-    errs = []
-    for n in cfg.study.meshes:
-        grid = Grid1D(cfg.problem.grid.length, n)
+    op = cfg.problem.kernel.build(quad)
+
+    def l2_error(grid):
         problem = dataclasses.replace(cfg.problem, grid=grid, scaling="unscaled")
-        op = problem.kernel.build(quad)
         src = mms_transport_source(case, problem.sigma, problem.gamma, op, grid)
         sol = solve_transport(problem, 1.0, quad, cfg.solver,
                               source_override=src, operator=op)
         exact = case.u(grid.centers[:, None], quad.nodes[None, :])
-        err = space_velocity_norm(sol.u - exact, grid, quad, 2)
-        errs.append(err)
-        order = (math.log2(errs[-2] / err) if len(errs) > 1 else float("nan"))
-        rows.append([n, grid.h, err, order])
-        print(f"mms n={n:5d}  l2_error={err:.6e}"
-              + (f"  order={order:.3f}" if len(errs) > 1 else ""))
-    path = os.path.join(out, "mms_table.csv")
-    _write_csv(path, ["n_cells", "h", "l2_error", "order"], rows)
-    _write_manifest(out, argv, ns.config, outputs=[path])
-    return EXIT_OK
+        return space_velocity_norm(sol.u - exact, grid, quad, 2)
+
+    return _mms_table(cfg, ns, out, argv, "l2_error", l2_error)
 
 
 def _solve_transport_cmd(cfg, ns, out, argv):
@@ -276,12 +279,12 @@ def _solve_transport_cmd(cfg, ns, out, argv):
     outputs = [path, avg_path, log_path]
     outputs.append(_write_manifest(out, argv, ns.config, outputs))
 
-    ns_set = norms(sol, ns.eps, cfg.problem.sigma(xc), cfg.problem.gamma(xc),
+    ns_set = norms(sol.u, ns.eps, cfg.problem.sigma(xc), cfg.problem.gamma(xc),
                    op, grid, ps=cfg.study.p_norms)
     print(f"transport solve: eps={ns.eps:g}, {sol.log.iterations} iterations, "
           f"balance residual {sol.log.balance_residual:.3e}")
     print(f"  l2={ns_set.l2:.6g}  energy={ns_set.energy:.6g}  "
-          f"outflow={ns_set.bdry_plus:.6g}")
+          f"outflow={outflow_trace(sol).norm(2):.6g}")
     for p, v in ns_set.lp.items():
         print(f"  l{p:g}={v:.6g}")
     return EXIT_OK
@@ -304,8 +307,7 @@ def cmd_study(ns, argv):
     try:
         report = convergence_study(
             cfg.problem, cfg.study.eps, quad, cfg.solver,
-            ps=cfg.study.p_norms, jobs=ns.jobs,
-            floor_cells=cfg.study.floor_cells,
+            ps=cfg.study.p_norms, floor_cells=cfg.study.floor_cells,
         )
         failure = None
     except ConvergenceError as exc:
@@ -360,7 +362,6 @@ def build_parser():
 
     p = sub.add_parser("study", help="run the eps-sweep convergence study")
     common(p)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_study)
 
     return parser

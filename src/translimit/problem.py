@@ -2,9 +2,10 @@
 
 The spatial domain is the slab (0, L) on a uniform cell grid.  Coefficients
 are declarative (constant, piecewise constant, or a named smooth profile) so
-that problems pickle cleanly and bounds are known exactly.  The diffusive
-scaling multiplies absorption, source and inflow by eps and divides the
-scattering coefficient by eps.
+that bounds are known exactly.  scaled_fields evaluates them at eps through
+the exponent table EPS_EXPONENTS: the diffusive scaling multiplies
+absorption, source and inflow by eps and divides the scattering coefficient
+by eps; the unscaled convention uses every field verbatim.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ __all__ = [
     "CoefficientField",
     "KernelSpec",
     "ProblemSpec",
-    "ScaledCoefficients",
-    "scale",
+    "EPS_EXPONENTS",
+    "scaled_fields",
     "ManufacturedCase",
     "manufactured_case",
     "mms_transport_source",
@@ -169,14 +170,23 @@ class KernelSpec:
         return assemble_scattering(table, quad)
 
 
+# eps exponent of each field under each scaling: -1 uses a field as v / eps,
+# +1 as eps * v and 0 verbatim
+EPS_EXPONENTS = {
+    "diffusive": {"sigma": -1, "gamma": 1, "source": 1, "g_left": 1, "g_right": 1},
+    "unscaled": {"sigma": 0, "gamma": 0, "source": 0, "g_left": 0, "g_right": 0},
+}
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Full problem description shared by the transport and diffusion solvers.
 
     sigma and gamma must be strictly positive; inflow data g_left/g_right may
-    be constants or callables of mu and default to zero.  Under the diffusive
-    scaling the solver sees gamma_eps = eps*gamma, sigma_eps = sigma/eps,
-    f_eps = eps*f and g_eps = eps*g; with scaling "unscaled" the fields are
+    be constants or callables of mu and default to zero.  scaling selects a
+    row of EPS_EXPONENTS: under "diffusive" the solver sees
+    gamma_eps = eps*gamma, sigma_eps = sigma/eps, f_eps = eps*f and
+    g_eps = eps*g; under "unscaled" every exponent is 0 and the fields are
     used verbatim.
     """
 
@@ -190,7 +200,7 @@ class ProblemSpec:
     scaling: str = "diffusive"
 
     def __post_init__(self):
-        if self.scaling not in ("diffusive", "unscaled"):
+        if self.scaling not in EPS_EXPONENTS:
             raise ValidationError(f"unknown scaling {self.scaling!r}")
         if self.sigma.bounds[0] <= 0.0:
             raise ValidationError(
@@ -209,51 +219,34 @@ def _eval_inflow(g, mu):
     return np.full_like(mu, float(g))
 
 
-@dataclass(frozen=True)
-class ScaledCoefficients:
-    """Evaluable views of the coefficients at a fixed eps."""
-
-    problem: ProblemSpec
-    eps: float
-    diffusive: bool
-
-    def sigma(self, x):
-        v = self.problem.sigma(x)
-        return v / self.eps if self.diffusive else v
-
-    def gamma(self, x):
-        v = self.problem.gamma(x)
-        return self.eps * v if self.diffusive else v
-
-    def f(self, x):
-        v = self.problem.source(x)
-        return self.eps * v if self.diffusive else v
-
-    def g_left(self, mu):
-        v = _eval_inflow(self.problem.g_left, mu)
-        return self.eps * v if self.diffusive else v
-
-    def g_right(self, mu):
-        v = _eval_inflow(self.problem.g_right, mu)
-        return self.eps * v if self.diffusive else v
+def _scaled(v, eps, exponent):
+    if exponent == -1:
+        return v / eps
+    if exponent == 1:
+        return eps * v
+    return v
 
 
-def scale(problem, eps):
-    """Diffusively scaled coefficient views at the given eps."""
+def scaled_fields(problem, eps, grid, quad):
+    """The problem's fields as the solver sees them at eps.
+
+    Returns a dict of arrays: sigma, gamma and source at grid.centers, and
+    g_left/g_right on the positive/negative ordinates of quad, each scaled
+    by its exponent in EPS_EXPONENTS[problem.scaling].
+    """
     if not (eps > 0.0):
         raise ValidationError(f"eps must be positive, got {eps}")
-    if problem.scaling != "diffusive":
-        raise ValidationError("scale() requires a problem with diffusive scaling")
-    return ScaledCoefficients(problem, float(eps), True)
-
-
-def coefficient_views(problem, eps):
-    """Views honoring the problem's scaling convention (verbatim if unscaled)."""
-    if problem.scaling == "diffusive":
-        return scale(problem, eps)
-    if not (eps > 0.0):
-        raise ValidationError(f"eps must be positive, got {eps}")
-    return ScaledCoefficients(problem, float(eps), False)
+    xc = grid.centers
+    pos = quad.nodes > 0.0
+    raw = {
+        "sigma": problem.sigma(xc),
+        "gamma": problem.gamma(xc),
+        "source": problem.source(xc),
+        "g_left": _eval_inflow(problem.g_left, quad.nodes[pos]),
+        "g_right": _eval_inflow(problem.g_right, quad.nodes[~pos]),
+    }
+    exponents = EPS_EXPONENTS[problem.scaling]
+    return {name: _scaled(v, float(eps), exponents[name]) for name, v in raw.items()}
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dtbtrs
 
 from .diffusion import factor_operator, solve_cells
 from .errors import CertificationError, ConvergenceError, ValidationError
-from .problem import coefficient_views
+from .problem import scaled_fields
 from .velocity_space import certify_assumptions, diffusion_moment
 
 __all__ = [
@@ -262,8 +262,8 @@ def solve_transport(problem, eps, quad, options=None, source_override=None,
     average or an accelerated average stops being finite.
     """
     options = options if options is not None else SolverOptions()
-    if not (eps > 0.0):
-        raise ValidationError(f"eps must be positive, got {eps}")
+    grid = problem.grid
+    fields = scaled_fields(problem, eps, grid, quad)
     op = operator if operator is not None else problem.kernel.build(quad)
     report = certify_assumptions(op)
     if not report.all_passed:
@@ -273,17 +273,12 @@ def solve_transport(problem, eps, quad, options=None, source_override=None,
             report=report,
         )
 
-    grid = problem.grid
-    xc = grid.centers
-    views = coefficient_views(problem, eps)
-    sigma_e = views.sigma(xc)
-    gamma_e = views.gamma(xc)
+    sigma_e = fields["sigma"]
+    gamma_e = fields["gamma"]
     sigma_t = sigma_e + gamma_e
-    mu = quad.nodes
     w = quad.weights
-    pos = mu > 0.0
-    gl = views.g_left(mu[pos])
-    gr = views.g_right(mu[~pos])
+    gl = fields["g_left"]
+    gr = fields["g_right"]
 
     if source_override is not None:
         f_e = np.asarray(source_override, dtype=float)
@@ -293,7 +288,7 @@ def solve_transport(problem, eps, quad, options=None, source_override=None,
                 f"expected {(grid.n_cells, quad.n)}"
             )
     else:
-        f_e = np.repeat(views.f(xc)[:, None], quad.n, axis=1)
+        f_e = np.repeat(fields["source"][:, None], quad.n, axis=1)
 
     dsa_factor = None
     if options.acceleration == "dsa":

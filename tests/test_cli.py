@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,6 +64,18 @@ def write(tmp_path, text, name="cfg.ini"):
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def check_mms_table(rows, error_name, meshes, length=1.0):
+    """Mesh column, h = L/n, and order[i] = log2(err[i-1] / err[i])."""
+    assert [int(r["n_cells"]) for r in rows] == meshes
+    assert list(rows[0]) == ["n_cells", "h", error_name, "order"]
+    errs = [float(r[error_name]) for r in rows]
+    for n, r in zip(meshes, rows):
+        assert float(r["h"]) == length / n
+    assert math.isnan(float(rows[0]["order"]))
+    for i in range(1, len(rows)):
+        assert float(rows[i]["order"]) == math.log2(errs[i - 1] / errs[i])
 
 
 def reference_write_csv(path, header, rows):
@@ -149,6 +162,7 @@ class TestCertify:
         assert abs(payload["sphere"]["c_K"] - 1.0) < 1e-10
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "certification.json" in manifest["outputs"]
+        assert manifest["versions"]["scipy"] == scipy.__version__
         assert manifest["config_sha256"] == hashlib.sha256(
             Path(cfg).read_bytes()).hexdigest()
 
@@ -304,6 +318,7 @@ meshes = 32 64 128
         assert rc == 0
         rows = read_csv(tmp_path / "mms_table.csv")
         assert len(rows) == 3
+        check_mms_table(rows, "l2_error", [32, 64, 128])
         assert float(rows[-1]["order"]) >= 1.9
 
     def test_diffusion_mms_table(self, tmp_path):
@@ -320,6 +335,7 @@ meshes = 32 64 128
                    "--out", str(tmp_path)])
         assert rc == 0
         rows = read_csv(tmp_path / "mms_table.csv")
+        check_mms_table(rows, "max_nodal_error", [32, 64, 128])
         assert float(rows[-1]["order"]) >= 1.9
 
     def test_missing_config_exits_two(self, tmp_path):

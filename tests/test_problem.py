@@ -15,7 +15,7 @@ from translimit import (
     manufactured_case,
     mms_diffusion_source,
     mms_transport_source,
-    scale,
+    scaled_fields,
 )
 from conftest import make_problem
 
@@ -96,39 +96,50 @@ class TestProblemValidation:
 
 
 class TestScale:
-    def test_diffusive_values(self):
+    def test_diffusive_values(self, quad8):
         p = make_problem(sigma=1.0)
-        views = scale(p, 0.1)
-        x = p.grid.centers
-        np.testing.assert_allclose(views.sigma(x), 10.0)
-        np.testing.assert_allclose(views.gamma(x), 0.1)
-        np.testing.assert_allclose(views.f(x), 0.1)
+        fields = scaled_fields(p, 0.1, p.grid, quad8)
+        np.testing.assert_allclose(fields["sigma"], 10.0)
+        np.testing.assert_allclose(fields["gamma"], 0.1)
+        np.testing.assert_allclose(fields["source"], 0.1)
 
-    def test_eps_one_is_identity(self):
+    def test_eps_one_is_identity(self, quad8):
         p = make_problem(sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0))
-        views = scale(p, 1.0)
-        x = p.grid.centers
-        np.testing.assert_allclose(views.sigma(x), p.sigma(x))
+        fields = scaled_fields(p, 1.0, p.grid, quad8)
+        np.testing.assert_allclose(fields["sigma"], p.sigma(p.grid.centers))
 
-    def test_multiplicative_composition(self):
+    def test_multiplicative_composition(self, quad8):
         p = make_problem(sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0))
-        x = p.grid.centers
         e1, e2 = 0.5, 0.25
-        once = scale(p, e1 * e2)
-        twice_sigma = scale(p, e1).sigma(x) / e2
-        twice_gamma = scale(p, e1).gamma(x) * e2
-        np.testing.assert_allclose(once.sigma(x), twice_sigma, rtol=1e-14)
-        np.testing.assert_allclose(once.gamma(x), twice_gamma, rtol=1e-14)
+        once = scaled_fields(p, e1 * e2, p.grid, quad8)
+        twice = scaled_fields(p, e1, p.grid, quad8)
+        np.testing.assert_allclose(once["sigma"], twice["sigma"] / e2, rtol=1e-14)
+        np.testing.assert_allclose(once["gamma"], twice["gamma"] * e2, rtol=1e-14)
+
+    def test_exponents_applied_as_division_and_product(self, quad8):
+        # -1 is v / eps and +1 is eps * v, bit for bit
+        p = make_problem(sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0),
+                         g_left=0.7, g_right=1.3)
+        eps = 0.3
+        fields = scaled_fields(p, eps, p.grid, quad8)
+        xc = p.grid.centers
+        pos = quad8.nodes > 0
+        np.testing.assert_array_equal(fields["sigma"], p.sigma(xc) / eps)
+        np.testing.assert_array_equal(fields["gamma"], eps * p.gamma(xc))
+        np.testing.assert_array_equal(fields["source"], eps * p.source(xc))
+        np.testing.assert_array_equal(fields["g_left"], np.full(pos.sum(), eps * 0.7))
+        np.testing.assert_array_equal(fields["g_right"],
+                                      np.full((~pos).sum(), eps * 1.3))
 
     def test_boundary_norm_scaling(self, quad8):
         # closed form: int_0^1 mu dmu / 2 = 1/4 per face, so |g|^2 = 1/2
         p = make_problem(g_left=1.0, g_right=1.0)
         eps = 0.25
-        views = scale(p, eps)
+        fields = scaled_fields(p, eps, p.grid, quad8)
         mu, w = quad8.nodes, quad8.weights
         pos = mu > 0
-        gl = views.g_left(mu[pos])
-        gr = views.g_right(mu[~pos])
+        gl = fields["g_left"]
+        gr = fields["g_right"]
         norm_sq = np.sum(w[pos] * mu[pos] * gl**2) + np.sum(
             w[~pos] * (-mu[~pos]) * gr**2
         )
@@ -140,13 +151,32 @@ class TestScale:
         # sqrt(eps) bound holds with constant 0.5 relative to the data norm
         assert np.sqrt(norm_sq) <= 0.5 * np.sqrt(base_sq) * np.sqrt(eps) + 1e-15
 
-    def test_invalid_eps(self):
-        with pytest.raises(ValidationError):
-            scale(make_problem(), 0.0)
+    def test_callable_inflow_on_incoming_ordinates(self, quad8):
+        p = make_problem(g_left=lambda mu: mu, g_right=lambda mu: mu**2)
+        fields = scaled_fields(p, 0.5, p.grid, quad8)
+        mu = quad8.nodes
+        np.testing.assert_array_equal(fields["g_left"], 0.5 * mu[mu > 0])
+        np.testing.assert_array_equal(fields["g_right"], 0.5 * mu[mu < 0] ** 2)
 
-    def test_unscaled_problem_rejected_by_scale(self):
+    def test_invalid_eps(self, quad8):
         with pytest.raises(ValidationError):
-            scale(make_problem(scaling="unscaled"), 0.5)
+            scaled_fields(make_problem(), 0.0, make_problem().grid, quad8)
+
+    def test_unscaled_problem_is_verbatim(self, quad8):
+        p = make_problem(sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0),
+                         g_left=0.7, scaling="unscaled")
+        fields = scaled_fields(p, 0.125, p.grid, quad8)
+        xc = p.grid.centers
+        np.testing.assert_array_equal(fields["sigma"], p.sigma(xc))
+        np.testing.assert_array_equal(fields["gamma"], p.gamma(xc))
+        np.testing.assert_array_equal(fields["source"], p.source(xc))
+        np.testing.assert_array_equal(fields["g_left"], 0.7)
+
+    def test_fields_on_the_given_grid(self, quad8):
+        p = make_problem(n_cells=100, sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0))
+        grid = Grid1D(1.0, 12)
+        fields = scaled_fields(p, 0.5, grid, quad8)
+        np.testing.assert_array_equal(fields["sigma"], p.sigma(grid.centers) / 0.5)
 
 
 class TestManufacturedCases:

@@ -8,12 +8,14 @@ from hypothesis.extra import numpy as hnp
 
 from translimit import (
     AngularQuadrature,
+    CoefficientField,
     ConvergenceError,
     Grid1D,
     KernelSpec,
     SolverOptions,
     ValidationError,
     assemble_scattering,
+    build_angular_quadrature,
     directional_derivative,
     kernel_isotropic,
     manufactured_case,
@@ -177,6 +179,59 @@ class TestSweepProperties:
             scale = max(float(np.max(np.abs(alpha * a))),
                         float(np.max(np.abs(beta * b))), 1e-300)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+def piecewise_fields(draw, lo, hi):
+    """A positive field of one to three pieces with values in [lo, hi]."""
+    pieces = draw(st.integers(1, 3))
+    breaks = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=pieces - 1,
+                                  max_size=pieces - 1, unique=True)))
+    values = draw(st.lists(st.floats(lo, hi), min_size=pieces, max_size=pieces))
+    return CoefficientField.piecewise(breaks, values)
+
+
+@st.composite
+def balance_problems(draw):
+    """Random positive coefficients and constant inflow on 8..128 cells."""
+    n = draw(st.integers(8, 128))
+    eps = 2.0 ** -draw(st.integers(0, 4))
+    scaling = draw(st.sampled_from(["diffusive", "unscaled"]))
+    # keep the cell optical thickness sigma_t h well below 1, where the DSA
+    # is known to converge
+    sigma_eps_max = 0.5 * n if scaling == "unscaled" else 0.5 * eps * n
+    problem = make_problem(
+        n_cells=n,
+        sigma=piecewise_fields(draw, 0.1, min(4.0, sigma_eps_max)),
+        gamma=piecewise_fields(draw, 0.1, 2.0),
+        source=piecewise_fields(draw, 0.1, 2.0),
+        kernel=draw(st.sampled_from([KernelSpec(),
+                                     KernelSpec(kind="linear", g_factor=0.5)])),
+        g_left=draw(st.floats(-2.0, 2.0)),
+        g_right=draw(st.floats(-2.0, 2.0)),
+        scaling=scaling,
+    )
+    return problem, eps
+
+
+class TestBalanceProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(balance_problems())
+    def test_balance_holds_with_independently_scaled_data(self, inputs):
+        problem, eps = inputs
+        quad = build_angular_quadrature(8)
+        sol = solve_transport(problem, eps, quad)
+        target = SolverOptions().balance_target
+        assert sol.log.balance_residual <= target
+        # the same identity from data scaled here, not by the solver
+        k = eps if problem.scaling == "diffusive" else 1.0
+        xc = problem.grid.centers
+        mu = quad.nodes
+        res = particle_balance(
+            sol.u, sol.edges, k * problem.gamma(xc),
+            np.repeat(k * problem.source(xc)[:, None], quad.n, axis=1),
+            np.full((mu > 0).sum(), k * problem.g_left),
+            np.full((mu < 0).sum(), k * problem.g_right), problem.grid, quad)
+        assert res <= target
 
 
 class TestSolveTransport:

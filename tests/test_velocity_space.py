@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from translimit import (
     CertificationError,
@@ -324,3 +327,29 @@ class TestDiffusionTensor:
         op = assemble_scattering(kernel_isotropic(), sphere48)
         with pytest.raises(ValidationError):
             diffusion_tensor(op, [1.0, 0.0])
+
+
+SLAB_ORDERS = st.integers(2, 16).map(lambda k: 2 * k)
+G_FACTORS = st.floats(0.0, 0.9)
+
+
+class TestOperatorInvariantProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(SLAB_ORDERS, G_FACTORS)
+    def test_constant_preserved(self, n, g):
+        op = assemble_scattering(kernel_linear(g), build_angular_quadrature(n))
+        np.testing.assert_allclose(apply_K(op, np.ones(n)), 1.0, rtol=0, atol=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(SLAB_ORDERS, G_FACTORS, st.data())
+    def test_pinv_apply_is_mean_free(self, n, g, data):
+        quad = build_angular_quadrature(n)
+        op = assemble_scattering(kernel_linear(g), quad)
+        w = quad.weights
+        v = data.draw(hnp.arrays(float, n, elements=st.floats(-10.0, 10.0)))
+        r = v - v @ w
+        norm = lambda x: float(np.sqrt(x**2 @ w))
+        # a nearly constant v leaves too little after the shift to be solvable
+        assume(norm(r) > 1e-3 * max(norm(v), 1e-300))
+        u = pinv_apply(op, r)
+        assert abs(u @ w) <= 1e-12 * norm(u)
