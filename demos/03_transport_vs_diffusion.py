@@ -11,8 +11,10 @@ from translimit import (
     CoefficientField,
     Grid1D,
     ProblemSpec,
+    assemble_scattering,
     build_angular_quadrature,
     cells_for_eps,
+    kernel_isotropic,
     solve_diffusion,
     solve_transport,
     space_velocity_norm,
@@ -27,7 +29,7 @@ def main():
         source=CoefficientField.constant(1.0),
     )
     quad = build_angular_quadrature(16)
-    op = base.kernel.build(quad)
+    op = assemble_scattering(kernel_isotropic(), quad)
 
     print("eps      cells  iterations   |u_eps - u0|_L2   mid-slab gap")
     for k in (1, 2, 3, 4, 5, 6):
@@ -35,7 +37,7 @@ def main():
         n = cells_for_eps(eps, base.grid.length)
         problem = dataclasses.replace(base, grid=Grid1D(1.0, n))
         diffusion = solve_diffusion(problem, op)
-        transport = solve_transport(problem, eps, quad, operator=op)
+        transport = solve_transport(problem, eps, op)
         u0 = diffusion.at_centers()
         err = space_velocity_norm(transport.u - u0[:, None], problem.grid, quad)
         gap = abs(transport.u_bar[n // 2] - u0[n // 2])

@@ -16,8 +16,10 @@ from translimit import (
     CoefficientField,
     Grid1D,
     ProblemSpec,
+    assemble_scattering,
     build_angular_quadrature,
     convergence_study,
+    kernel_isotropic,
 )
 
 
@@ -28,9 +30,9 @@ def main():
         gamma=CoefficientField.constant(1.0),
         source=CoefficientField.constant(1.0),
     )
-    quad = build_angular_quadrature(16)
+    op = assemble_scattering(kernel_isotropic(), build_angular_quadrature(16))
     eps = [2.0**-k for k in range(1, 7)]
-    report = convergence_study(problem, eps, quad)
+    report = convergence_study(problem, eps, op)
 
     names = report.column_names()
     print("eps        " + "".join(f"{n:>12s}" for n in names))

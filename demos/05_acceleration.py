@@ -11,13 +11,15 @@ from translimit import (
     Grid1D,
     ProblemSpec,
     SolverOptions,
+    assemble_scattering,
     build_angular_quadrature,
+    kernel_isotropic,
     solve_transport,
 )
 
 
 def main():
-    quad = build_angular_quadrature(16)
+    op = assemble_scattering(kernel_isotropic(), build_angular_quadrature(16))
     problem = ProblemSpec(
         grid=Grid1D(1.0, 128),
         sigma=CoefficientField.constant(1.0),
@@ -28,10 +30,10 @@ def main():
     print("eps      dsa iterations    plain iterations     plain last change")
     for k in (1, 2, 3, 4, 5, 6):
         eps = 2.0**-k
-        acc = solve_transport(problem, eps, quad)
+        acc = solve_transport(problem, eps, op)
         try:
             plain = solve_transport(
-                problem, eps, quad,
+                problem, eps, op,
                 SolverOptions(acceleration="none", max_iterations=2000))
             plain_its = f"{plain.log.iterations:10d}"
             last = f"{plain.log.residuals[-1]:.1e}"

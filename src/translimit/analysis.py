@@ -226,8 +226,11 @@ def apriori_check(eps_list, solutions, problem):
     bounded by.  Growth beyond 2x is flagged, never raised.
     """
     eps_arr = np.asarray(list(eps_list), dtype=float)
+    solutions = list(solutions)
     if eps_arr.size < 3:
         raise ValidationError("apriori_check needs at least 3 eps values")
+    if len(solutions) != eps_arr.size:
+        raise ValidationError(f"{len(solutions)} solutions for {eps_arr.size} eps values")
     cols = {
         "trace_over_sqrt_eps": [],
         "fluct_over_eps": [],
@@ -352,12 +355,13 @@ def _validate_eps_list(eps_list):
     return eps
 
 
-def _study_row(problem, eps, quad, op, options, ps, floor_cells):
+def _study_row(problem, eps, op, options, ps, floor_cells):
     n = cells_for_eps(eps, problem.grid.length, floor=floor_cells)
     grid = Grid1D(problem.grid.length, n)
     local = dc_replace(problem, grid=grid)
+    quad = op.quadrature
     diffusion = solve_diffusion(local, op)
-    transport = solve_transport(local, eps, quad, options, operator=op)
+    transport = solve_transport(local, eps, op, options)
 
     u0c = diffusion.at_centers()
     diff = transport.u - u0c[:, None]
@@ -378,10 +382,13 @@ def _study_row(problem, eps, quad, op, options, ps, floor_cells):
     return row, n, transport.log.iterations
 
 
-def convergence_study(problem, eps_list, quad, options=None, ps=(1, 4),
+def convergence_study(problem, eps_list, op, options=None, ps=(1, 4),
                       floor_cells=64):
     """Solve the scaled transport problem over a geometric eps sweep and
     measure every convergence quantity against the diffusion limit.
+
+    op is the certified slab ScatteringOperator every row shares: the limit's
+    diffusivity, the transport solves and the corrector all come from it.
 
     The mesh per eps follows h <= eps/4 with a floor, so the second-order
     discretization error stays below the first-order asymptotic signal.  The
@@ -391,9 +398,8 @@ def convergence_study(problem, eps_list, quad, options=None, ps=(1, 4),
     partial report attached to the raised ConvergenceError.
     """
     eps = _validate_eps_list(eps_list)
-    # the operator does not depend on the mesh: build and certify it once,
-    # so every row reuses it
-    op = problem.kernel.build(quad)
+    # the operator does not depend on the mesh: certify it once, so every
+    # row reuses its cached decomposition
     certify_assumptions(op)
 
     rows = []
@@ -402,8 +408,7 @@ def convergence_study(problem, eps_list, quad, options=None, ps=(1, 4),
     partial_error = None
     for e in eps:
         try:
-            row, n, it = _study_row(problem, float(e), quad, op, options, ps,
-                                    floor_cells)
+            row, n, it = _study_row(problem, float(e), op, options, ps, floor_cells)
         except ConvergenceError as exc:
             partial_error = exc
             break
@@ -411,7 +416,7 @@ def convergence_study(problem, eps_list, quad, options=None, ps=(1, 4),
         cells.append(n)
         iters.append(it)
 
-    names = list(rows[0]) if rows else list(_REPORT_COLUMNS)
+    names = _REPORT_COLUMNS + tuple(f"err_l{p:g}" for p in ps)
     columns = {
         name: np.asarray([r[name] for r in rows], dtype=float) for name in names
     }
@@ -440,7 +445,7 @@ def convergence_study(problem, eps_list, quad, options=None, ps=(1, 4),
         protocol={
             "mesh_rule": "h <= eps/4",
             "floor_cells": int(floor_cells),
-            "n_ordinates": int(quad.n),
+            "n_ordinates": int(op.n),
             "scheme": options.scheme if options is not None else "diamond",
         },
     )

@@ -102,15 +102,19 @@ def _out_dir(ns):
     return ns.out
 
 
+def _slab_operator(cfg):
+    return cfg.kernel.build(build_angular_quadrature(cfg.n_ordinates))
+
+
+def _sphere_operator(cfg):
+    return cfg.kernel.build(build_sphere_quadrature(cfg.n_polar, cfg.n_azimuth))
+
+
 def cmd_certify(ns, argv):
     cfg = load_config(ns.config)
     out = _out_dir(ns)
-    slab = cfg.problem.kernel.build(build_angular_quadrature(cfg.n_ordinates))
-    sphere = cfg.problem.kernel.build(
-        build_sphere_quadrature(cfg.n_polar, cfg.n_azimuth)
-    )
-    slab_report = certify_assumptions(slab)
-    sphere_report = certify_assumptions(sphere)
+    slab_report = certify_assumptions(_slab_operator(cfg))
+    sphere_report = certify_assumptions(_sphere_operator(cfg))
     payload = slab_report.as_dict()
     payload["sphere"] = sphere_report.as_dict()
     path = os.path.join(out, "certification.json")
@@ -130,8 +134,7 @@ def cmd_certify(ns, argv):
 def cmd_tensor(ns, argv):
     cfg = load_config(ns.config)
     out = _out_dir(ns)
-    quad = build_sphere_quadrature(cfg.n_polar, cfg.n_azimuth)
-    op = cfg.problem.kernel.build(quad)
+    op = _sphere_operator(cfg)
     xc = cfg.problem.grid.centers
     tensor = diffusion_tensor(op, cfg.problem.sigma(xc))
 
@@ -191,7 +194,7 @@ def _mms_diffusion_cmd(cfg, op, ns, out, argv):
 
 
 def _solve_diffusion_cmd(cfg, ns, out, argv):
-    op = cfg.problem.kernel.build(build_angular_quadrature(cfg.n_ordinates))
+    op = _slab_operator(cfg)
     if cfg.study.mms:
         return _mms_diffusion_cmd(cfg, op, ns, out, argv)
     sol = solve_diffusion(cfg.problem, op)
@@ -234,20 +237,18 @@ def _solve_diffusion_cmd(cfg, ns, out, argv):
     return EXIT_OK
 
 
-def _mms_transport_cmd(cfg, ns, out, argv):
+def _mms_transport_cmd(cfg, op, ns, out, argv):
     case = manufactured_case(cfg.study.mms, cfg.problem.grid.length)
     if not case.is_transport:
         raise ValidationError(
             f"manufactured case {cfg.study.mms!r} is not a transport case"
         )
-    quad = build_angular_quadrature(cfg.n_ordinates)
-    op = cfg.problem.kernel.build(quad)
+    quad = op.quadrature
 
     def l2_error(grid):
         problem = dataclasses.replace(cfg.problem, grid=grid, scaling="unscaled")
         src = mms_transport_source(case, problem.sigma, problem.gamma, op, grid)
-        sol = solve_transport(problem, 1.0, quad, cfg.solver,
-                              source_override=src, operator=op)
+        sol = solve_transport(problem, 1.0, op, cfg.solver, source_override=src)
         exact = case.u(grid.centers[:, None], quad.nodes[None, :])
         return space_velocity_norm(sol.u - exact, grid, quad, 2)
 
@@ -255,13 +256,13 @@ def _mms_transport_cmd(cfg, ns, out, argv):
 
 
 def _solve_transport_cmd(cfg, ns, out, argv):
+    op = _slab_operator(cfg)
     if cfg.study.mms:
-        return _mms_transport_cmd(cfg, ns, out, argv)
-    quad = build_angular_quadrature(cfg.n_ordinates)
-    op = cfg.problem.kernel.build(quad)
+        return _mms_transport_cmd(cfg, op, ns, out, argv)
+    quad = op.quadrature
     log_path = os.path.join(out, "iteration_log.json")
     try:
-        sol = solve_transport(cfg.problem, ns.eps, quad, cfg.solver, operator=op)
+        sol = solve_transport(cfg.problem, ns.eps, op, cfg.solver)
     except ConvergenceError as exc:
         _write_json(log_path, exc.log.as_dict())
         _write_manifest(out, argv, ns.config, [log_path])
@@ -303,10 +304,10 @@ def cmd_study(ns, argv):
     out = _out_dir(ns)
     if not cfg.study.eps:
         raise ValidationError("study requires an eps list in [study]")
-    quad = build_angular_quadrature(cfg.n_ordinates)
+    op = _slab_operator(cfg)
     try:
         report = convergence_study(
-            cfg.problem, cfg.study.eps, quad, cfg.solver,
+            cfg.problem, cfg.study.eps, op, cfg.solver,
             ps=cfg.study.p_norms, floor_cells=cfg.study.floor_cells,
         )
         failure = None

@@ -29,8 +29,7 @@ _SCHEMA = {
     "coefficients.gamma": _FIELD_KEYS,
     "source": _FIELD_KEYS,
     "boundary": {"g_left", "g_right"},
-    "scattering": {"kernel", "g_factor", "table_path", "n_ordinates",
-                   "n_polar", "n_azimuth"},
+    "scattering": {"kernel", "g_factor", "n_ordinates", "n_polar", "n_azimuth"},
     "solver": {"scheme", "tolerance", "max_iterations", "acceleration",
                "balance_target"},
     "study": {"eps", "p_norms", "scaling", "mms", "meshes", "reference",
@@ -53,13 +52,14 @@ class Config:
     problem: ProblemSpec
     solver: SolverOptions
     study: StudySpec
+    kernel: KernelSpec
     n_ordinates: int
     n_polar: int
     n_azimuth: int
     path: str
 
 
-def _float(section, key, raw, where):
+def _float(raw, key, where):
     try:
         return float(raw)
     except ValueError as exc:
@@ -98,7 +98,7 @@ def _coefficient(items, where, default_value):
         )
     if kind == "constant":
         return CoefficientField.constant(
-            _float(where, "value", items.get("value", default_value), where)
+            _float(items.get("value", default_value), "value", where)
         )
     if kind == "piecewise":
         if "breakpoints" not in items or "values" not in items:
@@ -108,10 +108,10 @@ def _coefficient(items, where, default_value):
             _float_list(items["values"], "values", where),
         )
     return CoefficientField.sinusoid(
-        offset=_float(where, "offset", items.get("offset", 0.0), where),
-        amplitude=_float(where, "amplitude", items.get("amplitude", 0.0), where),
-        frequency=_float(where, "frequency", items.get("frequency", 1.0), where),
-        phase=_float(where, "phase", items.get("phase", 0.0), where),
+        offset=_float(items.get("offset", 0.0), "offset", where),
+        amplitude=_float(items.get("amplitude", 0.0), "amplitude", where),
+        frequency=_float(items.get("frequency", 1.0), "frequency", where),
+        phase=_float(items.get("phase", 0.0), "phase", where),
     )
 
 
@@ -136,7 +136,7 @@ def load_config(path):
 
     grid_items = sections.get("grid", {})
     grid = Grid1D(
-        length=_float("grid", "length", grid_items.get("length", 1.0), "grid"),
+        length=_float(grid_items.get("length", 1.0), "length", "grid"),
         n_cells=_int(grid_items.get("n_cells", 100), "n_cells", "grid"),
     )
 
@@ -147,31 +147,26 @@ def load_config(path):
     source = _coefficient(sections.get("source", {}), "source", 1.0)
 
     bnd = sections.get("boundary", {})
-    g_left = _float("boundary", "g_left", bnd.get("g_left", 0.0), "boundary")
-    g_right = _float("boundary", "g_right", bnd.get("g_right", 0.0), "boundary")
+    g_left = _float(bnd.get("g_left", 0.0), "g_left", "boundary")
+    g_right = _float(bnd.get("g_right", 0.0), "g_right", "boundary")
 
     sc = sections.get("scattering", {})
     kernel = KernelSpec(
         kind=sc.get("kernel", "isotropic"),
-        g_factor=_float("scattering", "g_factor", sc.get("g_factor", 0.0),
-                        "scattering"),
-        table_path=sc.get("table_path"),
+        g_factor=_float(sc.get("g_factor", 0.0), "g_factor", "scattering"),
     )
     n_ordinates = _int(sc.get("n_ordinates", 16), "n_ordinates", "scattering")
     n_polar = _int(sc.get("n_polar", 8), "n_polar", "scattering")
     n_azimuth = _int(sc.get("n_azimuth", 16), "n_azimuth", "scattering")
 
     sv = sections.get("solver", {})
-    balance_raw = sv.get("balance_target", "1e-10")
-    balance = None if str(balance_raw).lower() == "none" else _float(
-        "solver", "balance_target", balance_raw, "solver"
-    )
     solver = SolverOptions(
         scheme=sv.get("scheme", "diamond"),
-        tolerance=_float("solver", "tolerance", sv.get("tolerance", 1e-10), "solver"),
+        tolerance=_float(sv.get("tolerance", 1e-10), "tolerance", "solver"),
         max_iterations=_int(sv.get("max_iterations", 200), "max_iterations", "solver"),
         acceleration=sv.get("acceleration", "dsa"),
-        balance_target=balance,
+        balance_target=_float(sv.get("balance_target", 1e-10), "balance_target",
+                              "solver"),
     )
 
     st = sections.get("study", {})
@@ -189,11 +184,11 @@ def load_config(path):
     )
 
     problem = ProblemSpec(
-        grid=grid, sigma=sigma, gamma=gamma, source=source, kernel=kernel,
+        grid=grid, sigma=sigma, gamma=gamma, source=source,
         g_left=g_left, g_right=g_right, scaling=scaling,
     )
     return Config(
-        problem=problem, solver=solver, study=study,
+        problem=problem, solver=solver, study=study, kernel=kernel,
         n_ordinates=n_ordinates, n_polar=n_polar, n_azimuth=n_azimuth,
         path=str(path),
     )

@@ -98,8 +98,8 @@ def solve_diffusion(problem, op):
     ----------
     problem : ProblemSpec; uses its grid and the unscaled sigma, gamma,
         source fields.
-    op : certified ScatteringOperator of the problem's kernel, on a slab or
-        a sphere quadrature; the diffusivity is a = m_K / sigma with
+    op : certified ScatteringOperator, on a slab or a sphere quadrature;
+        the diffusivity is a = m_K / sigma with
         m_K = diffusion_moment(op)[0, 0].
     """
     grid = problem.grid

@@ -145,29 +145,23 @@ class CoefficientField:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Scattering kernel selector: isotropic, linear (g_factor), or table file."""
+    """Scattering kernel selector: isotropic, or linear with g_factor.
+
+    build(quad) assembles the ScatteringOperator the solvers take.
+    """
 
     kind: str = "isotropic"
     g_factor: float = 0.0
-    table_path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("isotropic", "linear", "table"):
+        if self.kind not in ("isotropic", "linear"):
             raise ValidationError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "table" and not self.table_path:
-            raise ValidationError("table kernel requires table_path")
 
     def build(self, quad):
         """Assemble the scattering operator on the given quadrature."""
         if self.kind == "isotropic":
             return assemble_scattering(kernel_isotropic(), quad)
-        if self.kind == "linear":
-            return assemble_scattering(kernel_linear(self.g_factor), quad)
-        try:
-            table = np.loadtxt(self.table_path)
-        except OSError as exc:
-            raise ValidationError(f"cannot read kernel table: {exc}") from exc
-        return assemble_scattering(table, quad)
+        return assemble_scattering(kernel_linear(self.g_factor), quad)
 
 
 # eps exponent of each field under each scaling: -1 uses a field as v / eps,
@@ -180,10 +174,12 @@ EPS_EXPONENTS = {
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Full problem description shared by the transport and diffusion solvers.
+    """Slab problem shared by the transport and diffusion solvers.
 
-    sigma and gamma must be strictly positive; inflow data g_left/g_right may
-    be constants or callables of mu and default to zero.  scaling selects a
+    The scattering kernel and the velocity quadrature are not part of it:
+    both come with the ScatteringOperator each solver takes.  sigma and
+    gamma must be strictly positive; inflow data g_left/g_right may be
+    constants or callables of mu and default to zero.  scaling selects a
     row of EPS_EXPONENTS: under "diffusive" the solver sees
     gamma_eps = eps*gamma, sigma_eps = sigma/eps, f_eps = eps*f and
     g_eps = eps*g; under "unscaled" every exponent is 0 and the fields are
@@ -194,7 +190,6 @@ class ProblemSpec:
     sigma: CoefficientField
     gamma: CoefficientField
     source: CoefficientField
-    kernel: KernelSpec = KernelSpec()
     g_left: object = 0.0
     g_right: object = 0.0
     scaling: str = "diffusive"

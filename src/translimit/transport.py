@@ -29,7 +29,7 @@ from scipy.linalg.lapack import dtbtrs
 from .diffusion import factor_operator, solve_cells
 from .errors import CertificationError, ConvergenceError, ValidationError
 from .problem import scaled_fields
-from .velocity_space import certify_assumptions, diffusion_moment
+from .velocity_space import AngularQuadrature, certify_assumptions, diffusion_moment
 
 __all__ = [
     "SolverOptions",
@@ -51,15 +51,15 @@ class SolverOptions:
         asymptotic-preserving control)
     tolerance : relative l2 change of the velocity average between
         accelerated iterates
-    balance_target : particle-balance residual every returned solution must
-        meet (None disables the check)
+    balance_target : positive particle-balance residual every returned
+        solution must meet
     """
 
     scheme: str = "diamond"
     tolerance: float = 1e-10
     max_iterations: int = 200
     acceleration: str = "dsa"
-    balance_target: float | None = 1e-10
+    balance_target: float = 1e-10
 
     def __post_init__(self):
         if self.scheme not in ("diamond", "upwind"):
@@ -68,6 +68,8 @@ class SolverOptions:
             raise ValidationError(f"unknown acceleration {self.acceleration!r}")
         if not (self.tolerance > 0.0):
             raise ValidationError("tolerance must be positive")
+        if not (self.balance_target > 0.0):
+            raise ValidationError("balance_target must be positive")
         if int(self.max_iterations) < 1:
             raise ValidationError("max_iterations must be >= 1")
 
@@ -242,29 +244,32 @@ def _spectral_radius_estimate(history):
     return float(np.median(ratios[-8:]))
 
 
-def solve_transport(problem, eps, quad, options=None, source_override=None,
-                    operator=None):
+def solve_transport(problem, eps, op, options=None, source_override=None):
     """Source iteration with optional synthetic-diffusion acceleration.
 
     Parameters
     ----------
-    problem : ProblemSpec with a certified-capable kernel
+    problem : ProblemSpec
     eps : scaling parameter (> 0)
-    quad : AngularQuadrature
+    op : ScatteringOperator on a slab AngularQuadrature; it carries both
+        the kernel and the ordinates, and must pass certification
     source_override : optional (n_cells, n_ordinates) source replacing the
         scaled isotropic source (used for manufactured verification)
-    operator : optionally pass a pre-built ScatteringOperator on quad
 
+    Raises ValidationError for an operator on any other quadrature, and
+    CertificationError for one that fails certification, before any sweep.
     Raises ConvergenceError (carrying the residual history) when the
     iteration does not meet both the tolerance and the balance target within
     max_iterations, which is the expected signature of running without
     acceleration deep in the diffusive regime, and at once when a sweep
     average or an accelerated average stops being finite.
     """
+    quad = getattr(op, "quadrature", None)
+    if not isinstance(quad, AngularQuadrature):
+        raise ValidationError("solve_transport needs an operator on a slab quadrature")
     options = options if options is not None else SolverOptions()
     grid = problem.grid
     fields = scaled_fields(problem, eps, grid, quad)
-    op = operator if operator is not None else problem.kernel.build(quad)
     report = certify_assumptions(op)
     if not report.all_passed:
         raise CertificationError(
@@ -340,9 +345,7 @@ def solve_transport(problem, eps, quad, options=None, source_override=None,
             )
             history.append(change)
             balance = particle_balance(cells, edges, gamma_e, f_e, gl, gr, grid, quad)
-            if change <= options.tolerance and (
-                options.balance_target is None or balance <= options.balance_target
-            ):
+            if change <= options.tolerance and balance <= options.balance_target:
                 converged = True
                 break
             u_curr = cells + delta[:, None]

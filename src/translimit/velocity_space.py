@@ -196,8 +196,7 @@ def assemble_scattering(kernel, quad):
 
     Parameters
     ----------
-    kernel : callable k(v, v') acting on (..., d) coordinate arrays, or an
-        (n, n) table of kernel values (row i, column j = k(v_i, v_j)).
+    kernel : callable k(v, v') acting on (..., d) coordinate arrays
     quad : SphereQuadrature or AngularQuadrature
 
     Row sums of the raw kernel are rescaled to one so the constant vector is
@@ -206,12 +205,9 @@ def assemble_scattering(kernel, quad):
     """
     coords = quad.coords
     n = quad.n
-    if callable(kernel):
-        kmat = np.asarray(kernel(coords[:, None, :], coords[None, :, :]), dtype=float)
-    else:
-        kmat = np.asarray(kernel, dtype=float)
+    kmat = np.asarray(kernel(coords[:, None, :], coords[None, :, :]), dtype=float)
     if kmat.shape != (n, n):
-        raise ValidationError(f"kernel table has shape {kmat.shape}, expected {(n, n)}")
+        raise ValidationError(f"kernel values have shape {kmat.shape}, expected {(n, n)}")
     asym = float(np.max(np.abs(kmat - kmat.T)))
     scale = max(1.0, float(np.max(np.abs(kmat))))
     if asym > 1e-10 * scale:

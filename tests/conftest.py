@@ -4,7 +4,6 @@ import pytest
 from translimit import (
     CoefficientField,
     Grid1D,
-    KernelSpec,
     ProblemSpec,
     assemble_scattering,
     build_angular_quadrature,
@@ -34,8 +33,14 @@ def iso8(quad8):
     return assemble_scattering(kernel_isotropic(), quad8)
 
 
-def make_problem(n_cells=100, sigma=1.0, gamma=1.0, source=1.0,
-                 kernel=None, length=1.0, **kwargs):
+@pytest.fixture(scope="session")
+def iso16(quad16):
+    """Isotropic scattering operator on 16 ordinates."""
+    return assemble_scattering(kernel_isotropic(), quad16)
+
+
+def make_problem(n_cells=100, sigma=1.0, gamma=1.0, source=1.0, length=1.0,
+                 **kwargs):
     """Unit-slab problem with constant coefficients unless fields are given."""
     def field(v):
         return v if isinstance(v, CoefficientField) else CoefficientField.constant(v)
@@ -45,7 +50,6 @@ def make_problem(n_cells=100, sigma=1.0, gamma=1.0, source=1.0,
         sigma=field(sigma),
         gamma=field(gamma),
         source=field(source),
-        kernel=kernel if kernel is not None else KernelSpec(),
         **kwargs,
     )
 

@@ -18,7 +18,6 @@ import pytest
 from translimit import (
     CoefficientField,
     ConvergenceError,
-    KernelSpec,
     SolverOptions,
     assemble_scattering,
     build_angular_quadrature,
@@ -47,9 +46,9 @@ def report(criterion, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def smooth_report(quad16):
+def smooth_report(iso16):
     t0 = time.perf_counter()
-    rep = convergence_study(smooth_benchmark(), EPS_SWEEP, quad16)
+    rep = convergence_study(smooth_benchmark(), EPS_SWEEP, iso16)
     return rep, time.perf_counter() - t0
 
 
@@ -168,10 +167,9 @@ class TestCriterion5:
         balances = []
         for n in (32, 64, 128, 256):
             p = make_problem(n_cells=n, sigma=sigma, scaling="unscaled")
-            op = p.kernel.build(quad8)
-            src_t = mms_transport_source(tcase, p.sigma, p.gamma, op, p.grid)
-            sol = solve_transport(p, 1.0, quad8, SolverOptions(tolerance=1e-12),
-                                  source_override=src_t, operator=op)
+            src_t = mms_transport_source(tcase, p.sigma, p.gamma, iso, p.grid)
+            sol = solve_transport(p, 1.0, iso, SolverOptions(tolerance=1e-12),
+                                  source_override=src_t)
             exact = tcase.u(p.grid.centers[:, None], quad8.nodes[None, :])
             terrs.append(l2_error(sol.u, exact, p.grid, quad8))
             balances.append(sol.log.balance_residual)
@@ -201,8 +199,8 @@ class TestCriterion6:
         # the limit's diffusivity is the kernel's own slab moment
         # 1/(3(1-g) sigma); against 1/(3 sigma) err_total stalls and grows
         t0 = time.perf_counter()
-        p = make_problem(n_cells=64, kernel=KernelSpec("linear", g_factor=g))
-        rep = convergence_study(p, EPS_SWEEP, quad16)
+        op = assemble_scattering(kernel_linear(g), quad16)
+        rep = convergence_study(make_problem(n_cells=64), EPS_SWEEP, op)
         slope = rep.slopes["err_total"].slope
         elapsed = time.perf_counter() - t0
         ok = 0.85 <= slope <= 1.15 and elapsed < 60.0
@@ -242,13 +240,13 @@ class TestCriterion7:
 
 
 class TestCriterion8:
-    def test_two_material_convergence(self, quad16):
+    def test_two_material_convergence(self, iso16):
         t0 = time.perf_counter()
         p = make_problem(
             n_cells=64,
             sigma=CoefficientField.piecewise([0.5], [1.0, 4.0]),
         )
-        rep = convergence_study(p, EPS_SWEEP, quad16)
+        rep = convergence_study(p, EPS_SWEEP, iso16)
         err = rep.columns["err_total"]
         decreasing = bool(np.all(np.diff(err) < 0.0))
         elapsed = time.perf_counter() - t0
@@ -279,16 +277,16 @@ class TestCriterion10:
 
 
 class TestCriterion11:
-    def test_acceleration_necessity(self, quad16):
+    def test_acceleration_necessity(self, iso16):
         t0 = time.perf_counter()
         p = make_problem(n_cells=256)
         eps = 2.0**-6
-        accelerated = solve_transport(p, eps, quad16)
+        accelerated = solve_transport(p, eps, iso16)
         n_acc = accelerated.log.iterations
         max_unacc = 600
         try:
             un = solve_transport(
-                p, eps, quad16,
+                p, eps, iso16,
                 SolverOptions(acceleration="none", max_iterations=max_unacc))
             n_un = un.log.iterations
             hit_max = False

@@ -130,12 +130,12 @@ class TestNorms:
             dual += grid.h * np.sum(quad8.weights * v * u[i])
         np.testing.assert_allclose(ns.energy_dual_sq, dual, rtol=1e-12)
 
-    def test_solution_field_norms(self, quad8):
+    def test_solution_field_norms(self, quad8, iso8):
         p = make_problem(n_cells=32)
-        sol = solve_transport(p, 0.5, quad8)
+        sol = solve_transport(p, 0.5, iso8)
         xc = p.grid.centers
-        ns = norms(sol.u, 0.5, p.sigma(xc), p.gamma(xc), op=p.kernel.build(quad8),
-                   grid=p.grid, ps=(1, 4))
+        ns = norms(sol.u, 0.5, p.sigma(xc), p.gamma(xc), op=iso8, grid=p.grid,
+                   ps=(1, 4))
         assert ns.l2 == space_velocity_norm(sol.u, p.grid, quad8, 2)
         assert set(ns.lp) == {1, 4}
         assert ns.lp[4] == space_velocity_norm(sol.u, p.grid, quad8, 4)
@@ -184,13 +184,12 @@ class TestRemainder:
         psi = expansion_remainder(u_eps, u0, u1, eps)
         np.testing.assert_allclose(psi, 0.0, atol=1e-15)
 
-    def test_triangle_inequality_sanity(self, quad8):
+    def test_triangle_inequality_sanity(self, quad8, iso8):
         grid = Grid1D(1.0, 32)
         p = make_problem(n_cells=32)
-        sol = solve_transport(p, 2.0**-4, quad8)
-        op = assemble_scattering(kernel_isotropic(), quad8)
-        d = solve_diffusion(p, op)
-        u1 = first_order_corrector(d, p.sigma(grid.centers), op)
+        sol = solve_transport(p, 2.0**-4, iso8)
+        d = solve_diffusion(p, iso8)
+        u1 = first_order_corrector(d, p.sigma(grid.centers), iso8)
         u0c = d.at_centers()
         psi = expansion_remainder(sol.u, u0c, u1, sol.eps)
         lhs = space_velocity_norm(psi, grid, quad8)
@@ -219,19 +218,19 @@ class TestSlopeFit:
 
 
 class TestApriori:
-    def test_zero_data_gives_zero_rows(self, quad8):
+    def test_zero_data_gives_zero_rows(self, iso8):
         p = make_problem(n_cells=32, source=0.0)
         eps_list = [0.5, 0.25, 0.125]
-        sols = [solve_transport(p, e, quad8) for e in eps_list]
+        sols = [solve_transport(p, e, iso8) for e in eps_list]
         table = apriori_check(eps_list, sols, p)
         for name in ("trace_over_sqrt_eps", "fluct_over_eps", "mean_norm",
                      "deriv_norm", "max_abs"):
             np.testing.assert_allclose(table.columns[name], 0.0, atol=1e-12)
 
-    def test_smooth_sweep_stays_bounded(self, quad8):
+    def test_smooth_sweep_stays_bounded(self, iso8):
         p = smooth_benchmark(n_cells=64)
         eps_list = [0.5, 0.25, 0.125, 0.0625]
-        sols = [solve_transport(p, e, quad8) for e in eps_list]
+        sols = [solve_transport(p, e, iso8) for e in eps_list]
         table = apriori_check(eps_list, sols, p)
         for name in ("trace_over_sqrt_eps", "fluct_over_eps", "mean_norm",
                      "deriv_norm", "max_abs"):
@@ -243,21 +242,27 @@ class TestApriori:
         with pytest.raises(ValidationError):
             apriori_check([0.5, 0.25], [], make_problem())
 
+    def test_needs_one_solution_per_eps(self, iso8):
+        p = make_problem(n_cells=16)
+        sol = solve_transport(p, 0.5, iso8)
+        with pytest.raises(ValidationError, match="1 solutions for 3 eps"):
+            apriori_check([0.5, 0.25, 0.125], [sol], p)
+
 
 class TestConvergenceStudy:
-    def test_eps_list_validation(self, quad8):
+    def test_eps_list_validation(self, iso8):
         p = smooth_benchmark()
         with pytest.raises(ValidationError):
-            convergence_study(p, [0.5], quad8)
+            convergence_study(p, [0.5], iso8)
         with pytest.raises(ValidationError):
-            convergence_study(p, [0.5, 0.3, 0.2, 0.1], quad8)
+            convergence_study(p, [0.5, 0.3, 0.2, 0.1], iso8)
         with pytest.raises(ValidationError):
-            convergence_study(p, [0.8, 0.64, 0.512, 0.4096], quad8)
+            convergence_study(p, [0.8, 0.64, 0.512, 0.4096], iso8)
 
-    def test_small_study_structure(self, quad8, tmp_path):
+    def test_small_study_structure(self, iso8, tmp_path):
         p = smooth_benchmark()
         eps = [2.0**-k for k in range(1, 5)]
-        rep = convergence_study(p, eps, quad8, floor_cells=32)
+        rep = convergence_study(p, eps, iso8, floor_cells=32)
         assert set(rep.column_names()) == {
             "err_total", "err_fluct", "bdry", "deriv", "remainder",
             "err_l1", "err_l4",
@@ -277,52 +282,56 @@ class TestConvergenceStudy:
         files = rep.write_plot_files(tmp_path)
         assert len(files) == 7
 
-    def test_determinism(self, quad8, tmp_path):
+    def test_determinism(self, iso8, tmp_path):
         p = smooth_benchmark()
         eps = [2.0**-k for k in range(1, 5)]
-        r1 = convergence_study(p, eps, quad8, floor_cells=32)
-        r2 = convergence_study(p, eps, quad8, floor_cells=32)
+        r1 = convergence_study(p, eps, iso8, floor_cells=32)
+        r2 = convergence_study(p, eps, iso8, floor_cells=32)
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         r1.to_csv(f1)
         r2.to_csv(f2)
         assert f1.read_bytes() == f2.read_bytes()
 
-    def test_operator_built_and_certified_once(self, quad8, monkeypatch):
-        # the operator does not depend on the mesh, so a whole sweep shares one
+    def test_builds_no_operator_and_decomposes_the_given_one_once(
+            self, quad8, monkeypatch):
+        # the operator does not depend on the mesh, so a whole sweep shares
+        # the one it is given
         import translimit.velocity_space as vs
-        from translimit import KernelSpec
 
+        op = assemble_scattering(kernel_isotropic(), quad8)
         built, decomposed = [], []
-        build, decomposition = KernelSpec.build, vs._decomposition
-        monkeypatch.setattr(KernelSpec, "build",
-                            lambda self, q: built.append(q) or build(self, q))
+        post_init = vs.ScatteringOperator.__post_init__
+        decomposition = vs._decomposition
+        monkeypatch.setattr(vs.ScatteringOperator, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
         monkeypatch.setattr(vs, "_decomposition",
-                            lambda op: decomposed.append(op._decomp is None)
-                            or decomposition(op))
+                            lambda o: decomposed.append((o, o._decomp is None))
+                            or decomposition(o))
         rep = convergence_study(smooth_benchmark(),
-                                [2.0**-k for k in range(1, 5)], quad8,
+                                [2.0**-k for k in range(1, 5)], op,
                                 floor_cells=32)
         assert len(rep.n_cells) == 4
-        assert len(built) == 1
-        assert decomposed.count(True) == 1
+        assert built == []
+        assert all(o is op for o, _ in decomposed)
+        assert [fresh for _, fresh in decomposed].count(True) == 1
 
-    def test_discontinuous_sigma_flags_no_rate(self, quad8):
+    def test_discontinuous_sigma_flags_no_rate(self, iso8):
         p = make_problem(
             n_cells=64,
             sigma=CoefficientField.piecewise([0.5], [1.0, 4.0]),
         )
-        rep = convergence_study(p, [2.0**-k for k in range(1, 5)], quad8,
+        rep = convergence_study(p, [2.0**-k for k in range(1, 5)], iso8,
                                 floor_cells=32)
         assert not rep.rate_asserted
         assert any("rate not asserted" in n for n in rep.notes)
 
-    def test_partial_report_on_convergence_failure(self, quad8):
+    def test_partial_report_on_convergence_failure(self, iso8):
         from translimit import ConvergenceError, SolverOptions
 
         p = smooth_benchmark()
         opts = SolverOptions(acceleration="none", max_iterations=30)
         with pytest.raises(ConvergenceError) as err:
-            convergence_study(p, [2.0**-k for k in range(1, 5)], quad8,
+            convergence_study(p, [2.0**-k for k in range(1, 5)], iso8,
                               options=opts, floor_cells=32)
         assert hasattr(err.value, "partial_report")
 
@@ -336,13 +345,13 @@ class TestWeakConsistency:
         from translimit import cells_for_eps, weak_residual
 
         p = smooth_benchmark()
-        op = p.kernel.build(quad16)
+        op = assemble_scattering(kernel_isotropic(), quad16)
         pairings = {}
         for k in (4, 6):
             eps = 2.0**-k
             n = cells_for_eps(eps, 1.0)
             pe = dataclasses.replace(p, grid=Grid1D(1.0, n))
-            sol = solve_transport(pe, eps, quad16, operator=op)
+            sol = solve_transport(pe, eps, op)
             r = weak_residual(solve_diffusion(pe, op), pe, sol.u_bar)
             h = pe.grid.h
             psi = np.sin(np.pi * pe.grid.edges[1:-1])

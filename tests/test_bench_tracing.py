@@ -38,7 +38,7 @@ def test_wrapped_name_resolves(module, attribute, span):
     assert callable(vars(owner)[attr])
 
 
-def test_sweep_called_once_per_iteration_with_emission_second(monkeypatch, quad8):
+def test_sweep_called_once_per_iteration_with_emission_second(monkeypatch, quad8, iso8):
     # transport.sweep.calls and .cell_updates assume that solve_transport
     # calls transport.sweep through the module once per iteration, with the
     # (n_cells, n_ordinates) emission as its second positional argument
@@ -50,6 +50,6 @@ def test_sweep_called_once_per_iteration_with_emission_second(monkeypatch, quad8
         return original(*args, **kwargs)
 
     monkeypatch.setattr(translimit.transport, "sweep", counting)
-    sol = translimit.solve_transport(make_problem(n_cells=12), 0.5, quad8)
+    sol = translimit.solve_transport(make_problem(n_cells=12), 0.5, iso8)
     assert len(shapes) == sol.log.iterations > 1
     assert set(shapes) == {(12, quad8.n)}

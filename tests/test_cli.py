@@ -11,7 +11,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from translimit import build_angular_quadrature, solve_transport
+from translimit import KernelSpec, build_angular_quadrature, solve_transport
 from translimit.cli import CSV_BLOCK_ROWS, _write_csv, main
 from translimit.config import load_config
 
@@ -294,8 +294,8 @@ reference = cosh
         # command used to build, written by the per-value writer
         config = load_config(cfg)
         quad = build_angular_quadrature(config.n_ordinates)
-        sol = solve_transport(config.problem, 0.5, quad, config.solver,
-                              operator=config.problem.kernel.build(quad))
+        sol = solve_transport(config.problem, 0.5, config.kernel.build(quad),
+                              config.solver)
         reference = []
         for i, x in enumerate(sol.grid.centers):
             for j, m in enumerate(quad.nodes):
@@ -407,3 +407,25 @@ max_iterations = 30
         rc = main(["study", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 3
         assert (tmp_path / "report.csv").exists()
+
+    def test_first_row_abort_keeps_every_column(self, tmp_path):
+        # sigma 40 makes the first row's cells optically thick, so the study
+        # aborts before any row finishes; the header must not depend on that
+        cfg = write(tmp_path, SMOOTH_STUDY.replace(
+            "kind = sinusoid\noffset = 1.0\namplitude = 0.5\nfrequency = 1.0",
+            "kind = constant\nvalue = 40.0"))
+        assert main(["study", "--config", cfg, "--out", str(tmp_path)]) == 3
+        lines = (tmp_path / "report.csv").read_text().splitlines()
+        assert lines == ["eps,err_total,err_fluct,bdry,deriv,remainder,"
+                         "err_l1,err_l4"]
+
+    def test_builds_the_operator_once(self, tmp_path, monkeypatch):
+        # every eps row shares the operator the command builds
+        built = []
+        build = KernelSpec.build
+        monkeypatch.setattr(KernelSpec, "build",
+                            lambda self, q: built.append(q) or build(self, q))
+        cfg = write(tmp_path, SMOOTH_STUDY)
+        assert main(["study", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len(read_csv(tmp_path / "report.csv")) == 4
+        assert len(built) == 1

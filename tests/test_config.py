@@ -59,7 +59,7 @@ class TestLoadConfig:
         assert p.sigma.kind == "sinusoid" and p.sigma.amplitude == 0.5
         assert p.gamma.value == 1.0
         assert p.g_right == 0.25
-        assert p.kernel.kind == "linear" and p.kernel.g_factor == 0.5
+        assert cfg.kernel.kind == "linear" and cfg.kernel.g_factor == 0.5
         assert cfg.n_ordinates == 8
         assert cfg.solver.tolerance == 1e-11
         assert cfg.solver.max_iterations == 300
@@ -71,7 +71,7 @@ class TestLoadConfig:
         assert cfg.problem.sigma.value == 1.0
         assert cfg.problem.gamma.value == 1.0
         assert cfg.problem.source.value == 1.0
-        assert cfg.problem.kernel.kind == "isotropic"
+        assert cfg.kernel.kind == "isotropic"
         assert cfg.problem.g_left == 0.0
         assert cfg.solver.scheme == "diamond"
         assert cfg.n_ordinates == 16
@@ -113,9 +113,19 @@ values = 1.0 4.0
         with pytest.raises(ValidationError):
             load_config(write(tmp_path, text))
 
-    def test_balance_target_none(self, tmp_path):
-        cfg = load_config(write(tmp_path, "[solver]\nbalance_target = none\n"))
-        assert cfg.solver.balance_target is None
+    def test_balance_target_none_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="balance_target"):
+            load_config(write(tmp_path, "[solver]\nbalance_target = none\n"))
+
+    def test_balance_target_must_be_positive(self, tmp_path):
+        with pytest.raises(ValidationError, match="balance_target"):
+            load_config(write(tmp_path, "[solver]\nbalance_target = 0\n"))
+
+    def test_table_kernel_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="table_path"):
+            load_config(write(tmp_path, "[scattering]\ntable_path = k.txt\n"))
+        with pytest.raises(ValidationError, match="unknown kernel kind"):
+            load_config(write(tmp_path, "[scattering]\nkernel = table\n"))
 
     def test_gamma_zero_rejected_at_validation(self, tmp_path):
         text = "[coefficients.gamma]\nkind = constant\nvalue = 0.0\n"

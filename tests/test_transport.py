@@ -199,27 +199,27 @@ def balance_problems(draw):
     # keep the cell optical thickness sigma_t h well below 1, where the DSA
     # is known to converge
     sigma_eps_max = 0.5 * n if scaling == "unscaled" else 0.5 * eps * n
+    sigma = piecewise_fields(draw, 0.1, min(4.0, sigma_eps_max))
+    gamma = piecewise_fields(draw, 0.1, 2.0)
+    source = piecewise_fields(draw, 0.1, 2.0)
+    kernel = draw(st.sampled_from([KernelSpec(),
+                                   KernelSpec(kind="linear", g_factor=0.5)]))
     problem = make_problem(
-        n_cells=n,
-        sigma=piecewise_fields(draw, 0.1, min(4.0, sigma_eps_max)),
-        gamma=piecewise_fields(draw, 0.1, 2.0),
-        source=piecewise_fields(draw, 0.1, 2.0),
-        kernel=draw(st.sampled_from([KernelSpec(),
-                                     KernelSpec(kind="linear", g_factor=0.5)])),
+        n_cells=n, sigma=sigma, gamma=gamma, source=source,
         g_left=draw(st.floats(-2.0, 2.0)),
         g_right=draw(st.floats(-2.0, 2.0)),
         scaling=scaling,
     )
-    return problem, eps
+    return problem, eps, kernel
 
 
 class TestBalanceProperty:
     @settings(max_examples=40, deadline=None)
     @given(balance_problems())
     def test_balance_holds_with_independently_scaled_data(self, inputs):
-        problem, eps = inputs
+        problem, eps, kernel = inputs
         quad = build_angular_quadrature(8)
-        sol = solve_transport(problem, eps, quad)
+        sol = solve_transport(problem, eps, kernel.build(quad))
         target = SolverOptions().balance_target
         assert sol.log.balance_residual <= target
         # the same identity from data scaled here, not by the solver
@@ -235,17 +235,17 @@ class TestBalanceProperty:
 
 
 class TestSolveTransport:
-    def test_baseline_convergence_and_balance(self, quad8):
+    def test_baseline_convergence_and_balance(self, quad8, iso8):
         p = make_problem(n_cells=100)
-        sol = solve_transport(p, 1.0, quad8)
+        sol = solve_transport(p, 1.0, iso8)
         assert sol.log.converged
         assert sol.log.balance_residual <= 1e-10
         np.testing.assert_allclose(sol.u_bar, sol.u @ quad8.weights, atol=1e-15)
 
-    def test_balance_identity_recomputes(self, quad8):
+    def test_balance_identity_recomputes(self, quad8, iso8):
         p = make_problem(n_cells=64)
         eps = 0.5
-        sol = solve_transport(p, eps, quad8)
+        sol = solve_transport(p, eps, iso8)
         xc = p.grid.centers
         gamma_e = eps * p.gamma(xc)
         f_e = np.full((64, 8), eps * 1.0)
@@ -256,55 +256,66 @@ class TestSolveTransport:
         assert res <= 1e-10
 
     def test_anisotropic_kernel_converges_conservatively(self, quad16):
-        p = make_problem(n_cells=64, kernel=KernelSpec(kind="linear", g_factor=0.5))
-        sol = solve_transport(p, 0.5, quad16)
+        op = KernelSpec(kind="linear", g_factor=0.5).build(quad16)
+        sol = solve_transport(make_problem(n_cells=64), 0.5, op)
         assert sol.log.converged
         assert sol.log.balance_residual <= 1e-10
 
-    def test_linearity_in_the_source(self, quad8):
+    def test_linearity_in_the_source(self, iso8):
         p1 = make_problem(n_cells=50, source=1.0)
         p2 = make_problem(n_cells=50, source=2.0)
-        s1 = solve_transport(p1, 0.25, quad8)
-        s2 = solve_transport(p2, 0.25, quad8)
+        s1 = solve_transport(p1, 0.25, iso8)
+        s2 = solve_transport(p2, 0.25, iso8)
         np.testing.assert_allclose(s2.u, 2.0 * s1.u, rtol=1e-8, atol=1e-12)
 
-    def test_fixed_point_residual_under_one_extra_sweep(self, quad8):
+    def test_fixed_point_residual_under_one_extra_sweep(self, quad8, iso8):
         p = make_problem(n_cells=64)
         opts = SolverOptions(tolerance=1e-10)
-        sol = solve_transport(p, 0.25, quad8, opts)
+        sol = solve_transport(p, 0.25, iso8, opts)
         xc = p.grid.centers
         sigma_e = p.sigma(xc) / 0.25
         gamma_e = 0.25 * p.gamma(xc)
-        op = p.kernel.build(quad8)
-        emission = sigma_e[:, None] * (sol.u @ op.matrix.T) + 0.25
+        emission = sigma_e[:, None] * (sol.u @ iso8.matrix.T) + 0.25
         cells, _ = sweep(sigma_e + gamma_e, emission, 0.0, 0.0, p.grid, quad8)
         rel = np.linalg.norm(cells - sol.u) / np.linalg.norm(sol.u)
         assert rel <= opts.tolerance
 
-    def test_inflow_scaling_applied(self, quad8):
+    def test_inflow_scaling_applied(self, quad8, iso8):
         p = make_problem(n_cells=32, g_left=1.0)
         eps = 0.5
-        sol = solve_transport(p, eps, quad8)
+        sol = solve_transport(p, eps, iso8)
         pos = quad8.nodes > 0
         np.testing.assert_allclose(sol.edges[0, pos], eps, atol=1e-14)
 
-    def test_unaccelerated_diffusive_solve_fails(self, quad8):
+    def test_unaccelerated_diffusive_solve_fails(self, iso8):
         p = make_problem(n_cells=64)
         opts = SolverOptions(acceleration="none", max_iterations=50)
         with pytest.raises(ConvergenceError) as err:
-            solve_transport(p, 2.0**-5, quad8, opts)
+            solve_transport(p, 2.0**-5, iso8, opts)
         assert err.value.log.iterations == 50
         assert len(err.value.log.residuals) == 50
 
     def test_certification_gate(self, quad8):
-        p = make_problem(n_cells=16, kernel=KernelSpec(kind="linear", g_factor=1.0))
+        op = KernelSpec(kind="linear", g_factor=1.0).build(quad8)
         from translimit import CertificationError
         with pytest.raises(CertificationError):
-            solve_transport(p, 1.0, quad8)
+            solve_transport(make_problem(n_cells=16), 1.0, op)
 
-    def test_invalid_eps(self, quad8):
+    def test_invalid_eps(self, iso8):
         with pytest.raises(ValidationError):
-            solve_transport(make_problem(n_cells=8), 0.0, quad8)
+            solve_transport(make_problem(n_cells=8), 0.0, iso8)
+
+    def test_sphere_operator_rejected_before_any_sweep(self, sphere48, quad8,
+                                                       monkeypatch):
+        import translimit.transport as transport
+
+        swept = []
+        monkeypatch.setattr(transport, "sweep", lambda *a, **k: swept.append(a))
+        sphere_op = assemble_scattering(kernel_isotropic(), sphere48)
+        for op in (sphere_op, quad8):
+            with pytest.raises(ValidationError, match="slab quadrature"):
+                solve_transport(make_problem(n_cells=8), 0.5, op)
+        assert swept == []
 
 
 class TestManufacturedOrders:
@@ -313,12 +324,12 @@ class TestManufacturedOrders:
         errs = []
         for n in meshes:
             p = make_problem(n_cells=n, scaling="unscaled")
-            op = p.kernel.build(quad)
+            op = assemble_scattering(kernel_isotropic(), quad)
             src = mms_transport_source(case, p.sigma, p.gamma, op, p.grid)
             sol = solve_transport(
-                p, 1.0, quad,
+                p, 1.0, op,
                 SolverOptions(scheme=scheme, tolerance=1e-12),
-                source_override=src, operator=op,
+                source_override=src,
             )
             exact = case.u(p.grid.centers[:, None], quad.nodes[None, :])
             errs.append(l2_error(sol.u, exact, p.grid, quad))
@@ -337,9 +348,9 @@ class TestManufacturedOrders:
 
 
 class TestDerivedFields:
-    def test_directional_derivative_of_flat_solution(self, quad8):
+    def test_directional_derivative_of_flat_solution(self, iso8):
         p = make_problem(n_cells=16)
-        sol = solve_transport(p, 1.0, quad8)
+        sol = solve_transport(p, 1.0, iso8)
         flat = type(sol)(
             grid=sol.grid, quad=sol.quad, eps=sol.eps,
             u=np.ones_like(sol.u), edges=np.ones_like(sol.edges),
@@ -381,9 +392,9 @@ class TestDerivedFields:
                                  u_bar=np.zeros(n), log=log)
         assert outflow_trace(zero).norm(2) == 0.0
 
-    def test_negative_fraction_recorded(self, quad8):
+    def test_negative_fraction_recorded(self, iso8):
         p = make_problem(n_cells=64)
-        sol = solve_transport(p, 0.125, quad8)
+        sol = solve_transport(p, 0.125, iso8)
         assert 0.0 <= sol.log.negative_fraction <= 1.0
 
 

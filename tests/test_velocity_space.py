@@ -136,15 +136,16 @@ class TestAssembleScattering:
         assert op.kernel_min < 0
         assert any("negative" in w for w in op.warnings)
 
-    def test_asymmetric_table_rejected(self, quad8):
-        table = np.ones((8, 8))
-        table[0, 1] = 2.0
-        with pytest.raises(ValidationError):
-            assemble_scattering(table, quad8)
+    def test_asymmetric_kernel_rejected(self, quad8):
+        def skewed(v, vp):
+            return 2.0 + v[..., 0] * vp[..., 0] ** 2
 
-    def test_wrong_table_shape_rejected(self, quad8):
-        with pytest.raises(ValidationError):
-            assemble_scattering(np.ones((4, 4)), quad8)
+        with pytest.raises(ValidationError, match="not symmetric"):
+            assemble_scattering(skewed, quad8)
+
+    def test_wrong_kernel_shape_rejected(self, quad8):
+        with pytest.raises(ValidationError, match="shape"):
+            assemble_scattering(lambda v, vp: np.ones((4, 4)), quad8)
 
 
 class TestCertifyAssumptions:
