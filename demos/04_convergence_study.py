@@ -34,7 +34,7 @@ def main():
     eps = [2.0**-k for k in range(1, 7)]
     report = convergence_study(problem, eps, op)
 
-    names = report.column_names()
+    names = list(report.columns)
     print("eps        " + "".join(f"{n:>12s}" for n in names))
     for i, e in enumerate(report.eps):
         row = "".join(f"{report.columns[n][i]:12.4e}" for n in names)

@@ -20,6 +20,7 @@ from .problem import Grid1D, cells_for_eps, scaled_fields
 from .transport import directional_derivative, outflow_trace, solve_transport
 from .velocity_space import (
     _decomposition,
+    _require_slab,
     apply_K,
     certify_assumptions,
     pinv_apply,
@@ -100,8 +101,9 @@ class NormSet:
 def norms(field, eps, sigma_cells, gamma_cells, op, grid, ps=()):
     """Norm bundle of an (n_cells, n_ordinates) field.
 
-    sigma_cells and gamma_cells are the unscaled coefficient values at the
-    cell centers; the eps scaling is applied internally.
+    sigma_cells and gamma_cells are the problem's coefficient values at the
+    cell centers, i.e. the data at eps = 1; the energy norms use sigma/eps
+    and eps*gamma, the same scaling scaled_fields applies.
     """
     field = np.asarray(field, dtype=float)
     quad = op.quadrature
@@ -293,17 +295,6 @@ class ConvergenceReport:
     notes: tuple
     protocol: dict
 
-    def column_names(self):
-        return list(self.columns)
-
-    def to_csv(self, path):
-        names = self.column_names()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("eps," + ",".join(names) + "\n")
-            for i, e in enumerate(self.eps):
-                row = [f"{e:.17g}"] + [f"{self.columns[n][i]:.17g}" for n in names]
-                fh.write(",".join(row) + "\n")
-
     def slopes_payload(self):
         payload = {
             "slopes": {
@@ -329,7 +320,7 @@ class ConvergenceReport:
         import os
 
         paths = []
-        for name in self.column_names():
+        for name in self.columns:
             path = os.path.join(directory, f"{prefix}_{name}.dat")
             with open(path, "w", encoding="utf-8") as fh:
                 for e, v in zip(self.eps, self.columns[name]):
@@ -389,6 +380,8 @@ def convergence_study(problem, eps_list, op, options=None, ps=(1, 4),
 
     op is the certified slab ScatteringOperator every row shares: the limit's
     diffusivity, the transport solves and the corrector all come from it.
+    An operator on any other quadrature raises ValidationError before any
+    decomposition or solve.
 
     The mesh per eps follows h <= eps/4 with a floor, so the second-order
     discretization error stays below the first-order asymptotic signal.  The
@@ -397,6 +390,7 @@ def convergence_study(problem, eps_list, op, options=None, ps=(1, 4),
     fit.  A transport solve that fails to converge aborts the study with the
     partial report attached to the raised ConvergenceError.
     """
+    _require_slab(op, "convergence_study")
     eps = _validate_eps_list(eps_list)
     # the operator does not depend on the mesh: certify it once, so every
     # row reuses its cached decomposition

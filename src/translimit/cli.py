@@ -246,7 +246,7 @@ def _mms_transport_cmd(cfg, op, ns, out, argv):
     quad = op.quadrature
 
     def l2_error(grid):
-        problem = dataclasses.replace(cfg.problem, grid=grid, scaling="unscaled")
+        problem = dataclasses.replace(cfg.problem, grid=grid)
         src = mms_transport_source(case, problem.sigma, problem.gamma, op, grid)
         sol = solve_transport(problem, 1.0, op, cfg.solver, source_override=src)
         exact = case.u(grid.centers[:, None], quad.nodes[None, :])
@@ -318,7 +318,8 @@ def cmd_study(ns, argv):
             raise
 
     csv_path = os.path.join(out, "report.csv")
-    report.to_csv(csv_path)
+    _write_csv(csv_path, ["eps", *report.columns],
+               zip(report.eps, *report.columns.values()))
     slopes_path = os.path.join(out, "slopes.json")
     _write_json(slopes_path, report.slopes_payload())
     plot_paths = report.write_plot_files(out)

@@ -32,8 +32,7 @@ _SCHEMA = {
     "scattering": {"kernel", "g_factor", "n_ordinates", "n_polar", "n_azimuth"},
     "solver": {"scheme", "tolerance", "max_iterations", "acceleration",
                "balance_target"},
-    "study": {"eps", "p_norms", "scaling", "mms", "meshes", "reference",
-              "floor_cells"},
+    "study": {"eps", "p_norms", "mms", "meshes", "reference", "floor_cells"},
 }
 
 
@@ -155,6 +154,10 @@ def load_config(path):
         kind=sc.get("kernel", "isotropic"),
         g_factor=_float(sc.get("g_factor", 0.0), "g_factor", "scattering"),
     )
+    if "g_factor" in sc and kernel.kind != "linear":
+        raise ValidationError(
+            f"[scattering] keys ['g_factor'] do not apply to kernel {kernel.kind!r}"
+        )
     n_ordinates = _int(sc.get("n_ordinates", 16), "n_ordinates", "scattering")
     n_polar = _int(sc.get("n_polar", 8), "n_polar", "scattering")
     n_azimuth = _int(sc.get("n_azimuth", 16), "n_azimuth", "scattering")
@@ -170,7 +173,6 @@ def load_config(path):
     )
 
     st = sections.get("study", {})
-    scaling = st.get("scaling", "diffusive")
     study = StudySpec(
         eps=_float_list(st["eps"], "eps", "study") if "eps" in st else (),
         p_norms=_float_list(st.get("p_norms", "1 4"), "p_norms", "study"),
@@ -185,7 +187,7 @@ def load_config(path):
 
     problem = ProblemSpec(
         grid=grid, sigma=sigma, gamma=gamma, source=source,
-        g_left=g_left, g_right=g_right, scaling=scaling,
+        g_left=g_left, g_right=g_right,
     )
     return Config(
         problem=problem, solver=solver, study=study, kernel=kernel,

@@ -96,8 +96,8 @@ def solve_diffusion(problem, op):
 
     Parameters
     ----------
-    problem : ProblemSpec; uses its grid and the unscaled sigma, gamma,
-        source fields.
+    problem : ProblemSpec; uses its grid and its sigma, gamma and source
+        fields as given, which are the eps-independent data.
     op : certified ScatteringOperator, on a slab or a sphere quadrature;
         the diffusivity is a = m_K / sigma with
         m_K = diffusion_moment(op)[0, 0].

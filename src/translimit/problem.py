@@ -2,10 +2,10 @@
 
 The spatial domain is the slab (0, L) on a uniform cell grid.  Coefficients
 are declarative (constant, piecewise constant, or a named smooth profile) so
-that bounds are known exactly.  scaled_fields evaluates them at eps through
-the exponent table EPS_EXPONENTS: the diffusive scaling multiplies
-absorption, source and inflow by eps and divides the scattering coefficient
-by eps; the unscaled convention uses every field verbatim.
+that bounds are known exactly.  scaled_fields evaluates them at eps in the
+diffusive scaling: absorption, source and inflow are multiplied by eps and
+the scattering coefficient is divided by it, so eps = 1 uses every field
+verbatim.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .velocity_space import (
-    AngularQuadrature,
+    _require_slab,
     apply_K,
     assemble_scattering,
     diffusion_moment,
@@ -30,7 +30,6 @@ __all__ = [
     "CoefficientField",
     "KernelSpec",
     "ProblemSpec",
-    "EPS_EXPONENTS",
     "scaled_fields",
     "ManufacturedCase",
     "manufactured_case",
@@ -164,14 +163,6 @@ class KernelSpec:
         return assemble_scattering(kernel_linear(self.g_factor), quad)
 
 
-# eps exponent of each field under each scaling: -1 uses a field as v / eps,
-# +1 as eps * v and 0 verbatim
-EPS_EXPONENTS = {
-    "diffusive": {"sigma": -1, "gamma": 1, "source": 1, "g_left": 1, "g_right": 1},
-    "unscaled": {"sigma": 0, "gamma": 0, "source": 0, "g_left": 0, "g_right": 0},
-}
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """Slab problem shared by the transport and diffusion solvers.
@@ -179,11 +170,9 @@ class ProblemSpec:
     The scattering kernel and the velocity quadrature are not part of it:
     both come with the ScatteringOperator each solver takes.  sigma and
     gamma must be strictly positive; inflow data g_left/g_right may be
-    constants or callables of mu and default to zero.  scaling selects a
-    row of EPS_EXPONENTS: under "diffusive" the solver sees
-    gamma_eps = eps*gamma, sigma_eps = sigma/eps, f_eps = eps*f and
-    g_eps = eps*g; under "unscaled" every exponent is 0 and the fields are
-    used verbatim.
+    constants or callables of mu and default to zero.  At eps the solver
+    sees sigma_eps = sigma/eps, gamma_eps = eps*gamma, f_eps = eps*f and
+    g_eps = eps*g; the eps-independent problem is the one at eps = 1.
     """
 
     grid: Grid1D
@@ -192,11 +181,8 @@ class ProblemSpec:
     source: CoefficientField
     g_left: object = 0.0
     g_right: object = 0.0
-    scaling: str = "diffusive"
 
     def __post_init__(self):
-        if self.scaling not in EPS_EXPONENTS:
-            raise ValidationError(f"unknown scaling {self.scaling!r}")
         if self.sigma.bounds[0] <= 0.0:
             raise ValidationError(
                 f"sigma must be strictly positive (bounds {self.sigma.bounds})"
@@ -214,34 +200,25 @@ def _eval_inflow(g, mu):
     return np.full_like(mu, float(g))
 
 
-def _scaled(v, eps, exponent):
-    if exponent == -1:
-        return v / eps
-    if exponent == 1:
-        return eps * v
-    return v
-
-
 def scaled_fields(problem, eps, grid, quad):
     """The problem's fields as the solver sees them at eps.
 
-    Returns a dict of arrays: sigma, gamma and source at grid.centers, and
-    g_left/g_right on the positive/negative ordinates of quad, each scaled
-    by its exponent in EPS_EXPONENTS[problem.scaling].
+    Returns a dict of arrays: sigma / eps, eps * gamma and eps * source at
+    grid.centers, and eps * g_left / eps * g_right on the positive/negative
+    ordinates of quad.
     """
     if not (eps > 0.0):
         raise ValidationError(f"eps must be positive, got {eps}")
+    eps = float(eps)
     xc = grid.centers
     pos = quad.nodes > 0.0
-    raw = {
-        "sigma": problem.sigma(xc),
-        "gamma": problem.gamma(xc),
-        "source": problem.source(xc),
-        "g_left": _eval_inflow(problem.g_left, quad.nodes[pos]),
-        "g_right": _eval_inflow(problem.g_right, quad.nodes[~pos]),
+    return {
+        "sigma": problem.sigma(xc) / eps,
+        "gamma": eps * problem.gamma(xc),
+        "source": eps * problem.source(xc),
+        "g_left": eps * _eval_inflow(problem.g_left, quad.nodes[pos]),
+        "g_right": eps * _eval_inflow(problem.g_right, quad.nodes[~pos]),
     }
-    exponents = EPS_EXPONENTS[problem.scaling]
-    return {name: _scaled(v, float(eps), exponents[name]) for name, v in raw.items()}
 
 
 @dataclass(frozen=True)
@@ -312,12 +289,11 @@ def mms_transport_source(case, sigma, gamma, op, grid):
     the quadrature nodes of the operator.  sigma and gamma are callables of x
     (CoefficientField works).
     """
+    quad = _require_slab(op, "transport manufactured source")
     if not case.is_transport:
         raise ValidationError(f"case {case.name!r} has no transport solution")
-    if not isinstance(op.quadrature, AngularQuadrature):
-        raise ValidationError("transport manufactured source needs a slab quadrature")
     xc = grid.centers
-    mu = op.quadrature.nodes
+    mu = quad.nodes
     u = case.u(xc[:, None], mu[None, :])
     du = case.du_dx(xc[:, None], mu[None, :])
     scatter = apply_K(op, u) - u

@@ -29,7 +29,7 @@ from scipy.linalg.lapack import dtbtrs
 from .diffusion import factor_operator, solve_cells
 from .errors import CertificationError, ConvergenceError, ValidationError
 from .problem import scaled_fields
-from .velocity_space import AngularQuadrature, certify_assumptions, diffusion_moment
+from .velocity_space import _require_slab, certify_assumptions, diffusion_moment
 
 __all__ = [
     "SolverOptions",
@@ -264,9 +264,7 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
     acceleration deep in the diffusive regime, and at once when a sweep
     average or an accelerated average stops being finite.
     """
-    quad = getattr(op, "quadrature", None)
-    if not isinstance(quad, AngularQuadrature):
-        raise ValidationError("solve_transport needs an operator on a slab quadrature")
+    quad = _require_slab(op, "solve_transport")
     options = options if options is not None else SolverOptions()
     grid = problem.grid
     fields = scaled_fields(problem, eps, grid, quad)

@@ -13,7 +13,6 @@ inverted on the mean-free complement through their eigendecomposition.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -275,11 +274,6 @@ class CertReport:
             "row_sum_max": float(self.row_sum_max),
         }
 
-    def to_json(self, **kwargs):
-        kwargs.setdefault("indent", 2)
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.as_dict(), **kwargs)
-
 
 def _decomposition(op):
     """Weighted-symmetric eigendecomposition of I - K, cached on the operator."""
@@ -371,6 +365,15 @@ def certify_assumptions(op, tol=SPECTRUM_TOL):
     )
     op._cert = report
     return report
+
+
+def _require_slab(op, what):
+    """The slab quadrature op is assembled on; ValidationError for an
+    operator on the sphere or anything that is not an operator."""
+    quad = getattr(op, "quadrature", None)
+    if not isinstance(quad, AngularQuadrature):
+        raise ValidationError(f"{what} needs an operator on a slab quadrature")
+    return quad
 
 
 def _require_certified(op):

@@ -166,7 +166,7 @@ class TestCriterion5:
         terrs = []
         balances = []
         for n in (32, 64, 128, 256):
-            p = make_problem(n_cells=n, sigma=sigma, scaling="unscaled")
+            p = make_problem(n_cells=n, sigma=sigma)
             src_t = mms_transport_source(tcase, p.sigma, p.gamma, iso, p.grid)
             sol = solve_transport(p, 1.0, iso, SolverOptions(tolerance=1e-12),
                                   source_override=src_t)

@@ -263,34 +263,31 @@ class TestConvergenceStudy:
         p = smooth_benchmark()
         eps = [2.0**-k for k in range(1, 5)]
         rep = convergence_study(p, eps, iso8, floor_cells=32)
-        assert set(rep.column_names()) == {
+        assert list(rep.columns) == [
             "err_total", "err_fluct", "bdry", "deriv", "remainder",
             "err_l1", "err_l4",
-        }
+        ]
         assert all(len(v) == 4 for v in rep.columns.values())
         assert rep.rate_asserted
         assert rep.lp_reference_rate[4] == 0.5
         for n, e in zip(rep.n_cells, eps):
             assert 1.0 / n <= e / 4.0 or n == 32
 
-        csv = tmp_path / "report.csv"
-        rep.to_csv(csv)
-        header = csv.read_text().splitlines()[0]
-        assert header == "eps,err_total,err_fluct,bdry,deriv,remainder,err_l1,err_l4"
         payload = rep.slopes_payload()
         assert "err_total" in payload["slopes"]
         files = rep.write_plot_files(tmp_path)
         assert len(files) == 7
 
-    def test_determinism(self, iso8, tmp_path):
+    def test_determinism(self, iso8):
         p = smooth_benchmark()
         eps = [2.0**-k for k in range(1, 5)]
         r1 = convergence_study(p, eps, iso8, floor_cells=32)
         r2 = convergence_study(p, eps, iso8, floor_cells=32)
-        f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        r1.to_csv(f1)
-        r2.to_csv(f2)
-        assert f1.read_bytes() == f2.read_bytes()
+        np.testing.assert_array_equal(r1.eps, r2.eps)
+        assert list(r1.columns) == list(r2.columns)
+        for name in r1.columns:
+            np.testing.assert_array_equal(r1.columns[name], r2.columns[name])
+        assert r1.slopes_payload() == r2.slopes_payload()
 
     def test_builds_no_operator_and_decomposes_the_given_one_once(
             self, quad8, monkeypatch):
@@ -314,6 +311,26 @@ class TestConvergenceStudy:
         assert built == []
         assert all(o is op for o, _ in decomposed)
         assert [fresh for _, fresh in decomposed].count(True) == 1
+
+    def test_sphere_operator_rejected_before_any_decomposition(
+            self, quad8, sphere48, monkeypatch):
+        import translimit.analysis as analysis
+        import translimit.velocity_space as vs
+
+        sphere_op = assemble_scattering(kernel_isotropic(), sphere48)
+        decomposed, diffused = [], []
+        decomposition = vs._decomposition
+        monkeypatch.setattr(vs, "_decomposition",
+                            lambda o: decomposed.append(o) or decomposition(o))
+        monkeypatch.setattr(analysis, "solve_diffusion",
+                            lambda *a, **k: diffused.append(a))
+        for op in (sphere_op, quad8):
+            with pytest.raises(ValidationError, match="slab quadrature"):
+                convergence_study(smooth_benchmark(),
+                                  [2.0**-k for k in range(1, 5)], op,
+                                  floor_cells=32)
+        assert decomposed == []
+        assert diffused == []
 
     def test_discontinuous_sigma_flags_no_rate(self, iso8):
         p = make_problem(

@@ -179,6 +179,13 @@ class TestCertify:
         assert payload["null_space_dim"] == 2
         assert payload["all_passed"] is False
 
+    def test_g_factor_under_isotropic_kernel_exits_two(self, tmp_path, capsys):
+        # without kernel = linear the g_factor would be dropped silently
+        cfg = write(tmp_path, LINEAR_HALF.replace("kernel = linear\n", ""))
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "g_factor" in capsys.readouterr().err
+        assert not (tmp_path / "certification.json").exists()
+
 
 class TestTensor:
     def test_piecewise_sigma_tensor(self, tmp_path):

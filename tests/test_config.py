@@ -104,6 +104,20 @@ values = 1.0 4.0
         with pytest.raises(ValidationError, match="do not apply"):
             load_config(write(tmp_path, text))
 
+    def test_study_scaling_rejected(self, tmp_path):
+        # eps alone scales the data; the eps-independent problem is eps = 1
+        with pytest.raises(ValidationError, match=r"unknown keys \['scaling'\]"):
+            load_config(write(tmp_path, "[study]\nscaling = unscaled\n"))
+
+    def test_g_factor_needs_the_linear_kernel(self, tmp_path):
+        for text in ("[scattering]\ng_factor = 0.5\n",
+                     "[scattering]\nkernel = isotropic\ng_factor = 0.0\n"):
+            with pytest.raises(ValidationError,
+                               match="do not apply to kernel 'isotropic'"):
+                load_config(write(tmp_path, text))
+        cfg = load_config(write(tmp_path, "[scattering]\nkernel = linear\n"))
+        assert cfg.kernel.g_factor == 0.0
+
     def test_bad_number(self, tmp_path):
         with pytest.raises(ValidationError, match="not a number"):
             load_config(write(tmp_path, "[grid]\nlength = tall\n"))

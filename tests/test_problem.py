@@ -84,10 +84,6 @@ class TestProblemValidation:
         with pytest.raises(ValidationError):
             make_problem(sigma=CoefficientField.piecewise([0.5], [1.0, -1.0]))
 
-    def test_unknown_scaling_rejected(self):
-        with pytest.raises(ValidationError):
-            make_problem(scaling="other")
-
     def test_kernel_spec_validation(self):
         with pytest.raises(ValidationError):
             KernelSpec(kind="weird")
@@ -104,9 +100,17 @@ class TestScale:
         np.testing.assert_allclose(fields["source"], 0.1)
 
     def test_eps_one_is_identity(self, quad8):
-        p = make_problem(sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0))
+        # eps = 1 is the eps-independent problem: every field verbatim
+        p = make_problem(sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0),
+                         g_left=0.7, g_right=lambda mu: mu**2)
         fields = scaled_fields(p, 1.0, p.grid, quad8)
-        np.testing.assert_allclose(fields["sigma"], p.sigma(p.grid.centers))
+        xc = p.grid.centers
+        mu = quad8.nodes
+        np.testing.assert_array_equal(fields["sigma"], p.sigma(xc))
+        np.testing.assert_array_equal(fields["gamma"], p.gamma(xc))
+        np.testing.assert_array_equal(fields["source"], p.source(xc))
+        np.testing.assert_array_equal(fields["g_left"], np.full((mu > 0).sum(), 0.7))
+        np.testing.assert_array_equal(fields["g_right"], mu[mu < 0] ** 2)
 
     def test_multiplicative_composition(self, quad8):
         p = make_problem(sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0))
@@ -116,8 +120,8 @@ class TestScale:
         np.testing.assert_allclose(once["sigma"], twice["sigma"] / e2, rtol=1e-14)
         np.testing.assert_allclose(once["gamma"], twice["gamma"] * e2, rtol=1e-14)
 
-    def test_exponents_applied_as_division_and_product(self, quad8):
-        # -1 is v / eps and +1 is eps * v, bit for bit
+    def test_sigma_divided_and_the_rest_multiplied(self, quad8):
+        # sigma / eps and eps * v for every other field, bit for bit
         p = make_problem(sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0),
                          g_left=0.7, g_right=1.3)
         eps = 0.3
@@ -161,16 +165,6 @@ class TestScale:
     def test_invalid_eps(self, quad8):
         with pytest.raises(ValidationError):
             scaled_fields(make_problem(), 0.0, make_problem().grid, quad8)
-
-    def test_unscaled_problem_is_verbatim(self, quad8):
-        p = make_problem(sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0),
-                         g_left=0.7, scaling="unscaled")
-        fields = scaled_fields(p, 0.125, p.grid, quad8)
-        xc = p.grid.centers
-        np.testing.assert_array_equal(fields["sigma"], p.sigma(xc))
-        np.testing.assert_array_equal(fields["gamma"], p.gamma(xc))
-        np.testing.assert_array_equal(fields["source"], p.source(xc))
-        np.testing.assert_array_equal(fields["g_left"], 0.7)
 
     def test_fields_on_the_given_grid(self, quad8):
         p = make_problem(n_cells=100, sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0))
@@ -247,6 +241,14 @@ class TestTransportSource:
         f = mms_transport_source(case, CoefficientField.constant(1.0),
                                  CoefficientField.constant(1.0), op, grid)
         np.testing.assert_allclose(f, 0.0, atol=1e-15)
+
+    def test_sphere_operator_and_bare_quadrature_rejected(self, quad8, sphere48):
+        case = manufactured_case("transport-trig")
+        one = CoefficientField.constant(1.0)
+        sphere_op = assemble_scattering(kernel_isotropic(), sphere48)
+        for op in (sphere_op, quad8):
+            with pytest.raises(ValidationError, match="slab quadrature"):
+                mms_transport_source(case, one, one, op, Grid1D(1.0, 8))
 
     def test_continuous_residual_vanishes(self, quad16):
         # insert the manufactured solution into the continuous operator

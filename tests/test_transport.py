@@ -194,12 +194,11 @@ def piecewise_fields(draw, lo, hi):
 def balance_problems(draw):
     """Random positive coefficients and constant inflow on 8..128 cells."""
     n = draw(st.integers(8, 128))
+    # eps = 1 is the eps-independent problem
     eps = 2.0 ** -draw(st.integers(0, 4))
-    scaling = draw(st.sampled_from(["diffusive", "unscaled"]))
     # keep the cell optical thickness sigma_t h well below 1, where the DSA
     # is known to converge
-    sigma_eps_max = 0.5 * n if scaling == "unscaled" else 0.5 * eps * n
-    sigma = piecewise_fields(draw, 0.1, min(4.0, sigma_eps_max))
+    sigma = piecewise_fields(draw, 0.1, min(4.0, 0.5 * eps * n))
     gamma = piecewise_fields(draw, 0.1, 2.0)
     source = piecewise_fields(draw, 0.1, 2.0)
     kernel = draw(st.sampled_from([KernelSpec(),
@@ -208,7 +207,6 @@ def balance_problems(draw):
         n_cells=n, sigma=sigma, gamma=gamma, source=source,
         g_left=draw(st.floats(-2.0, 2.0)),
         g_right=draw(st.floats(-2.0, 2.0)),
-        scaling=scaling,
     )
     return problem, eps, kernel
 
@@ -223,14 +221,13 @@ class TestBalanceProperty:
         target = SolverOptions().balance_target
         assert sol.log.balance_residual <= target
         # the same identity from data scaled here, not by the solver
-        k = eps if problem.scaling == "diffusive" else 1.0
         xc = problem.grid.centers
         mu = quad.nodes
         res = particle_balance(
-            sol.u, sol.edges, k * problem.gamma(xc),
-            np.repeat(k * problem.source(xc)[:, None], quad.n, axis=1),
-            np.full((mu > 0).sum(), k * problem.g_left),
-            np.full((mu < 0).sum(), k * problem.g_right), problem.grid, quad)
+            sol.u, sol.edges, eps * problem.gamma(xc),
+            np.repeat(eps * problem.source(xc)[:, None], quad.n, axis=1),
+            np.full((mu > 0).sum(), eps * problem.g_left),
+            np.full((mu < 0).sum(), eps * problem.g_right), problem.grid, quad)
         assert res <= target
 
 
@@ -323,7 +320,7 @@ class TestManufacturedOrders:
         case = manufactured_case("transport-trig")
         errs = []
         for n in meshes:
-            p = make_problem(n_cells=n, scaling="unscaled")
+            p = make_problem(n_cells=n)
             op = assemble_scattering(kernel_isotropic(), quad)
             src = mms_transport_source(case, p.sigma, p.gamma, op, p.grid)
             sol = solve_transport(
