@@ -18,13 +18,7 @@ from .diffusion import solve_diffusion
 from .errors import ConvergenceError, ValidationError
 from .problem import Grid1D, cells_for_eps, scaled_fields
 from .transport import directional_derivative, outflow_trace, solve_transport
-from .velocity_space import (
-    _decomposition,
-    _require_slab,
-    apply_K,
-    certify_assumptions,
-    pinv_apply,
-)
+from .velocity_space import _require_slab, apply_K, certify_assumptions, pinv_apply
 
 __all__ = [
     "velocity_average",
@@ -103,7 +97,9 @@ def norms(field, eps, sigma_cells, gamma_cells, op, grid, ps=()):
 
     sigma_cells and gamma_cells are the problem's coefficient values at the
     cell centers, i.e. the data at eps = 1; the energy norms use sigma/eps
-    and eps*gamma, the same scaling scaled_fields applies.
+    and eps*gamma, the same scaling scaled_fields applies.  The dual energy
+    norm reads op.spectrum, so an operator that fails certification raises
+    CertificationError.
     """
     field = np.asarray(field, dtype=float)
     quad = op.quadrature
@@ -128,8 +124,8 @@ def norms(field, eps, sigma_cells, gamma_cells, op, grid, ps=()):
 
     # the collision operator is diagonal per cell in the operator eigenbasis,
     # so its inverse norm is an explicit weighted sum of squared coefficients
-    certify_assumptions(op)
-    s, lam, q, _ = _decomposition(op)
+    certify_assumptions(op).require()
+    s, lam, q, _ = op.spectrum
     coeff = (field * s[None, :]) @ q
     denom = (eps * gamma_cells)[:, None] + np.outer(sigma_cells / eps, lam)
     dual_sq = float(h * np.sum(coeff**2 / denom))
@@ -379,9 +375,10 @@ def convergence_study(problem, eps_list, op, options=None, ps=(1, 4),
     measure every convergence quantity against the diffusion limit.
 
     op is the certified slab ScatteringOperator every row shares: the limit's
-    diffusivity, the transport solves and the corrector all come from it.
-    An operator on any other quadrature raises ValidationError before any
-    decomposition or solve.
+    diffusivity, the transport solves and the corrector all come from it,
+    and its one decomposition serves them all.  Before any solve, an
+    operator on any other quadrature raises ValidationError and one that
+    fails certification raises CertificationError.
 
     The mesh per eps follows h <= eps/4 with a floor, so the second-order
     discretization error stays below the first-order asymptotic signal.  The
@@ -391,10 +388,8 @@ def convergence_study(problem, eps_list, op, options=None, ps=(1, 4),
     partial report attached to the raised ConvergenceError.
     """
     _require_slab(op, "convergence_study")
+    certify_assumptions(op).require()
     eps = _validate_eps_list(eps_list)
-    # the operator does not depend on the mesh: certify it once, so every
-    # row reuses its cached decomposition
-    certify_assumptions(op)
 
     rows = []
     cells = []

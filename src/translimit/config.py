@@ -55,7 +55,6 @@ class Config:
     n_ordinates: int
     n_polar: int
     n_azimuth: int
-    path: str
 
 
 def _float(raw, key, where):
@@ -150,14 +149,15 @@ def load_config(path):
     g_right = _float(bnd.get("g_right", 0.0), "g_right", "boundary")
 
     sc = sections.get("scattering", {})
+    kernel_kind = sc.get("kernel", "isotropic")
+    if "g_factor" in sc and kernel_kind != "linear":
+        raise ValidationError(
+            f"[scattering] keys ['g_factor'] do not apply to kernel {kernel_kind!r}"
+        )
     kernel = KernelSpec(
-        kind=sc.get("kernel", "isotropic"),
+        kind=kernel_kind,
         g_factor=_float(sc.get("g_factor", 0.0), "g_factor", "scattering"),
     )
-    if "g_factor" in sc and kernel.kind != "linear":
-        raise ValidationError(
-            f"[scattering] keys ['g_factor'] do not apply to kernel {kernel.kind!r}"
-        )
     n_ordinates = _int(sc.get("n_ordinates", 16), "n_ordinates", "scattering")
     n_polar = _int(sc.get("n_polar", 8), "n_polar", "scattering")
     n_azimuth = _int(sc.get("n_azimuth", 16), "n_azimuth", "scattering")
@@ -192,5 +192,4 @@ def load_config(path):
     return Config(
         problem=problem, solver=solver, study=study, kernel=kernel,
         n_ordinates=n_ordinates, n_polar=n_polar, n_azimuth=n_azimuth,
-        path=str(path),
     )

@@ -146,7 +146,8 @@ class CoefficientField:
 class KernelSpec:
     """Scattering kernel selector: isotropic, or linear with g_factor.
 
-    build(quad) assembles the ScatteringOperator the solvers take.
+    build(quad) assembles the ScatteringOperator the solvers take.  A
+    nonzero g_factor with any other kind than "linear" is rejected.
     """
 
     kind: str = "isotropic"
@@ -155,6 +156,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("isotropic", "linear"):
             raise ValidationError(f"unknown kernel kind {self.kind!r}")
+        if self.g_factor != 0.0 and self.kind != "linear":
+            raise ValidationError(
+                f"g_factor applies only to the linear kernel, not {self.kind!r}"
+            )
 
     def build(self, quad):
         """Assemble the scattering operator on the given quadrature."""
@@ -291,7 +296,8 @@ def mms_transport_source(case, sigma, gamma, op, grid):
     """
     quad = _require_slab(op, "transport manufactured source")
     if not case.is_transport:
-        raise ValidationError(f"case {case.name!r} has no transport solution")
+        raise ValidationError(
+            f"manufactured case {case.name!r} is not a transport case")
     xc = grid.centers
     mu = quad.nodes
     u = case.u(xc[:, None], mu[None, :])
@@ -310,7 +316,8 @@ def mms_diffusion_source(case, sigma, gamma, op):
     meaningful only for smooth sigma.
     """
     if not case.is_diffusion:
-        raise ValidationError(f"case {case.name!r} has no diffusion solution")
+        raise ValidationError(
+            f"manufactured case {case.name!r} is not a diffusion case")
     m_k = diffusion_moment(op)[0, 0]
 
     def f(x):

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
 from .diffusion import factor_operator, solve_cells
-from .errors import CertificationError, ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError
 from .problem import scaled_fields
 from .velocity_space import _require_slab, certify_assumptions, diffusion_moment
 
@@ -268,13 +268,7 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
     options = options if options is not None else SolverOptions()
     grid = problem.grid
     fields = scaled_fields(problem, eps, grid, quad)
-    report = certify_assumptions(op)
-    if not report.all_passed:
-        raise CertificationError(
-            "scattering operator failed certification: "
-            + "; ".join(report.diagnostics),
-            report=report,
-        )
+    certify_assumptions(op).require()
 
     sigma_e = fields["sigma"]
     gamma_e = fields["gamma"]

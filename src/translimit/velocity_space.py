@@ -13,7 +13,8 @@ inverted on the mean-free complement through their eigendecomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -155,7 +156,7 @@ def kernel_linear(g):
     return k
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ScatteringOperator:
     """Matrix action of a scattering kernel on quadrature values.
 
@@ -163,6 +164,12 @@ class ScatteringOperator:
     symmetric kernel the operator is self-adjoint in the weighted inner
     product (u, v)_w = sum_i w_i u_i v_i up to the normalization defect,
     which is recorded in the metadata rather than silently repaired.
+
+    The operator is immutable and owns what is derived from it: its weighted
+    eigendecomposition (spectrum) and its CertReport (certificate), each
+    computed once, on first use.  Read the certificate through
+    certify_assumptions(op) and gate on it with .require() before reading
+    the spectrum.
     """
 
     matrix: np.ndarray
@@ -170,11 +177,9 @@ class ScatteringOperator:
     normalization_deviation: float = 0.0
     kernel_min: float = 0.0
     warnings: tuple = ()
-    _cert: object = field(default=None, repr=False)
-    _decomp: object = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.matrix = _readonly(self.matrix)
+        object.__setattr__(self, "matrix", _readonly(self.matrix))
 
     @property
     def n(self):
@@ -188,6 +193,82 @@ class ScatteringOperator:
         """max |w_i K_ij - w_j K_ji|, the weighted self-adjointness defect."""
         wk = self.weights[:, None] * self.matrix
         return float(np.max(np.abs(wk - wk.T)))
+
+    @functools.cached_property
+    def spectrum(self):
+        """Weighted-symmetric eigendecomposition of I - K: (s, lam, q, null_dim).
+
+        s = sqrt(weights); lam ascending with orthonormal eigenvectors q of
+        S (I - K) S^-1, S = diag(s); null_dim counts lam below NULL_CUTOFF.
+        """
+        s = np.sqrt(self.weights)
+        m = np.eye(self.n) - self.matrix
+        sym = (s[:, None] * m) / s[None, :]
+        sym = 0.5 * (sym + sym.T)
+        lam, q = scipy.linalg.eigh(sym)
+        return s, lam, q, int(np.searchsorted(lam, NULL_CUTOFF))
+
+    @functools.cached_property
+    def certificate(self):
+        """The CertReport of this operator; see certify_assumptions."""
+        s, lam, q, null_dim = self.spectrum
+        diagnostics = []
+
+        sym_defect = self.symmetry_defect()
+        ok_adjoint = sym_defect <= 1e-12
+        if not ok_adjoint:
+            diagnostics.append(
+                f"weighted self-adjointness defect {sym_defect:.3e} exceeds 1e-12"
+            )
+
+        # mean-square contraction and positivity, certified spectrally; the
+        # sup-norm row-sum bound is recorded but cannot gate, because signed
+        # kernels (linear anisotropy beyond g = 1/3) exceed it while remaining
+        # positive operators
+        row_sum_max = float(np.max(np.abs(self.matrix).sum(axis=1)))
+        ok_spectrum = bool(lam[0] >= -SPECTRUM_TOL and lam[-1] <= 1.0 + SPECTRUM_TOL)
+        if not ok_spectrum:
+            diagnostics.append(
+                "spectrum of I-K not inside [0, 1]: "
+                f"range [{lam[0]:.3e}, {lam[-1]:.3e}]"
+            )
+        if row_sum_max > 1.0 + SPECTRUM_TOL:
+            diagnostics.append(
+                f"sup-norm row sum {row_sum_max:.12g} exceeds 1 (signed kernel); "
+                "mean-square contraction certified spectrally"
+            )
+
+        ok_null = null_dim == 1
+        if ok_null:
+            vec = q[:, 0] / s
+            dev = float(np.max(np.abs(vec - vec.mean())) / np.max(np.abs(vec)))
+            if dev > 1e-8:
+                ok_null = False
+                diagnostics.append(
+                    f"null eigenvector deviates from constant by {dev:.3e}")
+        else:
+            diagnostics.append(f"null space dimension {null_dim}, expected 1")
+
+        if null_dim < self.n and lam[null_dim] > 0.0:
+            c_k = max(1.0, 1.0 / float(lam[null_dim]))
+        else:
+            c_k = float("inf")
+            diagnostics.append("no positive eigenvalue outside the null space")
+
+        return CertReport(
+            eigenvalues=lam,
+            null_space_dim=null_dim,
+            c_K=c_k,
+            passed={
+                "self_adjoint": ok_adjoint,
+                "contraction": ok_spectrum,
+                "null_space": ok_null,
+                "solvability": bool(np.isfinite(c_k)),
+            },
+            diagnostics=tuple(diagnostics),
+            symmetry_defect=sym_defect,
+            row_sum_max=row_sum_max,
+        )
 
 
 def assemble_scattering(kernel, quad):
@@ -262,6 +343,17 @@ class CertReport:
     def all_passed(self):
         return all(self.passed.values())
 
+    def require(self):
+        """The one certification gate: return this report if every
+        assumption passed, else raise CertificationError carrying it."""
+        if not self.all_passed:
+            raise CertificationError(
+                "scattering operator failed certification: "
+                + "; ".join(self.diagnostics),
+                report=self,
+            )
+        return self
+
     def as_dict(self):
         return {
             "eigenvalues": [float(v) for v in self.eigenvalues],
@@ -275,96 +367,24 @@ class CertReport:
         }
 
 
-def _decomposition(op):
-    """Weighted-symmetric eigendecomposition of I - K, cached on the operator."""
-    if op._decomp is None:
-        w = op.weights
-        s = np.sqrt(w)
-        m = np.eye(op.n) - op.matrix
-        sym = (s[:, None] * m) / s[None, :]
-        sym = 0.5 * (sym + sym.T)
-        lam, q = scipy.linalg.eigh(sym)
-        null_dim = int(np.searchsorted(lam, NULL_CUTOFF))
-        op._decomp = (s, lam, q, null_dim)
-    return op._decomp
-
-
-def certify_assumptions(op, tol=SPECTRUM_TOL):
+def certify_assumptions(op):
     """Certify the structural assumptions on a scattering operator.
 
     Checks, in the weighted inner product:
       self_adjoint : w_i K_ij = w_j K_ji within 1e-12
-      contraction  : spectrum of I - K inside [-tol, 1 + tol] (positivity
-                     and the mean-square bound); the sup-norm row sum is
-                     recorded in the report but does not gate
+      contraction  : spectrum of I - K inside [-SPECTRUM_TOL,
+                     1 + SPECTRUM_TOL] (positivity and the mean-square
+                     bound); the sup-norm row sum is recorded in the report
+                     but does not gate
       null_space   : exactly one zero eigenvalue, with constant eigenvector
       solvability  : smallest nonzero eigenvalue is positive, so the
                      restricted inverse is bounded by c_K
 
-    Returns a CertReport; the report is cached on the operator.  A failing
-    report is returned, not raised; operations that require a certified
-    operator raise CertificationError themselves.
+    Returns op.certificate, the CertReport the operator computes once.  A
+    failing report is returned, not raised: every operation that reads the
+    spectrum gates first with certify_assumptions(op).require().
     """
-    if op._cert is not None:
-        return op._cert
-    s, lam, q, null_dim = _decomposition(op)
-    diagnostics = []
-
-    sym_defect = op.symmetry_defect()
-    ok_adjoint = sym_defect <= 1e-12
-    if not ok_adjoint:
-        diagnostics.append(
-            f"weighted self-adjointness defect {sym_defect:.3e} exceeds 1e-12"
-        )
-
-    # mean-square contraction and positivity, certified spectrally; the
-    # sup-norm row-sum bound is recorded but cannot gate, because signed
-    # kernels (linear anisotropy beyond g = 1/3) exceed it while remaining
-    # positive operators
-    row_sum_max = float(np.max(np.abs(op.matrix).sum(axis=1)))
-    ok_spectrum = bool(lam[0] >= -tol and lam[-1] <= 1.0 + tol)
-    if not ok_spectrum:
-        diagnostics.append(
-            f"spectrum of I-K not inside [0, 1]: range [{lam[0]:.3e}, {lam[-1]:.3e}]"
-        )
-    if row_sum_max > 1.0 + tol:
-        diagnostics.append(
-            f"sup-norm row sum {row_sum_max:.12g} exceeds 1 (signed kernel); "
-            "mean-square contraction certified spectrally"
-        )
-
-    ok_null = null_dim == 1
-    if ok_null:
-        vec = q[:, 0] / s
-        dev = float(np.max(np.abs(vec - vec.mean())) / np.max(np.abs(vec)))
-        if dev > 1e-8:
-            ok_null = False
-            diagnostics.append(f"null eigenvector deviates from constant by {dev:.3e}")
-    else:
-        diagnostics.append(f"null space dimension {null_dim}, expected 1")
-
-    if null_dim < op.n and lam[null_dim] > 0.0:
-        c_k = max(1.0, 1.0 / float(lam[null_dim]))
-    else:
-        c_k = float("inf")
-        diagnostics.append("no positive eigenvalue outside the null space")
-
-    report = CertReport(
-        eigenvalues=lam,
-        null_space_dim=null_dim,
-        c_K=c_k,
-        passed={
-            "self_adjoint": ok_adjoint,
-            "contraction": ok_spectrum,
-            "null_space": ok_null,
-            "solvability": bool(np.isfinite(c_k)),
-        },
-        diagnostics=tuple(diagnostics),
-        symmetry_defect=sym_defect,
-        row_sum_max=row_sum_max,
-    )
-    op._cert = report
-    return report
+    return op.certificate
 
 
 def _require_slab(op, what):
@@ -374,16 +394,6 @@ def _require_slab(op, what):
     if not isinstance(quad, AngularQuadrature):
         raise ValidationError(f"{what} needs an operator on a slab quadrature")
     return quad
-
-
-def _require_certified(op):
-    report = certify_assumptions(op)
-    if not report.all_passed:
-        raise CertificationError(
-            "scattering operator failed certification: " + "; ".join(report.diagnostics),
-            report=report,
-        )
-    return report
 
 
 def apply_K(op, field_values):
@@ -401,16 +411,17 @@ def apply_K(op, field_values):
     return field_values @ op.matrix.T
 
 
-def pinv_apply(op, rhs, mean_tol=1e-10):
+def pinv_apply(op, rhs):
     """Solve (I - K) u = rhs for the unique zero-mean solution.
 
-    The right-hand side must have zero weighted mean (relative to its
-    weighted norm) within mean_tol; otherwise the system is not solvable and
-    a SolvabilityError is raised.  Works on (n,) vectors or (..., n) stacks.
+    Raises CertificationError for an operator that fails certification.  The
+    right-hand side must have zero weighted mean (relative to its weighted
+    norm) within 1e-10; otherwise the system is not solvable and a
+    SolvabilityError is raised.  Works on (n,) vectors or (..., n) stacks.
     The weighted norm of the result is bounded by c_K times that of rhs.
     """
-    report = _require_certified(op)
-    s, lam, q, null_dim = _decomposition(op)
+    certify_assumptions(op).require()
+    s, lam, q, null_dim = op.spectrum
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[-1] != op.n:
         raise ValidationError(f"rhs has last dimension {rhs.shape[-1]}, expected {op.n}")
@@ -418,7 +429,7 @@ def pinv_apply(op, rhs, mean_tol=1e-10):
     w = op.weights
     mean = rhs @ w
     norm_w = np.sqrt(np.maximum(rhs**2 @ w, 0.0))
-    bad = np.abs(mean) > mean_tol * np.maximum(norm_w, 1e-300)
+    bad = np.abs(mean) > 1e-10 * np.maximum(norm_w, 1e-300)
     if np.any(bad):
         worst = float(np.max(np.abs(mean)))
         raise SolvabilityError(
@@ -481,7 +492,7 @@ def diffusion_tensor(op, sigma):
     """
     if not isinstance(op.quadrature, SphereQuadrature):
         raise ValidationError("diffusion_tensor requires a sphere quadrature")
-    _require_certified(op)
+    certify_assumptions(op).require()
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     if np.any(sigma <= 0.0):
         raise ValidationError("sigma values must be strictly positive")

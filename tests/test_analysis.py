@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from translimit import (
+    CertificationError,
     CoefficientField,
     DiffusionSolution,
     Grid1D,
@@ -9,6 +10,7 @@ from translimit import (
     apply_K,
     apriori_check,
     assemble_scattering,
+    certify_assumptions,
     convergence_study,
     expansion_remainder,
     first_order_corrector,
@@ -16,6 +18,7 @@ from translimit import (
     kernel_isotropic,
     kernel_linear,
     norms,
+    pinv_apply,
     solve_diffusion,
     solve_transport,
     space_velocity_norm,
@@ -24,6 +27,17 @@ from translimit import (
     velocity_average,
 )
 from conftest import make_problem, smooth_benchmark
+
+
+def count_eigh(monkeypatch):
+    """Record every scipy.linalg.eigh call: one per operator decomposed."""
+    import scipy.linalg
+
+    calls = []
+    eigh = scipy.linalg.eigh
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        lambda *a, **k: calls.append(a) or eigh(*a, **k))
+    return calls
 
 
 class TestVelocityAverage:
@@ -129,6 +143,13 @@ class TestNorms:
             v = np.linalg.solve(coll, u[i])
             dual += grid.h * np.sum(quad8.weights * v * u[i])
         np.testing.assert_allclose(ns.energy_dual_sq, dual, rtol=1e-12)
+
+    def test_uncertified_operator_raises(self, quad8):
+        grid = Grid1D(1.0, 4)
+        op = assemble_scattering(kernel_linear(1.0), quad8)
+        with pytest.raises(CertificationError) as err:
+            norms(np.ones((4, 8)), 0.5, np.ones(4), np.ones(4), op, grid)
+        assert err.value.report is certify_assumptions(op)
 
     def test_solution_field_norms(self, quad8, iso8):
         p = make_problem(n_cells=32)
@@ -296,32 +317,29 @@ class TestConvergenceStudy:
         import translimit.velocity_space as vs
 
         op = assemble_scattering(kernel_isotropic(), quad8)
-        built, decomposed = [], []
+        built = []
         post_init = vs.ScatteringOperator.__post_init__
-        decomposition = vs._decomposition
         monkeypatch.setattr(vs.ScatteringOperator, "__post_init__",
                             lambda self: built.append(self) or post_init(self))
-        monkeypatch.setattr(vs, "_decomposition",
-                            lambda o: decomposed.append((o, o._decomp is None))
-                            or decomposition(o))
+        decomposed = count_eigh(monkeypatch)
         rep = convergence_study(smooth_benchmark(),
                                 [2.0**-k for k in range(1, 5)], op,
                                 floor_cells=32)
         assert len(rep.n_cells) == 4
         assert built == []
-        assert all(o is op for o, _ in decomposed)
-        assert [fresh for _, fresh in decomposed].count(True) == 1
+        assert len(decomposed) == 1
+        # that one decomposition was the given operator's: it is not redone
+        certify_assumptions(op)
+        pinv_apply(op, quad8.nodes)
+        assert len(decomposed) == 1
 
     def test_sphere_operator_rejected_before_any_decomposition(
             self, quad8, sphere48, monkeypatch):
         import translimit.analysis as analysis
-        import translimit.velocity_space as vs
 
         sphere_op = assemble_scattering(kernel_isotropic(), sphere48)
-        decomposed, diffused = [], []
-        decomposition = vs._decomposition
-        monkeypatch.setattr(vs, "_decomposition",
-                            lambda o: decomposed.append(o) or decomposition(o))
+        diffused = []
+        decomposed = count_eigh(monkeypatch)
         monkeypatch.setattr(analysis, "solve_diffusion",
                             lambda *a, **k: diffused.append(a))
         for op in (sphere_op, quad8):
@@ -330,6 +348,21 @@ class TestConvergenceStudy:
                                   [2.0**-k for k in range(1, 5)], op,
                                   floor_cells=32)
         assert decomposed == []
+        assert diffused == []
+
+    def test_uncertified_operator_rejected_before_any_solve(
+            self, quad8, monkeypatch):
+        import translimit.analysis as analysis
+
+        # g = 1 puts mu in the null space of I - K next to the constants
+        op = assemble_scattering(kernel_linear(1.0), quad8)
+        diffused = []
+        monkeypatch.setattr(analysis, "solve_diffusion",
+                            lambda *a, **k: diffused.append(a))
+        with pytest.raises(CertificationError, match="null space dimension 2"):
+            convergence_study(smooth_benchmark(),
+                              [2.0**-k for k in range(1, 5)], op,
+                              floor_cells=32)
         assert diffused == []
 
     def test_discontinuous_sigma_flags_no_rate(self, iso8):

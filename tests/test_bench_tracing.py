@@ -2,11 +2,13 @@
 
 bench/tracing.py looks each (module, attribute) of WRAPPED up on the
 translimit package and swaps the attribute in place.  A rename inside the
-package would only surface when the traced benchmark runs; this test makes
-it fail here instead.
+package would only surface when the traced benchmark runs, and a wrapped
+name kept only as a dead import would silently zero its layer; these tests
+make both fail here instead.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,20 @@ import translimit.cli  # noqa: F401  (cli is not imported by the package)
 from conftest import make_problem
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+TINY = """
+[grid]
+n_cells = 16
+[scattering]
+kernel = linear
+g_factor = 0.5
+n_ordinates = 4
+n_polar = 4
+n_azimuth = 8
+[study]
+eps = 0.5 0.25 0.125 0.0625
+floor_cells = 16
+"""
 
 
 def _load_tracing():
@@ -53,3 +69,27 @@ def test_sweep_called_once_per_iteration_with_emission_second(monkeypatch, quad8
     sol = translimit.solve_transport(make_problem(n_cells=12), 0.5, iso8)
     assert len(shapes) == sol.log.iterations > 1
     assert set(shapes) == {(12, quad8.n)}
+
+
+def test_every_wrapped_name_is_called(monkeypatch, tmp_path):
+    # the benchmark's commands reach every wrapped (module, attribute)
+    calls = Counter()
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module, attribute, _ in tracing.WRAPPED:
+        owner, attr = tracing._resolve(translimit, module, attribute)
+        monkeypatch.setattr(owner, attr,
+                            counting((module, attribute), vars(owner)[attr]))
+    config = tmp_path / "tiny.ini"
+    config.write_text(TINY)
+    for command in ("study", "certify", "tensor"):
+        out = tmp_path / command
+        assert translimit.cli.main([command, "--config", str(config),
+                                    "--out", str(out)]) == 0
+    never = [f"{m}.{a}" for m, a, _ in tracing.WRAPPED if not calls[(m, a)]]
+    assert never == []

@@ -345,6 +345,24 @@ meshes = 32 64 128
         check_mms_table(rows, "max_nodal_error", [32, 64, 128])
         assert float(rows[-1]["order"]) >= 1.9
 
+    @pytest.mark.parametrize("mode, case", [("transport", "diffusion-sin"),
+                                            ("diffusion", "transport-trig")])
+    def test_mms_case_of_the_other_mode_exits_two(self, tmp_path, capsys,
+                                                  mode, case):
+        cfg = write(tmp_path, f"""
+[scattering]
+n_ordinates = 8
+[study]
+mms = {case}
+meshes = 32 64
+""")
+        rc = main(["solve", "--config", cfg, "--mode", mode,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"is not a {mode} case" in capsys.readouterr().err
+        assert not (tmp_path / "mms_table.csv").exists()
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_missing_config_exits_two(self, tmp_path):
         rc = main(["solve", "--config", str(tmp_path / "nope.ini"),
                    "--mode", "transport", "--out", str(tmp_path)])

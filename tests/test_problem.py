@@ -90,6 +90,11 @@ class TestProblemValidation:
         with pytest.raises(ValidationError):
             KernelSpec(kind="table")
 
+    def test_g_factor_only_for_the_linear_kernel(self):
+        with pytest.raises(ValidationError, match="only to the linear kernel"):
+            KernelSpec(kind="isotropic", g_factor=0.5)
+        assert KernelSpec(kind="isotropic", g_factor=0.0).kind == "isotropic"
+
 
 class TestScale:
     def test_diffusive_values(self, quad8):

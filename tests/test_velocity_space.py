@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -178,6 +179,34 @@ class TestCertifyAssumptions:
         report = certify_assumptions(op)
         assert report.null_space_dim == 2
         assert not report.passed["null_space"]
+
+    def test_operator_is_frozen(self, quad8):
+        op = assemble_scattering(kernel_isotropic(), quad8)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.matrix = np.eye(8)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.quadrature = build_angular_quadrature(4)
+
+    def test_one_report_per_operator_at_the_spectrum_tolerance(self, quad8):
+        # K = P - 0.001 (I - P), P the isotropic projection: I - K has the
+        # spectrum {0, 1.001}, outside [0, 1] by far more than SPECTRUM_TOL
+        p = assemble_scattering(kernel_isotropic(), quad8).matrix
+        op = ScatteringOperator(matrix=p - 0.001 * (np.eye(8) - p), quadrature=quad8)
+        report = certify_assumptions(op)
+        np.testing.assert_allclose(report.eigenvalues[1:], 1.001, rtol=1e-12)
+        assert not report.passed["contraction"]
+        assert certify_assumptions(op) is report
+        with pytest.raises(TypeError):
+            certify_assumptions(op, tol=1e-2)
+
+    def test_require_is_the_gate(self, quad8):
+        good = certify_assumptions(assemble_scattering(kernel_isotropic(), quad8))
+        assert good.require() is good
+        bad = certify_assumptions(assemble_scattering(kernel_linear(1.0), quad8))
+        with pytest.raises(CertificationError,
+                           match="failed certification: .*null space dimension 2") as err:
+            bad.require()
+        assert err.value.report is bad
 
     def test_report_serializes(self, quad8):
         report = certify_assumptions(assemble_scattering(kernel_isotropic(), quad8))
