@@ -39,7 +39,7 @@ from .problem import (
     mms_transport_source,
     scaled_fields,
 )
-from .diffusion import DiffusionSolution, solve_diffusion, weak_residual
+from .diffusion import DiffusionSolution, solve_diffusion
 from .transport import (
     IterationLog,
     OutflowTrace,
@@ -52,18 +52,15 @@ from .transport import (
     sweep,
 )
 from .analysis import (
-    AprioriTable,
     ConvergenceReport,
     FitResult,
     NormSet,
-    apriori_check,
     convergence_study,
     expansion_remainder,
     first_order_corrector,
     fit_loglog,
     norms,
     space_velocity_norm,
-    spatial_norm,
     split_mean_fluctuation,
     velocity_average,
 )
@@ -82,13 +79,13 @@ __all__ = [
     "Grid1D", "CoefficientField", "KernelSpec", "ProblemSpec",
     "ManufacturedCase", "manufactured_case", "scaled_fields", "cells_for_eps",
     "mms_transport_source", "mms_diffusion_source",
-    "DiffusionSolution", "solve_diffusion", "weak_residual",
+    "DiffusionSolution", "solve_diffusion",
     "SolverOptions", "IterationLog", "TransportSolution", "OutflowTrace",
     "sweep", "solve_transport", "directional_derivative", "outflow_trace",
     "particle_balance",
     "NormSet", "norms", "velocity_average", "split_mean_fluctuation",
-    "space_velocity_norm", "spatial_norm", "first_order_corrector",
+    "space_velocity_norm", "first_order_corrector",
     "expansion_remainder", "FitResult", "fit_loglog",
-    "AprioriTable", "apriori_check", "ConvergenceReport", "convergence_study",
+    "ConvergenceReport", "convergence_study",
     "Config", "StudySpec", "load_config",
 ]

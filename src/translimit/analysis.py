@@ -1,10 +1,11 @@
-"""Norms, corrector expansion, uniform-bound checks, and eps-sweep studies.
+"""Norms, corrector expansion, and eps-sweep studies.
 
 The discrete L^p norm on the slab-velocity phase space is the midpoint rule
 in x tensored with the quadrature weights in mu.  Boundary norms carry the
 |mu| weight.  The collision energy norm is evaluated exactly as
-(eps*gamma*u + (sigma/eps)(I - K)u, u) in the weighted inner product, and
-the two equivalent split expressions are exposed for ratio tests.
+(eps*gamma*u + (sigma/eps)(I - K)u, u) in the weighted inner product.  The
+study measures, row by row, the errors against the diffusion limit and the
+quantities the paper's a priori bounds keep uniform in eps.
 """
 
 from __future__ import annotations
@@ -24,15 +25,12 @@ __all__ = [
     "velocity_average",
     "split_mean_fluctuation",
     "space_velocity_norm",
-    "spatial_norm",
     "NormSet",
     "norms",
     "first_order_corrector",
     "expansion_remainder",
     "FitResult",
     "fit_loglog",
-    "AprioriTable",
-    "apriori_check",
     "ConvergenceReport",
     "convergence_study",
 ]
@@ -63,58 +61,38 @@ def space_velocity_norm(field, grid, quad, p=2):
     return float((grid.h * np.sum(np.abs(field) ** p @ quad.weights)) ** (1.0 / p))
 
 
-def spatial_norm(values, grid, p=2):
-    """L^p norm of a velocity-independent field given at cell centers."""
-    values = np.asarray(values, dtype=float)
-    if p == np.inf:
-        return float(np.max(np.abs(values)))
-    p = float(p)
-    return float((grid.h * np.sum(np.abs(values) ** p)) ** (1.0 / p))
-
-
 @dataclass(frozen=True)
 class NormSet:
     """Bundle of norms of one space-velocity field.
 
-    energy is the collision energy norm induced by
-    eps*gamma*I + (sigma/eps)(I - K); energy_dual is the norm of its
-    inverse.  The proxy expressions are the equivalent split forms
-    (1/eps)|u - ubar|^2 + eps|ubar|^2 and
-    eps|u - ubar|^2 + (1/eps)|ubar|^2, exposed for ratio tests.
+    l2 and lp are phase-space L^p norms; energy is the collision energy norm
+    induced by eps*gamma*I + (sigma/eps)(I - K), and energy_sq its square.
     """
 
     l2: float
     lp: dict
     energy: float
     energy_sq: float
-    energy_dual_sq: float
-    energy_proxy_sq: float
-    energy_dual_proxy_sq: float
 
 
 def norms(field, eps, sigma_cells, gamma_cells, op, grid, ps=()):
     """Norm bundle of an (n_cells, n_ordinates) field.
 
     sigma_cells and gamma_cells are the problem's coefficient values at the
-    cell centers, i.e. the data at eps = 1; the energy norms use sigma/eps
-    and eps*gamma, the same scaling scaled_fields applies.  The dual energy
-    norm reads op.spectrum, so an operator that fails certification raises
-    CertificationError.
+    cell centers, i.e. the data at eps = 1; the energy norm uses sigma/eps
+    and eps*gamma, the same scaling scaled_fields applies.  An operator that
+    fails certification raises CertificationError.
     """
+    certify_assumptions(op).require()
     field = np.asarray(field, dtype=float)
     quad = op.quadrature
     w = quad.weights
-    h = grid.h
     sigma_cells = np.asarray(sigma_cells, dtype=float)
     gamma_cells = np.asarray(gamma_cells, dtype=float)
 
-    mean, fluct = split_mean_fluctuation(field, quad)
-    mean_sq = float(h * np.sum(mean**2))
-    fluct_sq = float(h * np.sum(fluct**2 @ w))
-
     resid = field - apply_K(op, field)
     energy_sq = float(
-        h
+        grid.h
         * np.sum(
             eps * gamma_cells * (field**2 @ w)
             + (sigma_cells / eps) * ((resid * field) @ w)
@@ -122,23 +100,12 @@ def norms(field, eps, sigma_cells, gamma_cells, op, grid, ps=()):
     )
     energy_sq = max(energy_sq, 0.0)
 
-    # the collision operator is diagonal per cell in the operator eigenbasis,
-    # so its inverse norm is an explicit weighted sum of squared coefficients
-    certify_assumptions(op).require()
-    s, lam, q, _ = op.spectrum
-    coeff = (field * s[None, :]) @ q
-    denom = (eps * gamma_cells)[:, None] + np.outer(sigma_cells / eps, lam)
-    dual_sq = float(h * np.sum(coeff**2 / denom))
-
     lp = {p: space_velocity_norm(field, grid, quad, p) for p in ps}
     return NormSet(
         l2=space_velocity_norm(field, grid, quad, 2),
         lp=lp,
         energy=math.sqrt(energy_sq),
         energy_sq=energy_sq,
-        energy_dual_sq=dual_sq,
-        energy_proxy_sq=fluct_sq / eps + eps * mean_sq,
-        energy_dual_proxy_sq=eps * fluct_sq + mean_sq / eps,
     )
 
 
@@ -195,77 +162,6 @@ def fit_loglog(eps, values):
     return FitResult(slope=slope, intercept=intercept, stderr=stderr)
 
 
-@dataclass(frozen=True)
-class AprioriTable:
-    """Per-eps uniform-bound diagnostics.
-
-    columns maps quantity names to arrays over the sweep:
-      trace_over_sqrt_eps, fluct_over_eps, mean_norm, deriv_norm,
-      energy_ratio (solution energy identity lhs over data rhs), max_abs.
-    flagged lists the quantities that grew by more than 2x relative to the
-    largest-eps entry.
-    """
-
-    eps: np.ndarray
-    columns: dict
-    flagged: tuple
-
-    def rows(self):
-        names = list(self.columns)
-        for i, e in enumerate(self.eps):
-            yield {"eps": float(e), **{k: float(self.columns[k][i]) for k in names}}
-
-
-def apriori_check(eps_list, solutions, problem):
-    """Boundedness diagnostics for a family of transport solutions.
-
-    The first four columns must stay bounded as eps decreases; energy_ratio
-    compares the solution-side energy identity with the data side it is
-    bounded by.  Growth beyond 2x is flagged, never raised.
-    """
-    eps_arr = np.asarray(list(eps_list), dtype=float)
-    solutions = list(solutions)
-    if eps_arr.size < 3:
-        raise ValidationError("apriori_check needs at least 3 eps values")
-    if len(solutions) != eps_arr.size:
-        raise ValidationError(f"{len(solutions)} solutions for {eps_arr.size} eps values")
-    cols = {
-        "trace_over_sqrt_eps": [],
-        "fluct_over_eps": [],
-        "mean_norm": [],
-        "deriv_norm": [],
-        "energy_ratio": [],
-        "max_abs": [],
-    }
-    for eps, sol in zip(eps_arr, solutions):
-        grid, quad = sol.grid, sol.quad
-        fields = scaled_fields(problem, eps, grid, quad)
-        mean, fluct = split_mean_fluctuation(sol.u, quad)
-        trace = outflow_trace(sol).norm(2)
-        fluct_norm = space_velocity_norm(fluct, grid, quad)
-        mean_norm = spatial_norm(mean, grid)
-        deriv_norm = space_velocity_norm(directional_derivative(sol), grid, quad)
-        cols["trace_over_sqrt_eps"].append(trace / math.sqrt(eps))
-        cols["fluct_over_eps"].append(fluct_norm / eps)
-        cols["mean_norm"].append(mean_norm)
-        cols["deriv_norm"].append(deriv_norm)
-        lhs = trace**2 + fluct_norm**2 / eps + eps * mean_norm**2
-        fbar_sq = grid.h * float(np.sum(fields["source"]**2))  # isotropic: f = fbar
-        # |mu|-weighted boundary norm of the scaled inflow data
-        mu, w = quad.nodes, quad.weights
-        pos = mu > 0.0
-        g_sq = float(np.sum(w[pos] * mu[pos] * fields["g_left"]**2)
-                     + np.sum(w[~pos] * -mu[~pos] * fields["g_right"]**2))
-        rhs = g_sq + fbar_sq / eps
-        cols["energy_ratio"].append(lhs / max(rhs, 1e-300))
-        cols["max_abs"].append(float(np.max(np.abs(sol.u))))
-    columns = {k: np.asarray(v) for k, v in cols.items()}
-    flagged = tuple(
-        name for name, vals in columns.items() if np.max(vals) > 2.0 * vals[0]
-    )
-    return AprioriTable(eps=eps_arr, columns=columns, flagged=flagged)
-
-
 _REPORT_COLUMNS = ("err_total", "err_fluct", "bdry", "deriv", "remainder")
 
 
@@ -274,11 +170,13 @@ class ConvergenceReport:
     """Errors, fitted rates and protocol record of an eps sweep.
 
     columns holds one array per measured quantity (err_total, err_fluct,
-    bdry, deriv, remainder, and err_l{p} for each requested p); slopes holds
-    a FitResult per quantity.  lp_reference_rate records the interpolation
-    exponent 2/p next to each measured L^p slope.  rate_asserted is False
-    when the diffusivity is discontinuous and only plain convergence (no
-    rate) is claimed.
+    bdry, deriv, remainder, err_l{p} for each requested p, then the a priori
+    quantities energy_ratio and max_abs); slopes holds a FitResult per
+    quantity.  lp_reference_rate records the interpolation exponent 2/p next
+    to each measured L^p slope.  rate_asserted is False when the diffusivity
+    is discontinuous and only plain convergence (no rate) is claimed.  notes
+    also names each a priori quantity that grew past twice its largest-eps
+    value.
     """
 
     eps: np.ndarray
@@ -357,16 +255,49 @@ def _study_row(problem, eps, op, options, ps, floor_cells):
     u1 = first_order_corrector(diffusion, sigma_cells, op)
     psi = expansion_remainder(transport.u, u0c, u1, eps)
 
+    fluct_norm = space_velocity_norm(fluct, grid, quad, 2)
+    trace_norm = outflow_trace(transport).norm(2)
     row = {
         "err_total": space_velocity_norm(diff, grid, quad, 2),
-        "err_fluct": space_velocity_norm(fluct, grid, quad, 2),
-        "bdry": outflow_trace(transport).norm(2),
+        "err_fluct": fluct_norm,
+        "bdry": trace_norm,
         "deriv": space_velocity_norm(directional_derivative(transport), grid, quad, 2),
         "remainder": space_velocity_norm(psi, grid, quad, 2),
     }
     for p in ps:
         row[f"err_l{p:g}"] = space_velocity_norm(diff, grid, quad, p)
+
+    # energy identity: the solution side |u|_bdry^2 + |u - ubar|^2/eps
+    # + eps|ubar|^2 over the data side |g|_bdry^2 + |fbar|^2/eps bounding it,
+    # with the data scaled at eps; the source is isotropic, so fbar = f
+    data = scaled_fields(local, eps, grid, quad)
+    mu, w = quad.nodes, quad.weights
+    pos = mu > 0.0
+    g_sq = float(np.sum(w[pos] * mu[pos] * data["g_left"]**2)
+                 + np.sum(w[~pos] * -mu[~pos] * data["g_right"]**2))
+    f_sq = grid.h * float(np.sum(data["source"]**2))
+    lhs = trace_norm**2 + fluct_norm**2 / eps + eps * grid.h * float(np.sum(mean**2))
+    row["energy_ratio"] = lhs / max(g_sq + f_sq / eps, 1e-300)
+    row["max_abs"] = float(np.max(np.abs(transport.u)))
     return row, n, transport.log.iterations
+
+
+def _growth_notes(eps, columns):
+    """One note per quantity the paper bounds uniformly in eps that grew past
+    twice its value at the largest eps."""
+    bounded = {
+        "bdry/sqrt(eps)": columns["bdry"] / np.sqrt(eps),
+        "err_fluct/eps": columns["err_fluct"] / eps,
+        "deriv": columns["deriv"],
+        "energy_ratio": columns["energy_ratio"],
+        "max_abs": columns["max_abs"],
+    }
+    return [
+        f"a priori bound: {name} grew past 2x its largest-eps value "
+        f"({vals[0]:.4g} -> {np.max(vals):.4g})"
+        for name, vals in bounded.items()
+        if vals.size and np.max(vals) > 2.0 * vals[0]
+    ]
 
 
 def convergence_study(problem, eps_list, op, options=None, ps=(1, 4),
@@ -384,8 +315,10 @@ def convergence_study(problem, eps_list, op, options=None, ps=(1, 4),
     discretization error stays below the first-order asymptotic signal.  The
     diffusion problem is re-solved on each mesh and compared at cell centers
     through its nodal interpolant.  Slopes come from a log-log least-squares
-    fit.  A transport solve that fails to converge aborts the study with the
-    partial report attached to the raised ConvergenceError.
+    fit.  Each row also measures the quantities of the paper's a priori
+    bounds, and a note names each that grows past twice its largest-eps
+    value.  A transport solve that fails to converge aborts the study with
+    the partial report attached to the raised ConvergenceError.
     """
     _require_slab(op, "convergence_study")
     certify_assumptions(op).require()
@@ -405,7 +338,8 @@ def convergence_study(problem, eps_list, op, options=None, ps=(1, 4),
         cells.append(n)
         iters.append(it)
 
-    names = _REPORT_COLUMNS + tuple(f"err_l{p:g}" for p in ps)
+    names = (_REPORT_COLUMNS + tuple(f"err_l{p:g}" for p in ps)
+             + ("energy_ratio", "max_abs"))
     columns = {
         name: np.asarray([r[name] for r in rows], dtype=float) for name in names
     }
@@ -422,6 +356,7 @@ def convergence_study(problem, eps_list, op, options=None, ps=(1, 4),
         notes.append(
             "rate not asserted: discontinuous diffusivity, plain-convergence regime"
         )
+    notes += _growth_notes(eps[:done], columns)
     report = ConvergenceReport(
         eps=eps[:done],
         columns=columns,

@@ -173,15 +173,25 @@ def load_config(path):
     )
 
     st = sections.get("study", {})
+    p_norms = _float_list(st.get("p_norms", "1 4"), "p_norms", "study")
+    if not all(p >= 1.0 for p in p_norms):
+        raise ValidationError(
+            f"[study] p_norms = {st['p_norms']!r}: every p must be at least 1"
+        )
+    reference = st.get("reference")
+    if reference not in (None, "cosh"):
+        raise ValidationError(
+            f"[study] reference = {reference!r} is not a known reference (cosh)"
+        )
     study = StudySpec(
         eps=_float_list(st["eps"], "eps", "study") if "eps" in st else (),
-        p_norms=_float_list(st.get("p_norms", "1 4"), "p_norms", "study"),
+        p_norms=p_norms,
         mms=st.get("mms"),
         meshes=tuple(
             int(v) for v in _float_list(st.get("meshes", "32 64 128 256"),
                                         "meshes", "study")
         ),
-        reference=st.get("reference"),
+        reference=reference,
         floor_cells=_int(st.get("floor_cells", 64), "floor_cells", "study"),
     )
 

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ValidationError
 from .velocity_space import diffusion_moment
 
-__all__ = ["DiffusionSolution", "solve_diffusion", "weak_residual"]
+__all__ = ["DiffusionSolution", "solve_diffusion"]
 
 
 def _interface_diffusivity(a):
@@ -120,34 +119,3 @@ def solve_diffusion(problem, op):
     grad = -0.5 * (flux[:-1] + flux[1:]) / a
     return DiffusionSolution(grid=grid, a11=a, u_cell=u, u_nodes=nodes,
                              flux=flux, grad=grad)
-
-
-def weak_residual(solution, problem, u_cell=None):
-    """Weak-form residual against the interior nodal hat functions.
-
-    Evaluates (a u', psi') + (gamma u, psi) - (f, psi) with the quadrature
-    under which the discrete solution is exactly Galerkin-orthogonal: fluxes
-    averaged per cell for the gradient term, midpoint values for the rest.
-    The entry at node k equals the mean of the two adjacent cell balances,
-    normalized by the test-function mass h.  For the exact solution sampled
-    at cell centers the interior entries shrink at second order; the two
-    boundary-adjacent entries retain the O(1) truncation of the half-cell
-    Dirichlet closure (which the solution error does not inherit).
-
-    The grid and diffusivity a11 come from the DiffusionSolution; u_cell
-    optionally replaces its cell values with an (n,) array to be tested
-    (fluxes are then rebuilt from those values).
-    """
-    grid = solution.grid
-    a = solution.a11
-    u = solution.u_cell if u_cell is None else np.asarray(u_cell, dtype=float)
-    if u.size != grid.n_cells:
-        raise ValidationError("cell-value array does not match the grid")
-    h = grid.h
-    xc = grid.centers
-    flux = _fluxes(u, a, h)
-    bulk = problem.gamma(xc) * u - problem.source(xc)
-    # hat at interior node k spans cells k-1 and k
-    grad_term = 0.5 * (flux[2:] - flux[:-2])
-    mass_term = 0.5 * h * (bulk[:-1] + bulk[1:])
-    return (grad_term + mass_term) / h

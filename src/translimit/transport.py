@@ -372,7 +372,6 @@ class OutflowTrace:
     mu: np.ndarray
     weight: np.ndarray
     value: np.ndarray
-    face: np.ndarray  # -1 for the left face, +1 for the right
 
     def norm(self, p=2):
         if p == np.inf:
@@ -392,5 +391,4 @@ def outflow_trace(solution):
         mu=np.concatenate([mu[neg], mu[pos]]),
         weight=np.concatenate([w[neg], w[pos]]),
         value=np.concatenate([solution.edges[0, neg], solution.edges[-1, pos]]),
-        face=np.concatenate([np.full(neg.sum(), -1), np.full(pos.sum(), 1)]),
     )

@@ -9,6 +9,8 @@ from translimit import (
     build_angular_quadrature,
     build_sphere_quadrature,
     kernel_isotropic,
+    space_velocity_norm,
+    split_mean_fluctuation,
 )
 
 
@@ -72,3 +74,11 @@ def smooth_benchmark(n_cells=64):
 def l2_error(a, b, grid, quad):
     d = np.asarray(a) - np.asarray(b)
     return float(np.sqrt(grid.h * np.sum((d**2) @ quad.weights)))
+
+
+def split_energy_sq(field, eps, grid, quad):
+    """The split form |u - ubar|^2/eps + eps|ubar|^2 that the collision
+    energy norm squared is equivalent to."""
+    mean, fluct = split_mean_fluctuation(field, quad)
+    mean_sq = grid.h * float(np.sum(mean**2))
+    return space_velocity_norm(fluct, grid, quad) ** 2 / eps + eps * mean_sq

@@ -8,7 +8,6 @@ from translimit import (
     Grid1D,
     ValidationError,
     apply_K,
-    apriori_check,
     assemble_scattering,
     certify_assumptions,
     convergence_study,
@@ -18,15 +17,15 @@ from translimit import (
     kernel_isotropic,
     kernel_linear,
     norms,
+    outflow_trace,
     pinv_apply,
     solve_diffusion,
     solve_transport,
     space_velocity_norm,
-    spatial_norm,
     split_mean_fluctuation,
     velocity_average,
 )
-from conftest import make_problem, smooth_benchmark
+from conftest import make_problem, smooth_benchmark, split_energy_sq
 
 
 def count_eigh(monkeypatch):
@@ -67,7 +66,7 @@ class TestOrthogonalSplitting:
             u = rng.standard_normal((32, 16))
             mean, fluct = split_mean_fluctuation(u, quad16)
             total = space_velocity_norm(u, grid, quad16) ** 2
-            parts = spatial_norm(mean, grid) ** 2 + \
+            parts = grid.h * np.sum(mean**2) + \
                 space_velocity_norm(fluct, grid, quad16) ** 2
             assert abs(total - parts) <= 1e-12 * total
             np.testing.assert_allclose(velocity_average(fluct, quad16), 0.0,
@@ -84,7 +83,7 @@ class TestNorms:
         eps = 0.25
         ns = norms(field, eps, np.ones(16), np.ones(16), op, grid)
         np.testing.assert_allclose(ns.energy_sq,
-                                   eps * spatial_norm(ubar, grid) ** 2,
+                                   eps * grid.h * np.sum(ubar**2),
                                    rtol=1e-12)
 
     def test_mean_free_field_energy(self, quad8):
@@ -110,39 +109,8 @@ class TestNorms:
                 sg = rng.uniform(0.5, 2.0, 32)
                 gm = rng.uniform(0.5, 2.0, 32)
                 ns = norms(u, eps, sg, gm, op, grid)
-                ratio = ns.energy_sq / ns.energy_proxy_sq
+                ratio = ns.energy_sq / split_energy_sq(u, eps, grid, quad8)
                 assert 0.5 - 1e-12 <= ratio <= 4.0 + 1e-12
-
-    def test_dual_equivalence_ratio_window(self, quad8):
-        # inverse-norm window [c/2, c_K/c] = [1/4, 2] for isotropic scattering
-        grid = Grid1D(1.0, 32)
-        op = assemble_scattering(kernel_isotropic(), quad8)
-        rng = np.random.default_rng(77)
-        for eps in (1.0, 2.0**-3, 2.0**-6):
-            for _ in range(100):
-                u = rng.standard_normal((32, 8))
-                sg = rng.uniform(0.5, 2.0, 32)
-                gm = rng.uniform(0.5, 2.0, 32)
-                ns = norms(u, eps, sg, gm, op, grid)
-                ratio = ns.energy_dual_sq / ns.energy_dual_proxy_sq
-                assert 0.25 - 1e-12 <= ratio <= 2.0 + 1e-12
-
-    def test_dual_norm_against_dense_solve_oracle(self, quad8):
-        grid = Grid1D(1.0, 12)
-        op = assemble_scattering(kernel_linear(0.4), quad8)
-        rng = np.random.default_rng(3)
-        u = rng.standard_normal((12, 8))
-        sg = rng.uniform(0.5, 2.0, 12)
-        gm = rng.uniform(0.5, 2.0, 12)
-        eps = 0.125
-        ns = norms(u, eps, sg, gm, op, grid)
-        eye = np.eye(8)
-        dual = 0.0
-        for i in range(12):
-            coll = eps * gm[i] * eye + (sg[i] / eps) * (eye - op.matrix)
-            v = np.linalg.solve(coll, u[i])
-            dual += grid.h * np.sum(quad8.weights * v * u[i])
-        np.testing.assert_allclose(ns.energy_dual_sq, dual, rtol=1e-12)
 
     def test_uncertified_operator_raises(self, quad8):
         grid = Grid1D(1.0, 4)
@@ -238,36 +206,70 @@ class TestSlopeFit:
             fit_loglog([0.5, 0.25], [1.0, -1.0])
 
 
+def apriori_quantities(rep):
+    """The quantities the paper bounds uniformly in eps, from a study."""
+    cols = rep.columns
+    return {
+        "bdry/sqrt(eps)": cols["bdry"] / np.sqrt(rep.eps),
+        "err_fluct/eps": cols["err_fluct"] / rep.eps,
+        "deriv": cols["deriv"],
+        "energy_ratio": cols["energy_ratio"],
+        "max_abs": cols["max_abs"],
+    }
+
+
 class TestApriori:
     def test_zero_data_gives_zero_rows(self, iso8):
         p = make_problem(n_cells=32, source=0.0)
-        eps_list = [0.5, 0.25, 0.125]
-        sols = [solve_transport(p, e, iso8) for e in eps_list]
-        table = apriori_check(eps_list, sols, p)
-        for name in ("trace_over_sqrt_eps", "fluct_over_eps", "mean_norm",
-                     "deriv_norm", "max_abs"):
-            np.testing.assert_allclose(table.columns[name], 0.0, atol=1e-12)
+        rep = convergence_study(p, [0.5, 0.25, 0.125, 0.0625], iso8,
+                                floor_cells=32)
+        for name in ("err_total", "err_fluct", "bdry", "deriv",
+                     "energy_ratio", "max_abs"):
+            np.testing.assert_allclose(rep.columns[name], 0.0, atol=1e-12)
+        assert rep.notes == ()
 
     def test_smooth_sweep_stays_bounded(self, iso8):
+        # the 64-cell floor puts every row on the same mesh
         p = smooth_benchmark(n_cells=64)
-        eps_list = [0.5, 0.25, 0.125, 0.0625]
-        sols = [solve_transport(p, e, iso8) for e in eps_list]
-        table = apriori_check(eps_list, sols, p)
-        for name in ("trace_over_sqrt_eps", "fluct_over_eps", "mean_norm",
-                     "deriv_norm", "max_abs"):
-            assert name not in table.flagged
-        rows = list(table.rows())
-        assert len(rows) == 4 and "energy_ratio" in rows[0]
+        rep = convergence_study(p, [0.5, 0.25, 0.125, 0.0625], iso8)
+        assert rep.n_cells == (64, 64, 64, 64)
+        for name, vals in apriori_quantities(rep).items():
+            assert len(vals) == 4
+            assert np.max(vals) <= 2.0 * vals[0], name
+        assert rep.notes == ()
 
-    def test_needs_three_points(self, quad8):
-        with pytest.raises(ValidationError):
-            apriori_check([0.5, 0.25], [], make_problem())
+    def test_energy_ratio_and_max_abs_of_each_row(self, quad8, iso8):
+        # inflow on both faces, so every term of the energy identity counts
+        p = make_problem(n_cells=64, g_left=0.5, g_right=0.25,
+                         sigma=CoefficientField.sinusoid(1.0, 0.5, 1.0))
+        eps = [0.5, 0.25, 0.125, 0.0625]
+        rep = convergence_study(p, eps, iso8)
+        mu, w, h = quad8.nodes, quad8.weights, p.grid.h
+        for i, e in enumerate(eps):
+            sol = solve_transport(p, e, iso8)  # the row's 64-cell mesh
+            mean, fluct = split_mean_fluctuation(sol.u, quad8)
+            lhs = (outflow_trace(sol).norm(2) ** 2
+                   + space_velocity_norm(fluct, p.grid, quad8) ** 2 / e
+                   + e * h * np.sum(mean**2))
+            g = e * np.where(mu > 0, 0.5, 0.25)
+            f_sq = h * np.sum((e * p.source(p.grid.centers)) ** 2)
+            rhs = np.sum(w * np.abs(mu) * g**2) + f_sq / e
+            assert rep.columns["energy_ratio"][i] == pytest.approx(lhs / rhs,
+                                                                   rel=1e-12)
+            assert rep.columns["max_abs"][i] == np.max(np.abs(sol.u))
 
-    def test_needs_one_solution_per_eps(self, iso8):
-        p = make_problem(n_cells=16)
-        sol = solve_transport(p, 0.5, iso8)
-        with pytest.raises(ValidationError, match="1 solutions for 3 eps"):
-            apriori_check([0.5, 0.25, 0.125], [sol], p)
+    def test_growth_past_twice_the_first_value_is_noted(self):
+        from translimit.analysis import _growth_notes
+
+        cols = {name: np.ones(4) for name in
+                ("bdry", "err_fluct", "deriv", "energy_ratio", "max_abs")}
+        eps = np.array([0.5, 0.25, 0.125, 0.0625])
+        cols["bdry"] = np.sqrt(eps)
+        cols["max_abs"] = np.array([1.0, 1.5, 2.0, 2.5])
+        notes = _growth_notes(eps, cols)
+        # err_fluct/eps doubles each row; max_abs passes 2x at the last
+        assert [n.split()[3] for n in notes] == ["err_fluct/eps", "max_abs"]
+        assert _growth_notes(eps[:0], {k: v[:0] for k, v in cols.items()}) == []
 
 
 class TestConvergenceStudy:
@@ -286,7 +288,7 @@ class TestConvergenceStudy:
         rep = convergence_study(p, eps, iso8, floor_cells=32)
         assert list(rep.columns) == [
             "err_total", "err_fluct", "bdry", "deriv", "remainder",
-            "err_l1", "err_l4",
+            "err_l1", "err_l4", "energy_ratio", "max_abs",
         ]
         assert all(len(v) == 4 for v in rep.columns.values())
         assert rep.rate_asserted
@@ -297,7 +299,7 @@ class TestConvergenceStudy:
         payload = rep.slopes_payload()
         assert "err_total" in payload["slopes"]
         files = rep.write_plot_files(tmp_path)
-        assert len(files) == 7
+        assert len(files) == 9
 
     def test_determinism(self, iso8):
         p = smooth_benchmark()
@@ -384,27 +386,3 @@ class TestConvergenceStudy:
             convergence_study(p, [2.0**-k for k in range(1, 5)], iso8,
                               options=opts, floor_cells=32)
         assert hasattr(err.value, "partial_report")
-
-
-class TestWeakConsistency:
-    def test_transport_average_satisfies_limit_weak_form(self, quad16):
-        # pairing the weak residual of the converged velocity average with a
-        # fixed smooth test decays like eps + h^2 (measured constant ~1.83)
-        import dataclasses
-
-        from translimit import cells_for_eps, weak_residual
-
-        p = smooth_benchmark()
-        op = assemble_scattering(kernel_isotropic(), quad16)
-        pairings = {}
-        for k in (4, 6):
-            eps = 2.0**-k
-            n = cells_for_eps(eps, 1.0)
-            pe = dataclasses.replace(p, grid=Grid1D(1.0, n))
-            sol = solve_transport(pe, eps, op)
-            r = weak_residual(solve_diffusion(pe, op), pe, sol.u_bar)
-            h = pe.grid.h
-            psi = np.sin(np.pi * pe.grid.edges[1:-1])
-            pairings[k] = abs(np.sum(h * r * psi))
-            assert pairings[k] <= 2.0 * (eps + h * h)
-        assert pairings[6] / pairings[4] < 0.35

@@ -267,6 +267,14 @@ reference = cosh
         ref = json.loads((tmp_path / "reference_error.json").read_text())
         assert ref["max_nodal_error"] < 1e-5
 
+    def test_unknown_reference_exits_two(self, tmp_path, capsys):
+        cfg = write(tmp_path, "[study]\nreference = cosh-typo\n")
+        rc = main(["solve", "--config", cfg, "--mode", "diffusion",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "cosh-typo" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
+
     def test_transport_divergence_exits_three(self, tmp_path, capsys):
         # 64 cells at eps = 2^-9 are optically thick (sigma_t h ~ 8), where
         # the DSA diverges; the solve stops at the first non-finite average
@@ -375,10 +383,12 @@ class TestStudy:
         assert main(["study", "--config", cfg, "--out", str(tmp_path)]) == 0
         rows = read_csv(tmp_path / "report.csv")
         assert len(rows) == 4
-        assert set(rows[0]) == {"eps", "err_total", "err_fluct", "bdry",
-                                "deriv", "remainder", "err_l1", "err_l4"}
+        assert list(rows[0]) == ["eps", "err_total", "err_fluct", "bdry",
+                                 "deriv", "remainder", "err_l1", "err_l4",
+                                 "energy_ratio", "max_abs"]
         slopes = json.loads((tmp_path / "slopes.json").read_text())
         assert slopes["rate_asserted"] is True
+        assert slopes["notes"] == []
         assert "err_total" in slopes["slopes"]
         assert (tmp_path / "plot_err_total.dat").exists()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -423,6 +433,16 @@ floor_cells = 32
         cfg = write(tmp_path, ISO)
         assert main(["study", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", [["study"],
+                                         ["solve", "--mode", "transport"]])
+    @pytest.mark.parametrize("p", ["0", "-1", "0.5"])
+    def test_p_norm_below_one_exits_two(self, tmp_path, capsys, command, p):
+        # an L^p norm needs p >= 1; p = 0 would also divide by zero
+        cfg = write(tmp_path, SMOOTH_STUDY + f"p_norms = 1 {p}\n")
+        assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "p_norms" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
+
     def test_convergence_failure_exits_three_with_partial(self, tmp_path):
         cfg = write(tmp_path, SMOOTH_STUDY + """
 [solver]
@@ -442,7 +462,9 @@ max_iterations = 30
         assert main(["study", "--config", cfg, "--out", str(tmp_path)]) == 3
         lines = (tmp_path / "report.csv").read_text().splitlines()
         assert lines == ["eps,err_total,err_fluct,bdry,deriv,remainder,"
-                         "err_l1,err_l4"]
+                         "err_l1,err_l4,energy_ratio,max_abs"]
+        slopes = json.loads((tmp_path / "slopes.json").read_text())
+        assert slopes["slopes"] == {} and slopes["notes"] == []
 
     def test_builds_the_operator_once(self, tmp_path, monkeypatch):
         # every eps row shares the operator the command builds

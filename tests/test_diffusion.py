@@ -7,13 +7,11 @@ from translimit import (
     CertificationError,
     CoefficientField,
     Grid1D,
-    ValidationError,
     assemble_scattering,
     kernel_linear,
     manufactured_case,
     mms_diffusion_source,
     solve_diffusion,
-    weak_residual,
 )
 from translimit.diffusion import assemble_banded
 from conftest import make_problem
@@ -130,42 +128,3 @@ class TestStructure:
         p = make_problem(n_cells=16)
         with pytest.raises(CertificationError):
             solve_diffusion(p, assemble_scattering(kernel_linear(1.0), quad8))
-
-
-class TestWeakResidual:
-    def test_discrete_solution_is_galerkin_orthogonal(self, iso8):
-        p = make_problem(n_cells=100,
-                         sigma=CoefficientField.sinusoid(1.0, 0.5, 1.0))
-        sol = solve_diffusion(p, iso8)
-        r = weak_residual(sol, p)
-        assert np.max(np.abs(r)) <= 1e-12
-
-    def test_perturbation_grows_linearly(self, iso8):
-        p = make_problem(n_cells=40)
-        sol = solve_diffusion(p, iso8)
-        base = weak_residual(sol, p)
-        k = 17
-        hat = np.zeros(40)
-        # tent centered at node k, evaluated at the two adjacent cell centers
-        hat[k - 1] = 0.5
-        hat[k] = 0.5
-        r1 = weak_residual(sol, p, sol.u_cell + 1e-3 * hat)
-        r2 = weak_residual(sol, p, sol.u_cell + 2e-3 * hat)
-        np.testing.assert_allclose(r2 - base, 2.0 * (r1 - base), rtol=1e-9)
-
-    def test_interpolated_exact_solution_residual_order(self, iso8):
-        # interior tests only: the two boundary-adjacent entries carry the
-        # O(1) truncation of the half-cell closure (see weak_residual)
-        errs = []
-        for n in (64, 128, 256):
-            p = make_problem(n_cells=n)
-            vals = cosh_exact(p.grid.centers)
-            r = weak_residual(solve_diffusion(p, iso8), p, vals)
-            errs.append(np.max(np.abs(r[1:-1])))
-        orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
-        assert min(orders) > 1.8
-
-    def test_cell_values_must_match_the_grid(self, iso8):
-        p = make_problem(n_cells=16)
-        with pytest.raises(ValidationError):
-            weak_residual(solve_diffusion(p, iso8), p, np.ones(8))
