@@ -52,8 +52,16 @@ def split_mean_fluctuation(field, quad):
     return mean, field - mean[..., None]
 
 
+def _check_ps(ps):
+    """ValidationError unless every p is a norm exponent: p >= 1 (NaN fails)."""
+    for p in ps:
+        if not float(p) >= 1.0:
+            raise ValidationError(f"L^p norm needs p >= 1, got p = {p!r}")
+
+
 def space_velocity_norm(field, grid, quad, p=2):
-    """L^p norm over the slab-velocity phase space."""
+    """L^p norm over the slab-velocity phase space, 1 <= p <= inf."""
+    _check_ps((p,))
     field = np.asarray(field, dtype=float)
     if p == np.inf:
         return float(np.max(np.abs(field)))
@@ -81,7 +89,8 @@ def norms(field, eps, sigma_cells, gamma_cells, op, grid, ps=()):
     sigma_cells and gamma_cells are the problem's coefficient values at the
     cell centers, i.e. the data at eps = 1; the energy norm uses sigma/eps
     and eps*gamma, the same scaling scaled_fields applies.  An operator that
-    fails certification raises CertificationError.
+    fails certification raises CertificationError, and a p < 1 in ps
+    raises ValidationError.
     """
     certify_assumptions(op).require()
     field = np.asarray(field, dtype=float)
@@ -318,8 +327,10 @@ def convergence_study(problem, eps_list, op, options=None, ps=(1, 4),
     fit.  Each row also measures the quantities of the paper's a priori
     bounds, and a note names each that grows past twice its largest-eps
     value.  A transport solve that fails to converge aborts the study with
-    the partial report attached to the raised ConvergenceError.
+    the partial report attached to the raised ConvergenceError.  Every p in
+    ps must be at least 1, else ValidationError is raised before any solve.
     """
+    _check_ps(ps)
     _require_slab(op, "convergence_study")
     certify_assumptions(op).require()
     eps = _validate_eps_list(eps_list)

@@ -8,7 +8,12 @@ to one and the second moment of a single component is 1/3.
 Scattering operators are assembled from symmetric kernels, certified against
 the structural assumptions they must satisfy (weighted self-adjointness,
 spectrum of I - K inside [0, 1], constants as the only null space), and
-inverted on the mean-free complement through their eigendecomposition.
+inverted on the mean-free complement.  Both come from the kernel's
+finite-rank factor k = Phi C Phi^T (Phi n x r, C symmetric r x r): the
+spectrum of I - K is that of an r x r core plus the eigenvalue 1 on the
+rest, and the pseudoinverse is a rank-r update of the identity, so neither
+costs more than O(n r^2) after assembly.  A kernel with no factor is the
+full-rank case Phi = I, r = n of the same computation.
 """
 
 from __future__ import annotations
@@ -133,16 +138,24 @@ def build_angular_quadrature(n):
 
 
 def kernel_isotropic():
-    """Kernel k(v, v') = 1: scattering replaces a field by its average."""
+    """Kernel k(v, v') = 1: scattering replaces a field by its average.
+
+    Its factor (see assemble_scattering) has the one feature 1 and C = [1].
+    """
 
     def k(v, vp):
         return np.ones(np.broadcast_shapes(v.shape[:-1], vp.shape[:-1]))
 
+    k.factor = lambda coords: (np.ones((coords.shape[0], 1)), np.eye(1))
     return k
 
 
 def kernel_linear(g):
-    """Linearly anisotropic kernel k(v, v') = 1 + 3 g (v . v')."""
+    """Linearly anisotropic kernel k(v, v') = 1 + 3 g (v . v').
+
+    Its factor (see assemble_scattering) has the 1 + d features [1, v] and
+    C = diag(1, 3g, ..., 3g).
+    """
     g = float(g)
 
     def k(v, vp):
@@ -153,6 +166,12 @@ def kernel_linear(g):
             dot += v[..., c] * vp[..., c]
         return 1.0 + 3.0 * g * dot
 
+    def factor(coords):
+        n, d = coords.shape
+        return (np.column_stack([np.ones(n), coords]),
+                np.diag(np.r_[1.0, np.full(d, 3.0 * g)]))
+
+    k.factor = factor
     return k
 
 
@@ -165,11 +184,15 @@ class ScatteringOperator:
     product (u, v)_w = sum_i w_i u_i v_i up to the normalization defect,
     which is recorded in the metadata rather than silently repaired.
 
-    The operator is immutable and owns what is derived from it: its weighted
-    eigendecomposition (spectrum) and its CertReport (certificate), each
-    computed once, on first use.  Read the certificate through
-    certify_assumptions(op) and gate on it with .require() before reading
-    the spectrum.
+    Next to the matrix the operator keeps its kernel factor: features Phi
+    (n, r), a symmetric core C (r, r) and the row sums D of the raw kernel,
+    with K = D^-1 Phi C Phi^T W, W = diag(weights).  An operator built from
+    a bare matrix gets the full-rank factor Phi = I, C = K W^-1, D = 1.
+
+    The operator is immutable and owns what is derived from it: its spectrum
+    and its CertReport (certificate), each computed once, on first use.
+    Read the certificate through certify_assumptions(op) and gate on it with
+    .require() before reading the spectrum.
     """
 
     matrix: np.ndarray
@@ -177,9 +200,22 @@ class ScatteringOperator:
     normalization_deviation: float = 0.0
     kernel_min: float = 0.0
     warnings: tuple = ()
+    features: np.ndarray = None
+    core: np.ndarray = None
+    row_sums: np.ndarray = None
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _readonly(self.matrix))
+        features, core, row_sums = self.features, self.core, self.row_sums
+        if features is None:
+            features = np.eye(self.n)
+            core = self.matrix / self.weights[None, :]
+            row_sums = np.ones(self.n)
+        # eigh reads one triangle: symmetrize (a no-op on a symmetric core)
+        core = np.asarray(core, dtype=float)
+        object.__setattr__(self, "features", _readonly(features))
+        object.__setattr__(self, "core", _readonly(0.5 * (core + core.T)))
+        object.__setattr__(self, "row_sums", _readonly(row_sums))
 
     @property
     def n(self):
@@ -189,6 +225,11 @@ class ScatteringOperator:
     def weights(self):
         return self.quadrature.weights
 
+    @property
+    def rank(self):
+        """Number of kernel features r: the size of the spectral core."""
+        return self.features.shape[1]
+
     def symmetry_defect(self):
         """max |w_i K_ij - w_j K_ji|, the weighted self-adjointness defect."""
         wk = self.weights[:, None] * self.matrix
@@ -196,22 +237,30 @@ class ScatteringOperator:
 
     @functools.cached_property
     def spectrum(self):
-        """Weighted-symmetric eigendecomposition of I - K: (s, lam, q, null_dim).
+        """Eigendecomposition of I - K through its r x r core:
+        (t, lam, basis, lam_core, null_dim).
 
-        s = sqrt(weights); lam ascending with orthonormal eigenvectors q of
-        S (I - K) S^-1, S = diag(s); null_dim counts lam below NULL_CUTOFF.
+        With T = diag(t), t = sqrt(weights * row_sums), the similarity
+        T K T^-1 = A C A^T, A = diag(sqrt(weights / row_sums)) Phi, is exact.
+        A QR factorization A = B R reduces it to the core R C R^T, whose
+        eigenvalues mu give lam_core = 1 - mu (ascending) with orthonormal
+        eigenvectors basis = B Y (n, r) in T-space; I - K is the identity on
+        their complement.  lam holds all n eigenvalues ascending, and
+        null_dim counts those below NULL_CUTOFF, which all lie in the core.
         """
-        s = np.sqrt(self.weights)
-        m = np.eye(self.n) - self.matrix
-        sym = (s[:, None] * m) / s[None, :]
-        sym = 0.5 * (sym + sym.T)
-        lam, q = scipy.linalg.eigh(sym)
-        return s, lam, q, int(np.searchsorted(lam, NULL_CUTOFF))
+        t = np.sqrt(self.weights * self.row_sums)
+        a = np.sqrt(self.weights / self.row_sums)[:, None] * self.features
+        b, r = np.linalg.qr(a)
+        mu, y = scipy.linalg.eigh(r @ self.core @ r.T)
+        lam_core = 1.0 - mu[::-1]
+        basis = b @ y[:, ::-1]
+        lam = np.sort(np.concatenate([lam_core, np.ones(self.n - lam_core.size)]))
+        return t, lam, basis, lam_core, int(np.searchsorted(lam, NULL_CUTOFF))
 
     @functools.cached_property
     def certificate(self):
         """The CertReport of this operator; see certify_assumptions."""
-        s, lam, q, null_dim = self.spectrum
+        t, lam, basis, _, null_dim = self.spectrum
         diagnostics = []
 
         sym_defect = self.symmetry_defect()
@@ -240,7 +289,7 @@ class ScatteringOperator:
 
         ok_null = null_dim == 1
         if ok_null:
-            vec = q[:, 0] / s
+            vec = basis[:, 0] / t
             dev = float(np.max(np.abs(vec - vec.mean())) / np.max(np.abs(vec)))
             if dev > 1e-8:
                 ok_null = False
@@ -282,6 +331,12 @@ def assemble_scattering(kernel, quad):
     Row sums of the raw kernel are rescaled to one so the constant vector is
     reproduced exactly; a deviation beyond 1e-6 is recorded as a warning in
     the operator metadata.
+
+    A kernel with a finite-rank factor carries it as kernel.factor(coords),
+    returning features Phi (n, r) and a symmetric core C (r, r) with
+    k(v_i, v_j) = (Phi C Phi^T)_ij; the factor must reproduce the tabulated
+    kernel to 1e-10 relative.  For a kernel without one, the tabulated
+    kernel is its own core: Phi = I, C = k, r = n.
     """
     coords = quad.coords
     n = quad.n
@@ -307,12 +362,35 @@ def assemble_scattering(kernel, quad):
     if deviation > 1e-6:
         warnings.append(f"row normalization factor deviates from 1 by {deviation:.3e}")
     K = kmat * quad.weights[None, :] / rows[:, None]
+
+    factor = getattr(kernel, "factor", None)
+    if factor is None:
+        features, core = np.eye(n), kmat
+    else:
+        features, core = (np.asarray(a, dtype=float) for a in factor(coords))
+        r = features.shape[-1]
+        if features.shape != (n, r) or core.shape != (r, r):
+            raise ValidationError(
+                f"kernel factor has shapes {features.shape} and {core.shape}, "
+                f"expected ({n}, r) and (r, r)"
+            )
+        approx = features @ (core @ features.T)
+        approx -= kmat
+        defect = float(np.max(np.abs(approx, out=approx)))
+        del approx  # n x n: free it before the operator copies the matrix
+        if defect > 1e-10 * scale:
+            raise ValidationError(
+                f"kernel factor does not reproduce the kernel: max defect {defect:.3e}"
+            )
     return ScatteringOperator(
         matrix=K,
         quadrature=quad,
         normalization_deviation=deviation,
         kernel_min=kmin,
         warnings=tuple(warnings),
+        features=features,
+        core=core,
+        row_sums=rows,
     )
 
 
@@ -419,9 +497,10 @@ def pinv_apply(op, rhs):
     norm) within 1e-10; otherwise the system is not solvable and a
     SolvabilityError is raised.  Works on (n,) vectors or (..., n) stacks.
     The weighted norm of the result is bounded by c_K times that of rhs.
+    The cost is O(n r) per vector, r the operator's rank (see spectrum).
     """
     certify_assumptions(op).require()
-    s, lam, q, null_dim = op.spectrum
+    t, _, basis, lam_core, null_dim = op.spectrum
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[-1] != op.n:
         raise ValidationError(f"rhs has last dimension {rhs.shape[-1]}, expected {op.n}")
@@ -438,11 +517,12 @@ def pinv_apply(op, rhs):
             "mean-free data"
         )
 
-    inv = np.zeros_like(lam)
-    inv[null_dim:] = 1.0 / lam[null_dim:]
-    coeff = (rhs * s) @ q
-    coeff = coeff * inv
-    return (coeff @ q.T) / s
+    # in T-space I - K is the identity off the core's eigenvectors, so its
+    # pseudoinverse is x + basis (lam_core^+ - 1) basis^T x
+    inv = np.zeros_like(lam_core)
+    inv[null_dim:] = 1.0 / lam_core[null_dim:]
+    x = rhs * t
+    return (x + ((x @ basis) * (inv - 1.0)) @ basis.T) / t
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,15 @@ class TestNorms:
         assert set(ns.lp) == {1, 4}
         assert ns.lp[4] == space_velocity_norm(sol.u, p.grid, quad8, 4)
 
+    @pytest.mark.parametrize("bad", [0, -1, 0.5, float("nan")])
+    def test_exponent_below_one_rejected(self, quad8, iso8, bad):
+        grid = Grid1D(1.0, 4)
+        u = np.ones((4, 8))
+        with pytest.raises(ValidationError, match="p >= 1"):
+            space_velocity_norm(u, grid, quad8, bad)
+        with pytest.raises(ValidationError, match="p >= 1"):
+            norms(u, 0.5, np.ones(4), np.ones(4), iso8, grid, ps=(1, bad))
+
 
 class TestCorrector:
     def test_constant_limit_gives_zero(self, quad8):
@@ -281,6 +290,19 @@ class TestConvergenceStudy:
             convergence_study(p, [0.5, 0.3, 0.2, 0.1], iso8)
         with pytest.raises(ValidationError):
             convergence_study(p, [0.8, 0.64, 0.512, 0.4096], iso8)
+
+    @pytest.mark.parametrize("ps", [(0,), (-1,), (0.5,), (1, float("nan"))])
+    def test_exponent_below_one_rejected_before_any_solve(
+            self, iso8, ps, monkeypatch):
+        import translimit.analysis as analysis
+
+        diffused = []
+        monkeypatch.setattr(analysis, "solve_diffusion",
+                            lambda *a, **k: diffused.append(a))
+        with pytest.raises(ValidationError, match="p >= 1"):
+            convergence_study(smooth_benchmark(), [0.5, 0.25, 0.125, 0.0625],
+                              iso8, ps=ps)
+        assert diffused == []
 
     def test_small_study_structure(self, iso8, tmp_path):
         p = smooth_benchmark()

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -24,6 +24,7 @@ from translimit import (
     kernel_linear,
     pinv_apply,
 )
+from translimit.velocity_space import NULL_CUTOFF, SPECTRUM_TOL
 
 
 class TestSphereQuadrature:
@@ -149,6 +150,29 @@ class TestAssembleScattering:
     def test_wrong_kernel_shape_rejected(self, quad8):
         with pytest.raises(ValidationError, match="shape"):
             assemble_scattering(lambda v, vp: np.ones((4, 4)), quad8)
+
+    def test_factor_must_reproduce_the_kernel(self, quad8):
+        k = kernel_linear(0.5)
+        k.factor = kernel_linear(0.4).factor
+        with pytest.raises(ValidationError, match="does not reproduce"):
+            assemble_scattering(k, quad8)
+        k.factor = lambda coords: (np.ones((coords.shape[0], 2)), np.eye(3))
+        with pytest.raises(ValidationError, match="factor has shapes"):
+            assemble_scattering(k, quad8)
+
+    @pytest.mark.parametrize("g", [None, 0.5])
+    def test_kernel_without_factor_is_the_full_rank_case(self, quad8, g):
+        kernel = kernel_isotropic() if g is None else kernel_linear(g)
+        factored = assemble_scattering(kernel, quad8)
+        full = assemble_scattering(lambda v, vp: kernel(v, vp), quad8)
+        assert full.rank == 8 and factored.rank < full.rank
+        np.testing.assert_array_equal(full.matrix, factored.matrix)
+        a, b = certify_assumptions(full), certify_assumptions(factored)
+        np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, rtol=0, atol=1e-14)
+        assert a.passed == b.passed and abs(a.c_K - b.c_K) <= 1e-13
+        np.testing.assert_allclose(pinv_apply(full, quad8.nodes),
+                                   pinv_apply(factored, quad8.nodes),
+                                   rtol=0, atol=1e-13)
 
 
 class TestCertifyAssumptions:
@@ -385,3 +409,108 @@ class TestOperatorInvariantProperties:
         assume(norm(r) > 1e-3 * max(norm(v), 1e-300))
         u = pinv_apply(op, r)
         assert abs(u @ w) <= 1e-12 * norm(u)
+
+
+def dense_oracle(op):
+    """Certificate and pseudoinverse of op from a dense eigh of the
+    symmetrized S (I - K) S^-1, S = diag(sqrt(weights))."""
+    w = op.weights
+    s = np.sqrt(w)
+    m = (s[:, None] * (np.eye(op.n) - op.matrix)) / s[None, :]
+    lam, q = np.linalg.eigh(0.5 * (m + m.T))
+    null_dim = int(np.sum(lam < NULL_CUTOFF))
+    vec = q[:, 0] / s
+    constant = np.max(np.abs(vec - vec.mean())) <= 1e-8 * np.max(np.abs(vec))
+    c_k = max(1.0, 1.0 / lam[null_dim]) if lam[null_dim] > 0.0 else np.inf
+    wk = w[:, None] * op.matrix
+    passed = {
+        "self_adjoint": bool(np.max(np.abs(wk - wk.T)) <= 1e-12),
+        "contraction": bool(lam[0] >= -SPECTRUM_TOL and lam[-1] <= 1.0 + SPECTRUM_TOL),
+        "null_space": bool(null_dim == 1 and constant),
+        "solvability": bool(np.isfinite(c_k)),
+    }
+    inv = np.zeros_like(lam)
+    inv[null_dim:] = 1.0 / lam[null_dim:]
+    pinv = ((q * inv) @ q.T) * (s[None, :] / s[:, None])
+    return lam, null_dim, c_k, passed, pinv
+
+
+SPHERE_RULES = st.tuples(st.integers(2, 4), st.integers(4, 8))
+VELOCITY_SETS = st.one_of(
+    st.integers(1, 32).map(lambda k: build_angular_quadrature(2 * k)),
+    SPHERE_RULES.map(lambda r: build_sphere_quadrature(*r)),
+)
+# None is the isotropic kernel; g = -0.3 puts 1.3 in the spectrum of I - K
+# and g = 1 adds the velocity components to its null space
+KERNELS = st.one_of(st.none(), st.floats(-0.3, 1.0))
+
+
+class TestRankRCoreAgainstDenseOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(VELOCITY_SETS, KERNELS, st.data())
+    @example(build_angular_quadrature(8), 1.0, None)
+    @example(build_sphere_quadrature(2, 4), 1.0, None)
+    @example(build_sphere_quadrature(3, 6), -0.3, None)
+    def test_certificate_and_pinv_match(self, quad, g, data):
+        kernel = kernel_isotropic() if g is None else kernel_linear(g)
+        op = assemble_scattering(kernel, quad)
+        assert op.rank == (1 if g is None else 1 + quad.coords.shape[1])
+        lam, null_dim, c_k, passed, pinv = dense_oracle(op)
+        # a gate decided by rounding at its threshold is not a disagreement
+        for edge in (NULL_CUTOFF, -SPECTRUM_TOL, 1.0 + SPECTRUM_TOL):
+            assume(np.min(np.abs(lam - edge)) > 1e-12)
+
+        report = certify_assumptions(op)
+        np.testing.assert_allclose(report.eigenvalues, lam, rtol=0, atol=1e-12)
+        assert report.null_space_dim == null_dim
+        assert report.passed == passed
+        if not np.isfinite(c_k):
+            assert report.c_K == np.inf
+            return
+        # c_K is the reciprocal of an eigenvalue: compare at that level
+        assert abs(1.0 / report.c_K - 1.0 / c_k) <= 1e-12
+        if not all(passed.values()):
+            with pytest.raises(CertificationError):
+                pinv_apply(op, quad.coords[:, 0])
+            return
+
+        w = quad.weights
+        nrm = lambda x: float(np.sqrt(x**2 @ w))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rhs = np.random.default_rng(seed).standard_normal((3, op.n))
+        rhs -= (rhs @ w)[:, None]
+        got = pinv_apply(op, rhs)
+        for u, r in zip(got, rhs):
+            want = pinv @ r
+            # the pseudoinverse's relative condition number is c_K
+            assert nrm(u - want) <= 1e-12 * c_k * nrm(want)
+
+
+class TestEigensolverSize:
+    def test_no_eigensolver_larger_than_the_core(self, monkeypatch):
+        import scipy.linalg
+
+        # the Gauss rule's nodes come from a companion-matrix eigensolve;
+        # only what follows the quadrature is under test
+        quad = build_sphere_quadrature(24, 48)
+        shapes = []
+        for module, name in ((np.linalg, "eig"), (np.linalg, "eigh"),
+                             (np.linalg, "eigvals"), (np.linalg, "eigvalsh"),
+                             (np.linalg, "svd"), (np.linalg, "pinv"),
+                             (scipy.linalg, "eig"), (scipy.linalg, "eigh"),
+                             (scipy.linalg, "eigvals"), (scipy.linalg, "eigvalsh"),
+                             (scipy.linalg, "svd"), (scipy.linalg, "pinv")):
+            def recorded(a, *args, _fn=getattr(module, name), **kwargs):
+                shapes.append(np.shape(a))
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorded)
+
+        op = assemble_scattering(kernel_linear(0.5), quad)
+        certify_assumptions(op).require()
+        tensor = diffusion_tensor(op, [1.0, 2.0])
+        np.testing.assert_allclose(tensor.moment, np.eye(3) / 1.5, atol=1e-12)
+
+        d = quad.coords.shape[1]
+        assert shapes, "no eigensolver was called"
+        assert max(max(sh) for sh in shapes) <= 1 + d
