@@ -1,10 +1,17 @@
 """Discrete-ordinates transport solver for the scaled slab problem.
 
 Solves  mu du/dx + (gamma_eps + sigma_eps) u = sigma_eps K u + f_eps  with
-prescribed inflow on both faces, by transport sweeps with source iteration.
-A synthetic-diffusion correction on the velocity average removes the
-near-unit spectral radius of plain source iteration in the diffusive regime;
-the unaccelerated iteration is kept as a deliberately non-robust control.
+prescribed inflow on both faces.  The scattering operator sees a flux only
+through its r kernel moments per cell (K = D^-1 Phi C Phi^T W, see
+velocity_space), so the iteration's unknowns are those moments.  One step
+maps them to the next: the emission they give, one transport sweep, and a
+synthetic-diffusion (DSA) correction of the velocity average.  The step is
+affine, and GMRES solves its fixed point with one sweep per Krylov step,
+preconditioned by the DSA; a finishing loop of full steps then checks the
+tolerance and the balance target on the swept solution.  Plain source
+iteration (the same step, without the correction and without GMRES) is
+kept as a deliberately non-robust control: its spectral radius approaches
+one in the diffusive regime.
 
 A sweep's diamond (or upwind) march along one ordinate is a bidiagonal
 system in that ordinate's edge values, lower-bidiagonal for mu > 0 and upper
@@ -24,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtbtrs
 
 from .diffusion import factor_operator, solve_cells
@@ -50,7 +58,11 @@ class SolverOptions:
     scheme : "diamond" (second order) or "upwind" (first order, non
         asymptotic-preserving control)
     tolerance : relative l2 change of the velocity average between
-        accelerated iterates
+        iterates of the finishing loop; with "dsa" the Krylov stage runs to
+        a relative residual of 0.1 * tolerance first
+    max_iterations : budget of transport sweeps, Krylov sweeps included
+    acceleration : "dsa" (GMRES on the DSA-preconditioned step) or "none"
+        (plain source iteration, the unaccelerated control)
     balance_target : positive particle-balance residual every returned
         solution must meet
     """
@@ -76,6 +88,20 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class IterationLog:
+    """What a transport solve did, one entry per sweep.
+
+    residuals : with "dsa", the Krylov stage's relative residuals
+        |step(M) - M| / |b| (1 for the sweep that makes b, then one per
+        Krylov step), followed by the finishing loop's relative changes of
+        the velocity average; with "none", the changes alone
+    iterations : number of transport sweeps, Krylov sweeps included; equal
+        to len(residuals) unless a non-finite sweep stopped the solve
+    spectral_radius_estimate : per-sweep reduction factor,
+        (last residual / first) ** (1 / (sweeps - 1)); 0 when undefined
+    balance_residual : particle-balance residual of the last full sweep
+    negative_fraction : share of negative cell values in that sweep
+    """
+
     residuals: tuple
     iterations: int
     converged: bool
@@ -233,19 +259,79 @@ def particle_balance(cells, edges, gamma_e, f_e, gl, gr, grid, quad):
     return abs(out - inflow + absorption - source) / scale
 
 
-def _spectral_radius_estimate(history):
-    ratios = [
-        b / a
-        for a, b in zip(history[:-1], history[1:])
-        if a > 0.0 and np.isfinite(b / a)
-    ]
-    if not ratios:
+def _reduction_per_sweep(history):
+    """Mean factor by which one sweep reduced the residual:
+    (last / first) ** (1 / (sweeps - 1)), 0.0 when undefined."""
+    if len(history) < 2 or not history[0] > 0.0:
         return 0.0
-    return float(np.median(ratios[-8:]))
+    ratio = history[-1] / history[0]
+    if not np.isfinite(ratio):
+        return 0.0
+    return float(ratio ** (1.0 / (len(history) - 1)))
+
+
+def _gmres(matvec, b, rtol, max_steps, residuals):
+    """Unrestarted GMRES from zero for matvec(x) = b; returns the iterate.
+
+    Arnoldi with modified Gram-Schmidt builds an orthonormal Krylov basis;
+    Givens rotations keep the Hessenberg matrix triangular, so the relative
+    residual |b - matvec(x_k)| / |b| of step k's minimizer is known without
+    forming x_k.  That residual is appended to residuals after each step,
+    one entry per matvec.
+    The basis and the triangular columns grow with the steps taken.  The
+    iteration stops once the residual is <= rtol or not finite, after
+    max_steps steps, or on a breakdown, where the Krylov space is invariant
+    and the iterate exact.  b is any array; matvec maps that shape to it.
+    """
+    # solve for b / max|b|, whose norm neither underflows nor overflows
+    scale = float(np.max(np.abs(b), initial=0.0))
+    if not (scale > 0.0 and np.isfinite(scale)) or max_steps < 1:
+        return np.zeros_like(b)
+    beta = float(np.linalg.norm(b / scale))
+    basis = [b / (scale * beta)]
+    columns = []
+    rotations = []
+    g = [beta]
+    for k in range(max_steps):
+        v = matvec(basis[k])
+        col = np.empty(k + 2)
+        for i, q in enumerate(basis):
+            col[i] = np.vdot(q, v)
+            v -= col[i] * q
+        col[k + 1] = h_next = float(np.linalg.norm(v))
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
+                                  c * col[i + 1] - s * col[i])
+        rho = float(np.hypot(col[k], col[k + 1]))
+        if not (rho > 0.0 and np.isfinite(rho)):
+            # matvec singular on the Krylov space, or not finite: no progress
+            residuals.append(abs(g[k]) / beta)
+            break
+        c, s = col[k] / rho, col[k + 1] / rho
+        rotations.append((c, s))
+        col[k] = rho
+        columns.append(col[:k + 1])
+        g.append(-s * g[k])
+        g[k] *= c
+        residuals.append(abs(g[k + 1]) / beta)
+        if not residuals[-1] > rtol or h_next == 0.0:
+            break
+        basis.append(v / h_next)
+    steps = len(columns)
+    if steps == 0:
+        return np.zeros_like(b)
+    r = np.zeros((steps, steps))
+    for j, col in enumerate(columns):
+        r[:j + 1, j] = col
+    y = solve_triangular(r, np.asarray(g[:steps]))
+    x = y[0] * basis[0]
+    for coef, q in zip(y[1:], basis[1:steps]):
+        x += coef * q
+    return scale * x
 
 
 def solve_transport(problem, eps, op, options=None, source_override=None):
-    """Source iteration with optional synthetic-diffusion acceleration.
+    """Discrete-ordinates solve, Krylov-accelerated with synthetic diffusion.
 
     Parameters
     ----------
@@ -255,6 +341,20 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
         the kernel and the ordinates, and must pass certification
     source_override : optional (n_cells, n_ordinates) source replacing the
         scaled isotropic source (used for manufactured verification)
+
+    The operator K = D^-1 Phi C Phi^T W sees a flux u only through its r
+    kernel moments Phi^T W u per cell, so the iteration runs on those
+    (n_cells, r) moments M.  One step maps M to the next moments: emission
+    sigma_e (M C Phi^T / D) + f, one sweep, then (with acceleration "dsa")
+    the diffusion correction of the sweep average against ubar(M) = M z,
+    Phi z = 1 (K 1 = 1 puts the constants in the range of Phi).  The step is
+    affine, M -> A M + b.  With "dsa", GMRES from zero first solves
+    (I - A) M = b to 0.1 * tolerance relative residual; b is the step from
+    zero moments, and each Krylov step is one step with zero source and
+    inflow.  The finishing loop then repeats the full step from that
+    iterate until both the tolerance and the balance target hold.  With
+    "none" the finishing loop alone, without the correction, is plain
+    source iteration.  Every sweep counts against max_iterations.
 
     Raises ValidationError for an operator on any other quadrature, and
     CertificationError for one that fails certification, before any sweep.
@@ -292,11 +392,14 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
         m_k = diffusion_moment(op)[0, 0]
         dsa_factor = factor_operator(m_k / sigma_e, gamma_e, grid.h)
 
-    kt = op.matrix.T
-    u_curr = np.zeros((grid.n_cells, quad.n))
-    ubar_curr = np.zeros(grid.n_cells)
+    phi = op.features
+    scatter = (op.core @ phi.T) / op.row_sums  # M @ scatter = u @ K^T
+    to_moments = w[:, None] * phi  # u @ to_moments = M
+    mean_moments = w @ phi  # the moments of the constant 1
+    z = np.linalg.lstsq(phi, np.ones(quad.n), rcond=None)[0]  # M @ z = u @ w
+
     history = []
-    cells = u_curr
+    cells = np.zeros((grid.n_cells, quad.n))
     edges = np.zeros((grid.n_cells + 1, quad.n))
     balance = np.inf
     converged = False
@@ -305,7 +408,7 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
     def log():
         return IterationLog(
             residuals=tuple(history), iterations=iterations, converged=converged,
-            spectral_radius_estimate=_spectral_radius_estimate(history),
+            spectral_radius_estimate=_reduction_per_sweep(history),
             balance_residual=float(balance),
             negative_fraction=float(np.mean(cells < 0.0)),
         )
@@ -317,20 +420,38 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
                 f"{iterations} sweeps", log=log(),
             )
 
+    def step(moments, source, g_left, g_right):
+        """One sweep from the moments and its correction: the next moments,
+        the sweep's cells and edges, and the accelerated average."""
+        nonlocal iterations
+        emission = (sigma_e[:, None] * moments) @ scatter + source
+        swept, swept_edges = sweep(sigma_t, emission, g_left, g_right, grid, quad,
+                                   options.scheme)
+        iterations += 1
+        next_moments = swept @ to_moments
+        sbar = next_moments @ z
+        require_finite(sbar, "sweep average")
+        if dsa_factor is None:
+            return next_moments, swept, swept_edges, sbar
+        delta = solve_cells(dsa_factor, sigma_e * (sbar - moments @ z))
+        ubar = sbar + delta
+        require_finite(ubar, "accelerated average")
+        next_moments += delta[:, None] * mean_moments
+        return next_moments, swept, swept_edges, ubar
+
     # a diverging iterate overflows before require_finite reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(options.max_iterations):
-            emission = sigma_e[:, None] * (u_curr @ kt) + f_e
-            cells, edges = sweep(sigma_t, emission, gl, gr, grid, quad, options.scheme)
-            iterations += 1
-            sbar = cells @ w
-            require_finite(sbar, "sweep average")
-            if dsa_factor is not None:
-                delta = solve_cells(dsa_factor, sigma_e * (sbar - ubar_curr))
-            else:
-                delta = np.zeros_like(sbar)
-            ubar_next = sbar + delta
-            require_finite(ubar_next, "accelerated average")
+        moments = np.zeros((grid.n_cells, op.rank))
+        # one sweep for b and at least one left for the finishing loop
+        krylov_steps = options.max_iterations - 2
+        if dsa_factor is not None and krylov_steps >= 1:
+            b, cells, edges, _ = step(moments, f_e, gl, gr)
+            history.append(1.0 if np.any(b) else 0.0)
+            moments = _gmres(lambda v: v - step(v, 0.0, 0.0, 0.0)[0], b,
+                             0.1 * options.tolerance, krylov_steps, history)
+        while iterations < options.max_iterations:
+            ubar_curr = moments @ z
+            moments, cells, edges, ubar_next = step(moments, f_e, gl, gr)
             change = float(
                 np.linalg.norm(ubar_next - ubar_curr)
                 / max(np.linalg.norm(ubar_next), 1e-300)
@@ -340,8 +461,6 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
             if change <= options.tolerance and balance <= options.balance_target:
                 converged = True
                 break
-            u_curr = cells + delta[:, None]
-            ubar_curr = ubar_next
 
     if not converged:
         raise ConvergenceError(

@@ -298,11 +298,13 @@ class ScatteringOperator:
         else:
             diagnostics.append(f"null space dimension {null_dim}, expected 1")
 
-        if null_dim < self.n and lam[null_dim] > 0.0:
+        # c_K bounds the inverse on the mean-free space; a null space wider
+        # than the constants leaves part of that space with no inverse
+        if null_dim <= 1 and null_dim < self.n and lam[null_dim] > 0.0:
             c_k = max(1.0, 1.0 / float(lam[null_dim]))
         else:
             c_k = float("inf")
-            diagnostics.append("no positive eigenvalue outside the null space")
+            diagnostics.append("I - K has no bounded inverse on the mean-free space")
 
         return CertReport(
             eigenvalues=lam,
@@ -401,7 +403,8 @@ class CertReport:
     eigenvalues : spectrum of I - K in the weighted inner product, ascending
     null_space_dim : number of eigenvalues below the null cutoff
     c_K : reciprocal of the smallest nonzero eigenvalue (stability constant
-        of the pseudoinverse), clipped to >= 1; infinite when undefined
+        of the pseudoinverse), clipped to >= 1; infinite when undefined or
+        when the null space has more than one dimension
     passed : per-assumption booleans (self_adjoint, contraction, null_space,
         solvability)
     """
@@ -455,8 +458,9 @@ def certify_assumptions(op):
                      bound); the sup-norm row sum is recorded in the report
                      but does not gate
       null_space   : exactly one zero eigenvalue, with constant eigenvector
-      solvability  : smallest nonzero eigenvalue is positive, so the
-                     restricted inverse is bounded by c_K
+      solvability  : at most the constants in the null space and the
+                     smallest nonzero eigenvalue positive, so the inverse on
+                     the mean-free space is bounded by c_K
 
     Returns op.certificate, the CertReport the operator computes once.  A
     failing report is returned, not raised: every operation that reads the

@@ -9,6 +9,7 @@ from translimit import (
     build_angular_quadrature,
     build_sphere_quadrature,
     kernel_isotropic,
+    scaled_fields,
     space_velocity_norm,
     split_mean_fluctuation,
 )
@@ -82,3 +83,30 @@ def split_energy_sq(field, eps, grid, quad):
     mean, fluct = split_mean_fluctuation(field, quad)
     mean_sq = grid.h * float(np.sum(mean**2))
     return space_velocity_norm(fluct, grid, quad) ** 2 / eps + eps * mean_sq
+
+
+def cell_equation_residual(solution, problem, eps, op):
+    """Largest relative defect of the discrete diamond equations.
+
+    Reads only the returned cells and edges, the data scaled at eps and the
+    scattering matrix, so it measures the solution, not the solver that
+    produced it: the balance mu (e_out - e_in)/h + sigma_t u - sigma_e K u - f
+    relative to max |sigma_t u|, the closure u = (e_in + e_out)/2 relative to
+    max |u|, and the inflow edges against the scaled inflow data.
+    """
+    quad = op.quadrature
+    grid = problem.grid
+    data = scaled_fields(problem, eps, grid, quad)
+    u, edges = solution.u, solution.edges
+    mu = quad.nodes
+    pos = mu > 0.0
+    sigma_t = data["sigma"] + data["gamma"]
+    balance = (mu * np.diff(edges, axis=0) / grid.h + sigma_t[:, None] * u
+               - data["sigma"][:, None] * (u @ op.matrix.T) - data["source"][:, None])
+    closure = u - 0.5 * (edges[:-1] + edges[1:])
+    inflow = np.concatenate([edges[0, pos] - data["g_left"],
+                             edges[-1, ~pos] - data["g_right"]])
+    scale = float(np.max(np.abs(u)))
+    return max(float(np.max(np.abs(balance))) / float(np.max(np.abs(sigma_t[:, None] * u))),
+               float(np.max(np.abs(closure))) / scale,
+               float(np.max(np.abs(inflow))) / scale)

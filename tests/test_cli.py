@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from translimit import KernelSpec, build_angular_quadrature, solve_transport
 from translimit.cli import CSV_BLOCK_ROWS, _write_csv, main
 from translimit.config import load_config
+from conftest import cell_equation_residual
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -276,11 +277,13 @@ reference = cosh
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
 
     def test_transport_divergence_exits_three(self, tmp_path, capsys):
-        # 64 cells at eps = 2^-9 are optically thick (sigma_t h ~ 8), where
-        # the DSA diverges; the solve stops at the first non-finite average
+        # 64 cells at eps = 2^-12 are optically thick (sigma_t h up to 96):
+        # GMRES converges, but the finishing source iteration, whose FV DSA
+        # diverges in such cells, amplifies the remaining error until the
+        # solve stops at the first non-finite average
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rc = main(["solve", "--mode", "transport", "--eps", "0.001953125",
+            rc = main(["solve", "--mode", "transport", "--eps", "0.000244140625",
                        "--config", str(CONFIGS / "smooth_study.ini"),
                        "--out", str(tmp_path)])
         assert rc == 3
@@ -454,11 +457,11 @@ max_iterations = 30
         assert (tmp_path / "report.csv").exists()
 
     def test_first_row_abort_keeps_every_column(self, tmp_path):
-        # sigma 40 makes the first row's cells optically thick, so the study
+        # sigma 1e6 makes the first row's cells optically thick, so the study
         # aborts before any row finishes; the header must not depend on that
         cfg = write(tmp_path, SMOOTH_STUDY.replace(
             "kind = sinusoid\noffset = 1.0\namplitude = 0.5\nfrequency = 1.0",
-            "kind = constant\nvalue = 40.0"))
+            "kind = constant\nvalue = 1e6"))
         assert main(["study", "--config", cfg, "--out", str(tmp_path)]) == 3
         lines = (tmp_path / "report.csv").read_text().splitlines()
         assert lines == ["eps,err_total,err_fluct,bdry,deriv,remainder,"
@@ -476,3 +479,48 @@ max_iterations = 30
         assert main(["study", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert len(read_csv(tmp_path / "report.csv")) == 4
         assert len(built) == 1
+
+
+class TestThickCasesConverge:
+    """Inputs on which the DSA-accelerated source iteration diverged now
+    converge; each solution is checked through the discrete cell equations,
+    which do not depend on the solver."""
+
+    def test_64_cells_at_eps_2_to_the_minus_9(self, tmp_path):
+        path = CONFIGS / "smooth_study.ini"
+        eps = 2.0**-9
+        assert main(["solve", "--mode", "transport", "--eps", repr(eps),
+                     "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "iteration_log.json").read_text())["converged"]
+        config = load_config(str(path))
+        op = config.kernel.build(build_angular_quadrature(config.n_ordinates))
+        sol = solve_transport(config.problem, eps, op, config.solver)
+        assert config.problem.grid.n_cells == 64
+        assert cell_equation_residual(sol, config.problem, eps, op) <= 1e-9
+
+    def test_sigma_four_and_a_half_study(self, tmp_path, monkeypatch):
+        import translimit.analysis as analysis
+
+        text = (CONFIGS / "smooth_study.ini").read_text().replace(
+            "kind = sinusoid\noffset = 1.0\namplitude = 0.5\nfrequency = 1.0",
+            "kind = constant\nvalue = 4.5").replace(
+            "eps = 0.5 0.25 0.125 0.0625 0.03125 0.015625",
+            "eps = 0.5 0.25 0.125 0.0625 0.03125 0.015625 0.0078125")
+        assert "value = 4.5" in text and "0.0078125" in text
+        solved = []
+        original = analysis.solve_transport
+
+        def keep(problem, eps, op, options=None):
+            sol = original(problem, eps, op, options)
+            solved.append((sol, problem, eps, op))
+            return sol
+
+        monkeypatch.setattr(analysis, "solve_transport", keep)
+        cfg = write(tmp_path, text)
+        assert main(["study", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len(read_csv(tmp_path / "report.csv")) == 7
+        assert len(solved) == 7
+        for sol, problem, eps, op in solved:
+            assert cell_equation_residual(sol, problem, eps, op) <= 1e-9
+        slopes = json.loads((tmp_path / "slopes.json").read_text())
+        assert 0.85 <= slopes["slopes"]["err_total"]["slope"] <= 1.15

@@ -192,6 +192,17 @@ class TestCertifyAssumptions:
         assert not report.passed["null_space"]
         assert not report.all_passed
 
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_degenerate_null_space_has_no_stability_constant(self, n):
+        # g = 1 adds mu's mean-free part to the null space of I - K
+        op = assemble_scattering(kernel_linear(1.0), build_angular_quadrature(n))
+        report = certify_assumptions(op)
+        assert report.null_space_dim == 2
+        assert report.c_K == np.inf
+        assert not report.passed["solvability"]
+        assert not report.passed["null_space"]
+        assert report.as_dict()["c_K"] is None
+
     def test_linear_c_k(self, quad8):
         op = assemble_scattering(kernel_linear(0.5), quad8)
         report = certify_assumptions(op)
@@ -421,7 +432,10 @@ def dense_oracle(op):
     null_dim = int(np.sum(lam < NULL_CUTOFF))
     vec = q[:, 0] / s
     constant = np.max(np.abs(vec - vec.mean())) <= 1e-8 * np.max(np.abs(vec))
-    c_k = max(1.0, 1.0 / lam[null_dim]) if lam[null_dim] > 0.0 else np.inf
+    # a null space wider than the constants leaves no bounded inverse on the
+    # mean-free space
+    bounded = null_dim <= 1 and lam[null_dim] > 0.0
+    c_k = max(1.0, 1.0 / lam[null_dim]) if bounded else np.inf
     wk = w[:, None] * op.matrix
     passed = {
         "self_adjoint": bool(np.max(np.abs(wk - wk.T)) <= 1e-12),
