@@ -110,3 +110,23 @@ def cell_equation_residual(solution, problem, eps, op):
     return max(float(np.max(np.abs(balance))) / float(np.max(np.abs(sigma_t[:, None] * u))),
                float(np.max(np.abs(closure))) / scale,
                float(np.max(np.abs(inflow))) / scale)
+
+
+def poison_sweep(monkeypatch, bad_call):
+    """Make the transport sweep return NaN cell values on its bad_call-th call,
+    so a solve meets a non-finite iterate whatever its input; returns the
+    list that records the calls."""
+    import translimit.transport as transport
+
+    original = transport.sweep
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        calls.append(1)
+        cells, edges = original(*args, **kwargs)
+        if len(calls) == bad_call:
+            cells = np.full_like(cells, np.nan)
+        return cells, edges
+
+    monkeypatch.setattr(transport, "sweep", poisoned)
+    return calls

@@ -11,10 +11,15 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from translimit import KernelSpec, build_angular_quadrature, solve_transport
+from translimit import (
+    ConvergenceError,
+    KernelSpec,
+    build_angular_quadrature,
+    solve_transport,
+)
 from translimit.cli import CSV_BLOCK_ROWS, _write_csv, main
 from translimit.config import load_config
-from conftest import cell_equation_residual
+from conftest import cell_equation_residual, poison_sweep
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -276,17 +281,17 @@ reference = cosh
         assert "cosh-typo" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
 
-    def test_transport_divergence_exits_three(self, tmp_path, capsys):
-        # 64 cells at eps = 2^-12 are optically thick (sigma_t h up to 96):
-        # GMRES converges, but the finishing source iteration, whose FV DSA
-        # diverges in such cells, amplifies the remaining error until the
-        # solve stops at the first non-finite average
+    def test_transport_divergence_exits_three(self, tmp_path, capsys, monkeypatch):
+        # a sweep that turns non-finite mid-solve, as a diverging iteration
+        # does: the solve stops at the first non-finite average
+        calls = poison_sweep(monkeypatch, 5)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rc = main(["solve", "--mode", "transport", "--eps", "0.000244140625",
+            rc = main(["solve", "--mode", "transport", "--eps", "0.001953125",
                        "--config", str(CONFIGS / "smooth_study.ini"),
                        "--out", str(tmp_path)])
         assert rc == 3
+        assert len(calls) == 5
         assert "non-finite" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         # the failed solve still leaves its log, listed in the manifest
@@ -456,12 +461,11 @@ max_iterations = 30
         assert rc == 3
         assert (tmp_path / "report.csv").exists()
 
-    def test_first_row_abort_keeps_every_column(self, tmp_path):
-        # sigma 1e6 makes the first row's cells optically thick, so the study
-        # aborts before any row finishes; the header must not depend on that
-        cfg = write(tmp_path, SMOOTH_STUDY.replace(
-            "kind = sinusoid\noffset = 1.0\namplitude = 0.5\nfrequency = 1.0",
-            "kind = constant\nvalue = 1e6"))
+    def test_first_row_abort_keeps_every_column(self, tmp_path, monkeypatch):
+        # the first row's first sweep turns non-finite, so the study aborts
+        # before any row finishes; the header must not depend on that
+        poison_sweep(monkeypatch, 1)
+        cfg = write(tmp_path, SMOOTH_STUDY)
         assert main(["study", "--config", cfg, "--out", str(tmp_path)]) == 3
         lines = (tmp_path / "report.csv").read_text().splitlines()
         assert lines == ["eps,err_total,err_fluct,bdry,deriv,remainder,"
@@ -484,7 +488,8 @@ max_iterations = 30
 class TestThickCasesConverge:
     """Inputs on which the DSA-accelerated source iteration diverged now
     converge; each solution is checked through the discrete cell equations,
-    which do not depend on the solver."""
+    which do not depend on the solver. A thicker input that still fails is
+    marked as a known failure."""
 
     def test_64_cells_at_eps_2_to_the_minus_9(self, tmp_path):
         path = CONFIGS / "smooth_study.ini"
@@ -497,6 +502,15 @@ class TestThickCasesConverge:
         sol = solve_transport(config.problem, eps, op, config.solver)
         assert config.problem.grid.n_cells == 64
         assert cell_equation_residual(sol, config.problem, eps, op) <= 1e-9
+
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="the finishing loop's FV DSA diverges from the "
+                              "converged Krylov iterate in cells with sigma_t h "
+                              "up to 96 (ROADMAP item 3)")
+    def test_64_cells_at_eps_2_to_the_minus_12(self):
+        config = load_config(str(CONFIGS / "smooth_study.ini"))
+        op = config.kernel.build(build_angular_quadrature(config.n_ordinates))
+        solve_transport(config.problem, 2.0**-12, op, config.solver)
 
     def test_sigma_four_and_a_half_study(self, tmp_path, monkeypatch):
         import translimit.analysis as analysis
