@@ -4,7 +4,9 @@ Plain source iteration contracts like the scattering ratio, which approaches
 one as eps shrinks.  The default solve runs GMRES on the fixed point of one
 sweep plus the synthetic-diffusion correction, then a short finishing loop,
 and keeps the sweep count flat.  This script tabulates both sweep counts
-across eps; every count is of transport sweeps, Krylov sweeps included.
+across eps, and the accelerated count for the linear kernel with g = 0.5,
+whose correction also carries the current; every count is of transport
+sweeps, Krylov sweeps included.
 """
 
 from translimit import (
@@ -16,12 +18,15 @@ from translimit import (
     assemble_scattering,
     build_angular_quadrature,
     kernel_isotropic,
+    kernel_linear,
     solve_transport,
 )
 
 
 def main():
-    op = assemble_scattering(kernel_isotropic(), build_angular_quadrature(16))
+    quad = build_angular_quadrature(16)
+    op = assemble_scattering(kernel_isotropic(), quad)
+    linear = assemble_scattering(kernel_linear(0.5), quad)
     problem = ProblemSpec(
         grid=Grid1D(1.0, 128),
         sigma=CoefficientField.constant(1.0),
@@ -29,10 +34,12 @@ def main():
         source=CoefficientField.constant(1.0),
     )
 
-    print("eps      dsa sweeps        plain sweeps         plain last change")
+    print("eps      dsa sweeps   dsa sweeps g=0.5     plain sweeps"
+          "   plain last change")
     for k in (1, 2, 3, 4, 5, 6):
         eps = 2.0**-k
         acc = solve_transport(problem, eps, op)
+        acc_linear = solve_transport(problem, eps, linear)
         try:
             plain = solve_transport(
                 problem, eps, op,
@@ -42,8 +49,8 @@ def main():
         except ConvergenceError as exc:
             plain_its = f"{exc.log.iterations:6d} (max)"
             last = f"{exc.log.residuals[-1]:.1e}"
-        print(f"2^-{k}    {acc.log.iterations:10d}      {plain_its:>14s}"
-              f"      {last:>12s}")
+        print(f"2^-{k}    {acc.log.iterations:10d}   {acc_linear.log.iterations:16d}"
+              f"   {plain_its:>14s}   {last:>17s}")
 
     print()
     print("The accelerated count stays flat while the plain iteration stalls:")

@@ -185,7 +185,9 @@ class ConvergenceReport:
     to each measured L^p slope.  rate_asserted is False when the diffusivity
     is discontinuous and only plain convergence (no rate) is claimed.  notes
     also names each a priori quantity that grew past twice its largest-eps
-    value.
+    value.  iterations and reduction_per_sweep hold each row's transport
+    sweep count and IterationLog.spectral_radius_estimate, so a row records
+    how fast its solve converged as well as how long it took.
     """
 
     eps: np.ndarray
@@ -193,6 +195,7 @@ class ConvergenceReport:
     slopes: dict
     n_cells: tuple
     iterations: tuple
+    reduction_per_sweep: tuple
     lp_reference_rate: dict
     rate_asserted: bool
     notes: tuple
@@ -215,6 +218,7 @@ class ConvergenceReport:
             "eps": [float(e) for e in self.eps],
             "n_cells": list(self.n_cells),
             "iterations": list(self.iterations),
+            "reduction_per_sweep": list(self.reduction_per_sweep),
         }
         return payload
 
@@ -288,7 +292,7 @@ def _study_row(problem, eps, op, options, ps, floor_cells):
     lhs = trace_norm**2 + fluct_norm**2 / eps + eps * grid.h * float(np.sum(mean**2))
     row["energy_ratio"] = lhs / max(g_sq + f_sq / eps, 1e-300)
     row["max_abs"] = float(np.max(np.abs(transport.u)))
-    return row, n, transport.log.iterations
+    return row, n, transport.log
 
 
 def _growth_notes(eps, columns):
@@ -337,17 +341,17 @@ def convergence_study(problem, eps_list, op, options=None, ps=(1, 4),
 
     rows = []
     cells = []
-    iters = []
+    logs = []
     partial_error = None
     for e in eps:
         try:
-            row, n, it = _study_row(problem, float(e), op, options, ps, floor_cells)
+            row, n, log = _study_row(problem, float(e), op, options, ps, floor_cells)
         except ConvergenceError as exc:
             partial_error = exc
             break
         rows.append(row)
         cells.append(n)
-        iters.append(it)
+        logs.append(log)
 
     names = (_REPORT_COLUMNS + tuple(f"err_l{p:g}" for p in ps)
              + ("energy_ratio", "max_abs"))
@@ -373,7 +377,8 @@ def convergence_study(problem, eps_list, op, options=None, ps=(1, 4),
         columns=columns,
         slopes=slopes,
         n_cells=tuple(cells),
-        iterations=tuple(iters),
+        iterations=tuple(log.iterations for log in logs),
+        reduction_per_sweep=tuple(log.spectral_radius_estimate for log in logs),
         lp_reference_rate={p: 2.0 / p for p in ps},
         rate_asserted=rate_asserted,
         notes=tuple(notes),

@@ -23,7 +23,7 @@ from .velocity_space import diffusion_moment
 __all__ = ["DiffusionSolution", "solve_diffusion"]
 
 
-def _interface_diffusivity(a):
+def interface_diffusivity(a):
     """Harmonic averages at interior interfaces, (n-1,) from (n,) cell values."""
     return 2.0 * a[:-1] * a[1:] / (a[:-1] + a[1:])
 
@@ -35,7 +35,7 @@ def assemble_banded(a, gamma, h):
     interface fluxes and half-cell Dirichlet closures at both ends.
     """
     n = a.size
-    ah = _interface_diffusivity(a)
+    ah = interface_diffusivity(a)
     diag = gamma.astype(float).copy()
     diag[:-1] += ah / h**2
     diag[1:] += ah / h**2
@@ -56,9 +56,12 @@ def solve_cells(factor, rhs):
     return scipy.linalg.cho_solve_banded((factor, False), rhs)
 
 
-def _fluxes(u, a, h):
-    """Interface fluxes -a u' at all n+1 interfaces, Dirichlet 0 at the ends."""
-    ah = _interface_diffusivity(a)
+def face_fluxes(u, a, ah, h):
+    """Interface fluxes -a u' at all n+1 interfaces, Dirichlet 0 at the ends.
+
+    ah is interface_diffusivity(a), passed in so that a caller applying
+    the same operator many times computes it once.
+    """
     flux = np.empty(u.size + 1)
     flux[1:-1] = -ah * np.diff(u) / h
     flux[0] = -a[0] * (u[0] - 0.0) / (h / 2.0)
@@ -109,7 +112,7 @@ def solve_diffusion(problem, op):
     rhs = problem.source(xc)
 
     u = solve_cells(factor_operator(a, gamma, h), rhs)
-    flux = _fluxes(u, a, h)
+    flux = face_fluxes(u, a, interface_diffusivity(a), h)
 
     # within each cell the profile has slope -flux/a; evaluating it at the
     # interior faces gives single-valued nodal values; the end nodes carry

@@ -320,6 +320,12 @@ class TestConvergenceStudy:
 
         payload = rep.slopes_payload()
         assert "err_total" in payload["slopes"]
+        # each row records its solve's sweeps and its reduction per sweep
+        first = solve_transport(smooth_benchmark(rep.n_cells[0]), eps[0], iso8).log
+        assert payload["iterations"][0] == first.iterations
+        assert payload["reduction_per_sweep"][0] == first.spectral_radius_estimate
+        assert len(payload["reduction_per_sweep"]) == 4
+        assert all(0.0 < r < 1.0 for r in payload["reduction_per_sweep"])
         files = rep.write_plot_files(tmp_path)
         assert len(files) == 9
 

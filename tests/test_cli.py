@@ -512,6 +512,19 @@ class TestThickCasesConverge:
         op = config.kernel.build(build_angular_quadrature(config.n_ordinates))
         solve_transport(config.problem, 2.0**-12, op, config.solver)
 
+    def test_64_cells_at_eps_2_to_the_minus_12_fails_fast(self, tmp_path, capsys):
+        # GMRES converges by sweep 34; the finishing loop then grows the
+        # change from 1.2e-10 to 1.4e-7, and the solve stops there instead
+        # of stepping on until an average overflows near sweep 133
+        assert main(["solve", "--mode", "transport", "--eps", repr(2.0**-12),
+                     "--config", str(CONFIGS / "smooth_study.ini"),
+                     "--out", str(tmp_path)]) == 3
+        assert "diverged" in capsys.readouterr().err
+        log = json.loads((tmp_path / "iteration_log.json").read_text())
+        assert log["converged"] is False
+        assert log["iterations"] <= 40
+        assert log["iterations"] == len(log["residuals"])
+
     def test_sigma_four_and_a_half_study(self, tmp_path, monkeypatch):
         import translimit.analysis as analysis
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -150,20 +150,35 @@ def sweep_inputs(draw):
             draw(st.sampled_from(["diamond", "upwind"])))
 
 
-def close(got, want):
-    """Agreement to 1e-12, relative to each entry and to the field's scale."""
-    scale = max(float(np.max(np.abs(want))), 1e-300)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+def close(got, want, scale=None):
+    """Agreement to 1e-12, relative to each entry and to a scale, by default
+    the field's largest entry."""
+    scale = float(np.max(np.abs(want))) if scale is None else scale
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * max(scale, 1e-300))
 
 
 class TestSweepProperties:
     @settings(max_examples=100, deadline=None)
     @given(sweep_inputs())
+    # a thick diamond cell (sigma_t h = 1000) whose edges cancel: one-ulp
+    # edge differences are far above 1e-12 of the cell values
+    @example((np.full(33, 33000.0), np.full((33, 1), 0.70092907), 1.0, 0.0,
+              Grid1D(1.0, 33), AngularQuadrature(np.array([1.0 / 64]),
+                                                 np.array([1.0])), "diamond"))
     def test_matches_per_cell_march(self, inputs):
         cells, edges = sweep(*inputs)
         ref_cells, ref_edges = reference_sweep(*inputs)
-        close(cells, ref_cells)
         close(edges, ref_edges)
+        # the cells are the scheme's closure of the returned edges, so they
+        # carry the edges' rounding, which is bounded by the edge scale
+        mu, scheme = inputs[5].nodes, inputs[6]
+        if scheme == "diamond":
+            closure = 0.5 * (edges[:-1] + edges[1:])
+        else:
+            closure = np.where(mu > 0.0, edges[1:], edges[:-1])
+        np.testing.assert_array_equal(cells, closure)
+        close(cells, ref_cells, scale=float(np.max(np.abs(ref_edges))))
 
     @settings(max_examples=60, deadline=None)
     @given(sweep_inputs(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
@@ -443,17 +458,24 @@ class TestGmres:
         assert len(calls) == 1 and residuals == [1.0] and not np.any(x)
 
 
+SLAB_SIGMA = {"smooth": CoefficientField.sinusoid(1.0, 0.5, 1.0, phase=1.0),
+              "jump": CoefficientField.piecewise([0.5], [1.0, 4.0])}
+
+
+def slab_problem(kind, eps):
+    """The sinusoidal or the 1|4 sigma slab on the study mesh for eps."""
+    return make_problem(n_cells=cells_for_eps(eps, 1.0), sigma=SLAB_SIGMA[kind])
+
+
 def krylov_problem(kind, eps):
     """Smooth-deep-like (sinusoidal sigma, isotropic, 16 ordinates) or
     jump-aniso-like (sigma 1|4, linear g = 0.5, 64 ordinates) on the study
     mesh for eps, with the operator."""
     if kind == "smooth":
-        sigma = CoefficientField.sinusoid(1.0, 0.5, 1.0, phase=1.0)
         op = assemble_scattering(kernel_isotropic(), build_angular_quadrature(16))
     else:
-        sigma = CoefficientField.piecewise([0.5], [1.0, 4.0])
         op = assemble_scattering(kernel_linear(0.5), build_angular_quadrature(64))
-    return make_problem(n_cells=cells_for_eps(eps, 1.0), sigma=sigma), op
+    return slab_problem(kind, eps), op
 
 
 class TestKrylovSolve:
@@ -524,6 +546,53 @@ class TestKrylovSolve:
         sol = solve_transport(problem, 0.25, NoMatrix(op))
         np.testing.assert_allclose(sol.u, solve_transport(problem, 0.25, op).u,
                                    rtol=0, atol=0)
+
+
+class TestCurrentCorrection:
+    """With a linear kernel the diamond DSA step corrects the current as well
+    as the scalar flux; the isotropic kernel, the upwind scheme and plain
+    source iteration run without that correction."""
+
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    @pytest.mark.parametrize("kind", ["smooth", "jump"])
+    @pytest.mark.parametrize("g", [0.25, 0.5, 0.75])
+    def test_agrees_with_tight_reference(self, quad16, g, kind, k):
+        eps = 2.0**-k
+        problem = slab_problem(kind, eps)
+        op = assemble_scattering(kernel_linear(g), quad16)
+        sol = solve_transport(problem, eps, op)
+        # a change of 1e-14 is at the roundoff floor, which the 512-cell jump
+        # slab reaches only after a few hundred sweeps
+        ref = solve_transport(problem, eps, op,
+                              SolverOptions(tolerance=1e-14, balance_target=1e-12,
+                                            max_iterations=1000))
+        assert np.max(np.abs(sol.u - ref.u)) <= 1e-10 * np.max(np.abs(ref.u))
+
+    def test_jump_slab_sweep_count(self, quad16):
+        # 31 sweeps when the DSA step corrects the scalar flux alone
+        problem = slab_problem("jump", 2.0**-5)
+        assert problem.grid.n_cells == 128
+        op = assemble_scattering(kernel_linear(0.5), quad16)
+        assert solve_transport(problem, 2.0**-5, op).log.iterations <= 22
+
+    @pytest.mark.parametrize("g, scheme, acceleration, k, sweeps", [
+        (None, "diamond", "dsa", 5, 17),
+        (0.5, "upwind", "dsa", 5, 26),
+        (0.5, "diamond", "none", 1, 134),
+    ], ids=["isotropic", "upwind", "source-iteration"])
+    def test_uncorrected_solves_keep_their_sweeps(self, monkeypatch, quad16, g,
+                                                  scheme, acceleration, k, sweeps):
+        import translimit.transport as transport
+
+        def no_current(*args):
+            raise AssertionError("current correction applied")
+
+        monkeypatch.setattr(transport, "face_fluxes", no_current)
+        kernel = kernel_isotropic() if g is None else kernel_linear(g)
+        op = assemble_scattering(kernel, quad16)
+        opts = SolverOptions(scheme=scheme, acceleration=acceleration)
+        sol = solve_transport(slab_problem("jump", 2.0**-k), 2.0**-k, op, opts)
+        assert sol.log.iterations == sweeps
 
 
 class TestOptionsValidation:
