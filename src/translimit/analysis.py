@@ -269,7 +269,7 @@ def _study_row(problem, eps, op, options, ps, floor_cells):
     psi = expansion_remainder(transport.u, u0c, u1, eps)
 
     fluct_norm = space_velocity_norm(fluct, grid, quad, 2)
-    trace_norm = outflow_trace(transport).norm(2)
+    trace_norm = outflow_trace(transport).norm()
     row = {
         "err_total": space_velocity_norm(diff, grid, quad, 2),
         "err_fluct": fluct_norm,

@@ -277,7 +277,7 @@ def _solve_transport_cmd(cfg, ns, out, argv):
     print(f"transport solve: eps={ns.eps:g}, {sol.log.iterations} iterations, "
           f"balance residual {sol.log.balance_residual:.3e}")
     print(f"  l2={ns_set.l2:.6g}  energy={ns_set.energy:.6g}  "
-          f"outflow={outflow_trace(sol).norm(2):.6g}")
+          f"outflow={outflow_trace(sol).norm():.6g}")
     for p, v in ns_set.lp.items():
         print(f"  l{p:g}={v:.6g}")
     return EXIT_OK

@@ -187,10 +187,8 @@ def load_config(path):
         eps=_float_list(st["eps"], "eps", "study") if "eps" in st else (),
         p_norms=p_norms,
         mms=st.get("mms"),
-        meshes=tuple(
-            int(v) for v in _float_list(st.get("meshes", "32 64 128 256"),
-                                        "meshes", "study")
-        ),
+        meshes=tuple(_int(tok, "meshes", "study")
+                     for tok in st.get("meshes", "32 64 128 256").split()),
         reference=reference,
         floor_cells=_int(st.get("floor_cells", 64), "floor_cells", "study"),
     )

@@ -8,18 +8,18 @@ to one and the second moment of a single component is 1/3.
 Scattering operators are assembled from symmetric kernels, certified against
 the structural assumptions they must satisfy (weighted self-adjointness,
 spectrum of I - K inside [0, 1], constants as the only null space), and
-inverted on the mean-free complement.  Both come from the kernel's
-finite-rank factor k = Phi C Phi^T (Phi n x r, C symmetric r x r): the
-spectrum of I - K is that of an r x r core plus the eigenvalue 1 on the
-rest, and the pseudoinverse is a rank-r update of the identity, so neither
-costs more than O(n r^2) after assembly.  A kernel with no factor is the
-full-rank case Phi = I, r = n of the same computation.
+inverted on the mean-free complement.  An operator is only the kernel's
+finite-rank factor k = Phi C Phi^T (Phi n x r, C symmetric r x r): K acts
+through r kernel moments, the spectrum of I - K is that of an r x r core
+plus the eigenvalue 1 on the rest, and the pseudoinverse is a rank-r update
+of the identity, so none costs more than O(n r^2) after assembly.  A kernel
+with no factor is the full-rank case Phi = I, r = n of the same computation.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -177,17 +177,16 @@ def kernel_linear(g):
 
 @dataclass(frozen=True, eq=False)
 class ScatteringOperator:
-    """Matrix action of a scattering kernel on quadrature values.
+    """A scattering kernel on quadrature values, held as its finite-rank factor.
 
-    The matrix is row-normalized at assembly so that K 1 = 1 exactly.  For a
-    symmetric kernel the operator is self-adjoint in the weighted inner
-    product (u, v)_w = sum_i w_i u_i v_i up to the normalization defect,
-    which is recorded in the metadata rather than silently repaired.
-
-    Next to the matrix the operator keeps its kernel factor: features Phi
-    (n, r), a symmetric core C (r, r) and the row sums D of the raw kernel,
-    with K = D^-1 Phi C Phi^T W, W = diag(weights).  An operator built from
-    a bare matrix gets the full-rank factor Phi = I, C = K W^-1, D = 1.
+    K = D^-1 Phi C Phi^T W, W = diag(weights): features Phi (n, r), a
+    symmetric core C (r, r) and the row sums D of the raw kernel, so that
+    K 1 = 1 exactly.  No n x n matrix is kept: u (velocity last) reaches K
+    through its kernel moments u @ to_moments = u W Phi, and M @ scatter =
+    M C Phi^T / D maps them back to u K^T.  assemble_scattering, the one
+    constructor, records the tabulated kernel's normalization defect, its
+    weighted self-adjointness defect max |w_i K_ij - w_j K_ji| and its
+    sup-norm row sum max_i sum_j |K_ij|.
 
     The operator is immutable and owns what is derived from it: its spectrum
     and its CertReport (certificate), each computed once, on first use.
@@ -195,27 +194,25 @@ class ScatteringOperator:
     .require() before reading the spectrum.
     """
 
-    matrix: np.ndarray
     quadrature: object
-    normalization_deviation: float = 0.0
-    kernel_min: float = 0.0
+    features: np.ndarray
+    core: np.ndarray
+    row_sums: np.ndarray
+    normalization_deviation: float
+    kernel_min: float
+    symmetry_defect: float
+    row_sum_max: float
     warnings: tuple = ()
-    features: np.ndarray = None
-    core: np.ndarray = None
-    row_sums: np.ndarray = None
+    to_moments: np.ndarray = field(init=False)
+    scatter: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _readonly(self.matrix))
-        features, core, row_sums = self.features, self.core, self.row_sums
-        if features is None:
-            features = np.eye(self.n)
-            core = self.matrix / self.weights[None, :]
-            row_sums = np.ones(self.n)
-        # eigh reads one triangle: symmetrize (a no-op on a symmetric core)
-        core = np.asarray(core, dtype=float)
-        object.__setattr__(self, "features", _readonly(features))
-        object.__setattr__(self, "core", _readonly(0.5 * (core + core.T)))
-        object.__setattr__(self, "row_sums", _readonly(row_sums))
+        for name in ("features", "core", "row_sums"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        object.__setattr__(self, "to_moments",
+                           _readonly(self.weights[:, None] * self.features))
+        object.__setattr__(self, "scatter",
+                           _readonly((self.core @ self.features.T) / self.row_sums))
 
     @property
     def n(self):
@@ -229,11 +226,6 @@ class ScatteringOperator:
     def rank(self):
         """Number of kernel features r: the size of the spectral core."""
         return self.features.shape[1]
-
-    def symmetry_defect(self):
-        """max |w_i K_ij - w_j K_ji|, the weighted self-adjointness defect."""
-        wk = self.weights[:, None] * self.matrix
-        return float(np.max(np.abs(wk - wk.T)))
 
     @functools.cached_property
     def spectrum(self):
@@ -263,27 +255,24 @@ class ScatteringOperator:
         t, lam, basis, _, null_dim = self.spectrum
         diagnostics = []
 
-        sym_defect = self.symmetry_defect()
-        ok_adjoint = sym_defect <= 1e-12
+        ok_adjoint = self.symmetry_defect <= 1e-12
         if not ok_adjoint:
-            diagnostics.append(
-                f"weighted self-adjointness defect {sym_defect:.3e} exceeds 1e-12"
-            )
+            diagnostics.append(f"weighted self-adjointness defect "
+                               f"{self.symmetry_defect:.3e} exceeds 1e-12")
 
         # mean-square contraction and positivity, certified spectrally; the
         # sup-norm row-sum bound is recorded but cannot gate, because signed
         # kernels (linear anisotropy beyond g = 1/3) exceed it while remaining
         # positive operators
-        row_sum_max = float(np.max(np.abs(self.matrix).sum(axis=1)))
         ok_spectrum = bool(lam[0] >= -SPECTRUM_TOL and lam[-1] <= 1.0 + SPECTRUM_TOL)
         if not ok_spectrum:
             diagnostics.append(
                 "spectrum of I-K not inside [0, 1]: "
                 f"range [{lam[0]:.3e}, {lam[-1]:.3e}]"
             )
-        if row_sum_max > 1.0 + SPECTRUM_TOL:
+        if self.row_sum_max > 1.0 + SPECTRUM_TOL:
             diagnostics.append(
-                f"sup-norm row sum {row_sum_max:.12g} exceeds 1 (signed kernel); "
+                f"sup-norm row sum {self.row_sum_max:.12g} exceeds 1 (signed kernel); "
                 "mean-square contraction certified spectrally"
             )
 
@@ -317,36 +306,38 @@ class ScatteringOperator:
                 "solvability": bool(np.isfinite(c_k)),
             },
             diagnostics=tuple(diagnostics),
-            symmetry_defect=sym_defect,
-            row_sum_max=row_sum_max,
+            symmetry_defect=self.symmetry_defect,
+            row_sum_max=self.row_sum_max,
         )
 
 
 def assemble_scattering(kernel, quad):
-    """Assemble the scattering matrix K_ij = k(v_i, v_j) w_j, row-normalized.
+    """Assemble the scattering operator K_ij = k(v_i, v_j) w_j / D_i.
 
     Parameters
     ----------
     kernel : callable k(v, v') acting on (..., d) coordinate arrays
     quad : SphereQuadrature or AngularQuadrature
 
-    Row sums of the raw kernel are rescaled to one so the constant vector is
-    reproduced exactly; a deviation beyond 1e-6 is recorded as a warning in
-    the operator metadata.
+    Row sums D of the raw kernel are rescaled to one so the constant vector
+    is reproduced exactly; a deviation beyond 1e-6 is recorded as a warning
+    in the operator metadata.
 
     A kernel with a finite-rank factor carries it as kernel.factor(coords),
     returning features Phi (n, r) and a symmetric core C (r, r) with
     k(v_i, v_j) = (Phi C Phi^T)_ij; the factor must reproduce the tabulated
     kernel to 1e-10 relative.  For a kernel without one, the tabulated
-    kernel is its own core: Phi = I, C = k, r = n.
+    kernel is its own core: Phi = I, C = k, r = n.  The table is not kept.
     """
     coords = quad.coords
     n = quad.n
+    w = quad.weights
     kmat = np.asarray(kernel(coords[:, None, :], coords[None, :, :]), dtype=float)
     if kmat.shape != (n, n):
         raise ValidationError(f"kernel values have shape {kmat.shape}, expected {(n, n)}")
-    asym = float(np.max(np.abs(kmat - kmat.T)))
-    scale = max(1.0, float(np.max(np.abs(kmat))))
+    buf = np.empty_like(kmat)
+    asym = float(np.max(np.abs(np.subtract(kmat, kmat.T, out=buf), out=buf)))
+    scale = max(1.0, float(np.max(np.abs(kmat, out=buf))))
     if asym > 1e-10 * scale:
         raise ValidationError(f"kernel is not symmetric: max asymmetry {asym:.3e}")
 
@@ -357,13 +348,12 @@ def assemble_scattering(kernel, quad):
         # (certification checks the spectrum); record it instead of rejecting
         warnings.append(f"kernel takes negative values (min {kmin:.6g})")
 
-    rows = kmat @ quad.weights
+    rows = kmat @ w
     if np.any(rows <= 0.0):
         raise ValidationError("kernel row integral is not positive; cannot normalize")
     deviation = float(np.max(np.abs(rows - 1.0)))
     if deviation > 1e-6:
         warnings.append(f"row normalization factor deviates from 1 by {deviation:.3e}")
-    K = kmat * quad.weights[None, :] / rows[:, None]
 
     factor = getattr(kernel, "factor", None)
     if factor is None:
@@ -376,23 +366,33 @@ def assemble_scattering(kernel, quad):
                 f"kernel factor has shapes {features.shape} and {core.shape}, "
                 f"expected ({n}, r) and (r, r)"
             )
-        approx = features @ (core @ features.T)
-        approx -= kmat
-        defect = float(np.max(np.abs(approx, out=approx)))
-        del approx  # n x n: free it before the operator copies the matrix
+        np.matmul(features, core @ features.T, out=buf)
+        buf -= kmat
+        defect = float(np.max(np.abs(buf, out=buf)))
         if defect > 1e-10 * scale:
             raise ValidationError(
                 f"kernel factor does not reproduce the kernel: max defect {defect:.3e}"
             )
+    # eigh reads one triangle: symmetrize (a no-op on a symmetric core)
+    core = 0.5 * (core + core.T)
+
+    # the row-normalized kernel overwrites the table: K = (k w) / D, then
+    # w_i K_ij, the weighted form whose asymmetry is the certificate's defect
+    kmat *= w
+    kmat /= rows[:, None]
+    row_sum_max = float(np.max(np.abs(kmat, out=buf).sum(axis=1)))
+    kmat *= w[:, None]
+    symmetry_defect = float(np.max(np.abs(np.subtract(kmat, kmat.T, out=buf), out=buf)))
     return ScatteringOperator(
-        matrix=K,
         quadrature=quad,
-        normalization_deviation=deviation,
-        kernel_min=kmin,
-        warnings=tuple(warnings),
         features=features,
         core=core,
         row_sums=rows,
+        normalization_deviation=deviation,
+        kernel_min=kmin,
+        symmetry_defect=symmetry_defect,
+        row_sum_max=row_sum_max,
+        warnings=tuple(warnings),
     )
 
 
@@ -479,7 +479,7 @@ def _require_slab(op, what):
 
 
 def apply_K(op, field_values):
-    """Apply the scattering matrix along the velocity axis.
+    """Apply K along the velocity axis through the kernel moments, O(n r).
 
     Accepts a single velocity vector (n,) or a space-velocity field with
     velocity last, e.g. (n_cells, n); each spatial slice is mapped
@@ -490,7 +490,7 @@ def apply_K(op, field_values):
         raise ValidationError(
             f"field has last dimension {field_values.shape[-1]}, expected {op.n}"
         )
-    return field_values @ op.matrix.T
+    return (field_values @ op.to_moments) @ op.scatter
 
 
 def pinv_apply(op, rhs):

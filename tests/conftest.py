@@ -9,6 +9,7 @@ from translimit import (
     build_angular_quadrature,
     build_sphere_quadrature,
     kernel_isotropic,
+    kernel_linear,
     scaled_fields,
     space_velocity_norm,
     split_mean_fluctuation,
@@ -85,24 +86,50 @@ def split_energy_sq(field, eps, grid, quad):
     return space_velocity_norm(fluct, grid, quad) ** 2 / eps + eps * mean_sq
 
 
-def cell_equation_residual(solution, problem, eps, op):
+def dense_scattering(kernel, quad):
+    """Reference tabulation K_ij = k(v_i, v_j) w_j / D_i, D_i = sum_j k(v_i, v_j) w_j.
+
+    Built from the kernel callable and the quadrature alone, never from the
+    kernel's factor, in the order the certificate's checks round in:
+    (k * w) / D.
+    """
+    coords = quad.coords
+    kmat = np.asarray(kernel(coords[:, None, :], coords[None, :, :]), dtype=float)
+    return kmat * quad.weights[None, :] / (kmat @ quad.weights)[:, None]
+
+
+def dense_certificate_values(matrix, weights):
+    """Weighted self-adjointness defect max |w_i K_ij - w_j K_ji| and sup-norm
+    row sum max_i sum_j |K_ij| of a dense scattering matrix."""
+    wk = weights[:, None] * matrix
+    return float(np.max(np.abs(wk - wk.T))), float(np.max(np.abs(matrix).sum(axis=1)))
+
+
+def spec_kernel(spec):
+    """The kernel callable a KernelSpec assembles its operator from."""
+    return kernel_isotropic() if spec.kind == "isotropic" else kernel_linear(spec.g_factor)
+
+
+def cell_equation_residual(solution, problem, eps, kernel):
     """Largest relative defect of the discrete diamond equations.
 
     Reads only the returned cells and edges, the data scaled at eps and the
-    scattering matrix, so it measures the solution, not the solver that
+    dense tabulation of the scattering kernel on the solution's ordinates
+    (dense_scattering), so it measures the solution, not the solver that
     produced it: the balance mu (e_out - e_in)/h + sigma_t u - sigma_e K u - f
     relative to max |sigma_t u|, the closure u = (e_in + e_out)/2 relative to
     max |u|, and the inflow edges against the scaled inflow data.
     """
-    quad = op.quadrature
+    quad = solution.quad
     grid = problem.grid
     data = scaled_fields(problem, eps, grid, quad)
     u, edges = solution.u, solution.edges
     mu = quad.nodes
     pos = mu > 0.0
     sigma_t = data["sigma"] + data["gamma"]
+    matrix = dense_scattering(kernel, quad)
     balance = (mu * np.diff(edges, axis=0) / grid.h + sigma_t[:, None] * u
-               - data["sigma"][:, None] * (u @ op.matrix.T) - data["source"][:, None])
+               - data["sigma"][:, None] * (u @ matrix.T) - data["source"][:, None])
     closure = u - 0.5 * (edges[:-1] + edges[1:])
     inflow = np.concatenate([edges[0, pos] - data["g_left"],
                              edges[-1, ~pos] - data["g_right"]])

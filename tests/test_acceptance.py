@@ -35,7 +35,8 @@ from translimit import (
     solve_transport,
 )
 from translimit.cli import main as cli_main
-from conftest import l2_error, make_problem, smooth_benchmark, split_energy_sq
+from conftest import (dense_scattering, l2_error, make_problem, smooth_benchmark,
+                      split_energy_sq)
 
 EPS_SWEEP = tuple(2.0**-k for k in range(1, 7))
 
@@ -83,7 +84,7 @@ class TestCriterion2:
             worst = max(worst, float(np.max(np.abs(tensor.matrices[0] - target))))
             # independent oracle: SVD pseudoinverse plus quadrature summation
             w, s = quad.weights, np.sqrt(quad.weights)
-            m = np.eye(op.n) - op.matrix
+            m = np.eye(op.n) - dense_scattering(kernel_linear(g), quad)
             sym = 0.5 * ((s[:, None] * m) / s[None, :]
                          + ((s[:, None] * m) / s[None, :]).T)
             pinv = np.linalg.pinv(sym, rcond=1e-8)

@@ -257,7 +257,7 @@ class TestApriori:
         for i, e in enumerate(eps):
             sol = solve_transport(p, e, iso8)  # the row's 64-cell mesh
             mean, fluct = split_mean_fluctuation(sol.u, quad8)
-            lhs = (outflow_trace(sol).norm(2) ** 2
+            lhs = (outflow_trace(sol).norm() ** 2
                    + space_velocity_norm(fluct, p.grid, quad8) ** 2 / e
                    + e * h * np.sum(mean**2))
             g = e * np.where(mu > 0, 0.5, 0.25)

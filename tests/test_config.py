@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from translimit import ValidationError, load_config
+from translimit.cli import main
 
 FULL = """
 [grid]
@@ -117,6 +120,20 @@ values = 1.0 4.0
                 load_config(write(tmp_path, text))
         cfg = load_config(write(tmp_path, "[scattering]\nkernel = linear\n"))
         assert cfg.kernel.g_factor == 0.0
+
+    def test_meshes_must_be_integers(self, tmp_path, capsys):
+        # a fractional mesh size was truncated and run without a word
+        with pytest.raises(ValidationError,
+                           match=r"\[study\] meshes = '16.9' is not an integer"):
+            load_config(write(tmp_path, "[study]\nmeshes = 16.9 32.2\n"))
+        assert load_config(write(tmp_path, "[study]\nmeshes = 16 32\n")).study.meshes == (16, 32)
+        mms = Path(__file__).resolve().parents[1] / "demos" / "configs" / "mms_transport.ini"
+        text = mms.read_text().replace("meshes = 32 64 128 256", "meshes = 16.9 32.2")
+        assert "meshes = 16.9 32.2" in text
+        cfg = write(tmp_path, text)
+        assert main(["solve", "--mode", "transport", "--eps", "1", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "meshes" in capsys.readouterr().err
 
     def test_bad_number(self, tmp_path):
         with pytest.raises(ValidationError, match="not a number"):

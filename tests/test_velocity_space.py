@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from translimit import (
     CertificationError,
-    ScatteringOperator,
     SolvabilityError,
     ValidationError,
     apply_K,
@@ -25,6 +24,18 @@ from translimit import (
     pinv_apply,
 )
 from translimit.velocity_space import NULL_CUTOFF, SPECTRUM_TOL
+from conftest import dense_certificate_values, dense_scattering
+
+
+def identity_kernel(quad):
+    """k = delta_ij / w_j, the kernel whose operator is K = I."""
+    return lambda v, vp: np.all(v == vp, axis=-1) / quad.weights
+
+
+def shifted_projection_kernel(quad):
+    """k = 1.001 - 0.001 delta_ij / w_j, whose operator is P - 0.001 (I - P),
+    P the isotropic projection."""
+    return lambda v, vp: 1.001 - 0.001 * np.all(v == vp, axis=-1) / quad.weights
 
 
 class TestSphereQuadrature:
@@ -94,13 +105,14 @@ class TestAngularQuadrature:
 class TestAssembleScattering:
     def test_isotropic_rows_are_weights(self, quad8):
         op = assemble_scattering(kernel_isotropic(), quad8)
-        np.testing.assert_allclose(op.matrix, np.tile(quad8.weights, (8, 1)),
-                                   atol=1e-15)
+        # apply_K(op, I) = K^T
+        np.testing.assert_allclose(apply_K(op, np.eye(8)).T,
+                                   np.tile(quad8.weights, (8, 1)), atol=1e-15)
 
     def test_constant_vector_preserved(self, quad8):
         for kern in (kernel_isotropic(), kernel_linear(0.7)):
             op = assemble_scattering(kern, quad8)
-            np.testing.assert_allclose(op.matrix @ np.ones(8), 1.0, atol=1e-13)
+            np.testing.assert_allclose(apply_K(op, np.ones(8)), 1.0, atol=1e-13)
 
     def test_linear_kernel_spectrum(self, quad8):
         # Legendre eigenfunctions: I-K has eigenvalues {0, 1-g, 1, ..., 1}
@@ -112,7 +124,7 @@ class TestAssembleScattering:
 
     def test_weighted_self_adjointness(self, quad8):
         op = assemble_scattering(kernel_linear(0.5), quad8)
-        assert op.symmetry_defect() < 1e-12
+        assert op.symmetry_defect < 1e-12
 
     def test_normalization_warning_recorded(self, quad8):
         def k(v, vp):
@@ -121,7 +133,7 @@ class TestAssembleScattering:
         op = assemble_scattering(k, quad8)
         assert op.normalization_deviation > 1e-6
         assert any("normalization" in w for w in op.warnings)
-        np.testing.assert_allclose(op.matrix @ np.ones(8), 1.0, atol=1e-13)
+        np.testing.assert_allclose(apply_K(op, np.ones(8)), 1.0, atol=1e-13)
 
     @pytest.mark.parametrize("g", [0.25, 0.5, 0.9])
     @pytest.mark.parametrize("rule", ["quad8", "quad16", "sphere1152"])
@@ -166,7 +178,11 @@ class TestAssembleScattering:
         factored = assemble_scattering(kernel, quad8)
         full = assemble_scattering(lambda v, vp: kernel(v, vp), quad8)
         assert full.rank == 8 and factored.rank < full.rank
-        np.testing.assert_array_equal(full.matrix, factored.matrix)
+        # both certificate values come from the same table, not the factor
+        assert full.symmetry_defect == factored.symmetry_defect
+        assert full.row_sum_max == factored.row_sum_max
+        np.testing.assert_allclose(apply_K(full, np.eye(8)), apply_K(factored, np.eye(8)),
+                                   rtol=0, atol=1e-15)
         a, b = certify_assumptions(full), certify_assumptions(factored)
         np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, rtol=0, atol=1e-14)
         assert a.passed == b.passed and abs(a.c_K - b.c_K) <= 1e-13
@@ -186,7 +202,8 @@ class TestCertifyAssumptions:
         assert report.all_passed
 
     def test_identity_operator_fails_null_space(self, quad8):
-        op = ScatteringOperator(matrix=np.eye(8), quadrature=quad8)
+        op = assemble_scattering(identity_kernel(quad8), quad8)
+        np.testing.assert_allclose(apply_K(op, np.eye(8)), np.eye(8), atol=1e-15)
         report = certify_assumptions(op)
         assert report.null_space_dim == 8
         assert not report.passed["null_space"]
@@ -218,15 +235,17 @@ class TestCertifyAssumptions:
     def test_operator_is_frozen(self, quad8):
         op = assemble_scattering(kernel_isotropic(), quad8)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            op.matrix = np.eye(8)
+            op.scatter = np.ones((1, 8))
         with pytest.raises(dataclasses.FrozenInstanceError):
             op.quadrature = build_angular_quadrature(4)
 
     def test_one_report_per_operator_at_the_spectrum_tolerance(self, quad8):
         # K = P - 0.001 (I - P), P the isotropic projection: I - K has the
         # spectrum {0, 1.001}, outside [0, 1] by far more than SPECTRUM_TOL
-        p = assemble_scattering(kernel_isotropic(), quad8).matrix
-        op = ScatteringOperator(matrix=p - 0.001 * (np.eye(8) - p), quadrature=quad8)
+        op = assemble_scattering(shifted_projection_kernel(quad8), quad8)
+        p = np.tile(quad8.weights, (8, 1))
+        np.testing.assert_allclose(apply_K(op, np.eye(8)).T, p - 0.001 * (np.eye(8) - p),
+                                   rtol=0, atol=1e-15)
         report = certify_assumptions(op)
         np.testing.assert_allclose(report.eigenvalues[1:], 1.001, rtol=1e-12)
         assert not report.passed["contraction"]
@@ -254,7 +273,8 @@ class TestPinvApply:
         op = assemble_scattering(kernel_isotropic(), quad8)
         u = pinv_apply(op, quad8.nodes)
         np.testing.assert_allclose(u, quad8.nodes, atol=1e-13)
-        resid = (np.eye(8) - op.matrix) @ u - quad8.nodes
+        matrix = dense_scattering(kernel_isotropic(), quad8)
+        resid = (np.eye(8) - matrix) @ u - quad8.nodes
         np.testing.assert_allclose(resid, 0.0, atol=1e-13)
 
     def test_constant_rhs_rejected(self, quad8):
@@ -266,12 +286,14 @@ class TestPinvApply:
         op = assemble_scattering(kernel_linear(0.5), quad8)
         u = pinv_apply(op, quad8.nodes)
         np.testing.assert_allclose(u, 2.0 * quad8.nodes, atol=1e-12)
-        resid = (np.eye(8) - op.matrix) @ u - quad8.nodes
+        matrix = dense_scattering(kernel_linear(0.5), quad8)
+        resid = (np.eye(8) - matrix) @ u - quad8.nodes
         np.testing.assert_allclose(resid, 0.0, atol=1e-13)
 
     def test_bound_and_roundtrip_on_random_mean_free_vectors(self, quad16):
         op = assemble_scattering(kernel_linear(0.4), quad16)
         report = certify_assumptions(op)
+        matrix = dense_scattering(kernel_linear(0.4), quad16)
         w = quad16.weights
         rng = np.random.default_rng(42)
         for _ in range(100):
@@ -280,7 +302,7 @@ class TestPinvApply:
             u = pinv_apply(op, r)
             nrm = lambda v: np.sqrt(v**2 @ w)
             assert nrm(u) <= report.c_K * nrm(r) * (1 + 1e-12)
-            recon = (np.eye(16) - op.matrix) @ u
+            recon = (np.eye(16) - matrix) @ u
             assert nrm(recon - r) <= 1e-9 * nrm(r)
 
     def test_vectorized_over_cells(self, quad8):
@@ -290,7 +312,7 @@ class TestPinvApply:
         np.testing.assert_allclose(u, rhs, atol=1e-12)
 
     def test_failed_certification_blocks_pinv(self, quad8):
-        op = ScatteringOperator(matrix=np.eye(8), quadrature=quad8)
+        op = assemble_scattering(identity_kernel(quad8), quad8)
         with pytest.raises(CertificationError):
             pinv_apply(op, quad8.nodes)
 
@@ -367,7 +389,7 @@ class TestDiffusionTensor:
         # oracle: SVD pseudoinverse of the symmetrized matrix, then summation
         w = sphere48.weights
         s = np.sqrt(w)
-        m = np.eye(op.n) - op.matrix
+        m = np.eye(op.n) - dense_scattering(kernel_linear(g), sphere48)
         sym = (s[:, None] * m) / s[None, :]
         pinv = np.linalg.pinv(0.5 * (sym + sym.T), rcond=1e-8)
         v = sphere48.points
@@ -422,12 +444,13 @@ class TestOperatorInvariantProperties:
         assert abs(u @ w) <= 1e-12 * norm(u)
 
 
-def dense_oracle(op):
-    """Certificate and pseudoinverse of op from a dense eigh of the
-    symmetrized S (I - K) S^-1, S = diag(sqrt(weights))."""
-    w = op.weights
+def dense_oracle(matrix, w):
+    """Certificate and pseudoinverse of the dense scattering matrix K on
+    weights w from a dense eigh of the symmetrized S (I - K) S^-1,
+    S = diag(sqrt(w))."""
+    n = w.size
     s = np.sqrt(w)
-    m = (s[:, None] * (np.eye(op.n) - op.matrix)) / s[None, :]
+    m = (s[:, None] * (np.eye(n) - matrix)) / s[None, :]
     lam, q = np.linalg.eigh(0.5 * (m + m.T))
     null_dim = int(np.sum(lam < NULL_CUTOFF))
     vec = q[:, 0] / s
@@ -436,9 +459,8 @@ def dense_oracle(op):
     # mean-free space
     bounded = null_dim <= 1 and lam[null_dim] > 0.0
     c_k = max(1.0, 1.0 / lam[null_dim]) if bounded else np.inf
-    wk = w[:, None] * op.matrix
     passed = {
-        "self_adjoint": bool(np.max(np.abs(wk - wk.T)) <= 1e-12),
+        "self_adjoint": dense_certificate_values(matrix, w)[0] <= 1e-12,
         "contraction": bool(lam[0] >= -SPECTRUM_TOL and lam[-1] <= 1.0 + SPECTRUM_TOL),
         "null_space": bool(null_dim == 1 and constant),
         "solvability": bool(np.isfinite(c_k)),
@@ -469,7 +491,8 @@ class TestRankRCoreAgainstDenseOracle:
         kernel = kernel_isotropic() if g is None else kernel_linear(g)
         op = assemble_scattering(kernel, quad)
         assert op.rank == (1 if g is None else 1 + quad.coords.shape[1])
-        lam, null_dim, c_k, passed, pinv = dense_oracle(op)
+        lam, null_dim, c_k, passed, pinv = dense_oracle(dense_scattering(kernel, quad),
+                                                        quad.weights)
         # a gate decided by rounding at its threshold is not a disagreement
         for edge in (NULL_CUTOFF, -SPECTRUM_TOL, 1.0 + SPECTRUM_TOL):
             assume(np.min(np.abs(lam - edge)) > 1e-12)
@@ -498,6 +521,42 @@ class TestRankRCoreAgainstDenseOracle:
             want = pinv @ r
             # the pseudoinverse's relative condition number is c_K
             assert nrm(u - want) <= 1e-12 * c_k * nrm(want)
+
+
+class TestFactoredApplyAgainstDenseReference:
+    @settings(max_examples=80, deadline=None)
+    @given(VELOCITY_SETS, KERNELS, st.integers(0, 2**32 - 1))
+    @example(build_angular_quadrature(64), -0.3, 0)
+    @example(build_angular_quadrature(2), 1.0, 0)
+    @example(build_sphere_quadrature(4, 8), 1.0, 0)
+    def test_apply_and_certificate_values_match(self, quad, g, seed):
+        kernel = kernel_isotropic() if g is None else kernel_linear(g)
+        op = assemble_scattering(kernel, quad)
+        matrix = dense_scattering(kernel, quad)
+        u = np.random.default_rng(seed).standard_normal((3, op.n))
+        want = u @ matrix.T
+        # relative to the bound max_i sum_j |K_ij| max |u| of the action,
+        # since K u may cancel to far below it
+        scale = np.max(np.abs(matrix).sum(axis=1)) * np.max(np.abs(u))
+        assert np.max(np.abs(apply_K(op, u) - want)) <= 1e-13 * scale
+        report = certify_assumptions(op)
+        assert ((report.symmetry_defect, report.row_sum_max)
+                == dense_certificate_values(matrix, quad.weights))
+
+
+class TestFactorOnly:
+    @pytest.mark.parametrize("g", [None, 0.5])
+    def test_no_array_larger_than_n_times_r(self, g):
+        quad = build_sphere_quadrature(24, 48)
+        kernel = kernel_isotropic() if g is None else kernel_linear(g)
+        op = assemble_scattering(kernel, quad)
+        report = certify_assumptions(op).require()
+        assert op.rank == (1 if g is None else 4)
+        assert not hasattr(op, "matrix")
+        held = [*vars(op).values(), *op.spectrum, *vars(report).values()]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert {"features", "to_moments", "scatter"} <= set(vars(op))
+        assert max(a.size for a in arrays) <= op.n * op.rank
 
 
 class TestEigensolverSize:
