@@ -3,8 +3,10 @@
 Subcommands mirror the verification pipeline: certify the scattering
 assumptions, dump the diffusion tensor, run single solves, and run the
 eps-sweep convergence study.  All numeric output files carry full double
-precision; console summaries are rounded.  Exit codes: 0 success,
-2 validation error, 3 convergence failure, 4 certification failure.
+precision; console summaries are rounded.  Each command that writes a file
+also writes one manifest.json, listing exactly the files it wrote.  Exit
+codes: 0 success, 2 validation error, 3 convergence failure,
+4 certification failure.
 """
 
 from __future__ import annotations
@@ -53,8 +55,9 @@ EXIT_CERTIFICATION = 4
 CSV_BLOCK_ROWS = 256
 
 
-def _write_csv(path, header, rows):
-    """Write a numeric table as %.17g text, one % call per block of rows.
+def _write_csv(path, header, rows, written):
+    """Write a numeric table as %.17g text, one % call per block of rows,
+    and append path to the list written.
 
     rows is an (n, len(header)) array or any iterable of equal-length rows;
     "%.17g" % x and f"{x:.17g}" give the same bytes for every double.
@@ -64,14 +67,16 @@ def _write_csv(path, header, rows):
     table = table.reshape(len(table), len(header))
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
+        written.append(path)
         fh.write(",".join(header) + "\n")
         for start in range(0, len(table), CSV_BLOCK_ROWS):
             block = table[start:start + CSV_BLOCK_ROWS]
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _write_json(path, payload):
+def _write_json(path, payload, written):
     with open(path, "w", encoding="utf-8") as fh:
+        written.append(path)
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -92,14 +97,7 @@ def _write_manifest(out_dir, args, config_path, outputs):
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": sorted(os.path.basename(p) for p in outputs),
     }
-    path = os.path.join(out_dir, "manifest.json")
-    _write_json(path, payload)
-    return path
-
-
-def _out_dir(ns):
-    os.makedirs(ns.out, exist_ok=True)
-    return ns.out
+    _write_json(os.path.join(out_dir, "manifest.json"), payload, written=[])
 
 
 def _slab_operator(cfg):
@@ -110,17 +108,12 @@ def _sphere_operator(cfg):
     return cfg.kernel.build(build_sphere_quadrature(cfg.n_polar, cfg.n_azimuth))
 
 
-def cmd_certify(ns, argv):
-    cfg = load_config(ns.config)
-    out = _out_dir(ns)
+def cmd_certify(cfg, ns, written):
     slab_report = certify_assumptions(_slab_operator(cfg))
     sphere_report = certify_assumptions(_sphere_operator(cfg))
     payload = slab_report.as_dict()
     payload["sphere"] = sphere_report.as_dict()
-    path = os.path.join(out, "certification.json")
-    _write_json(path, payload)
-    outputs = [path]
-    outputs.append(_write_manifest(out, argv, ns.config, outputs))
+    _write_json(os.path.join(ns.out, "certification.json"), payload, written)
     ok = slab_report.all_passed and sphere_report.all_passed
     c_k = payload["c_K"]
     print(f"certification: {'pass' if ok else 'FAIL'}  "
@@ -131,53 +124,51 @@ def cmd_certify(ns, argv):
     return EXIT_OK if ok else EXIT_CERTIFICATION
 
 
-def cmd_tensor(ns, argv):
-    cfg = load_config(ns.config)
-    out = _out_dir(ns)
+def cmd_tensor(cfg, ns, written):
     op = _sphere_operator(cfg)
     xc = cfg.problem.grid.centers
     tensor = diffusion_tensor(op, cfg.problem.sigma(xc))
 
-    # every cell tensor is moment / sigma, so one eigen-solve gives them all
-    mat = tensor.matrices
-    min_eig = np.linalg.eigvalsh(tensor.moment)[0] / tensor.sigma
-    rows = np.column_stack([xc, mat[:, 0, 0], mat[:, 0, 1], mat[:, 0, 2],
-                            mat[:, 1, 1], mat[:, 1, 2], mat[:, 2, 2], min_eig])
-    path = os.path.join(out, "tensor.csv")
-    _write_csv(path, ["x", "a11", "a12", "a13", "a22", "a23", "a33", "min_eig"], rows)
-    summary = os.path.join(out, "tensor_summary.json")
-    _write_json(summary, {
+    # the tensor of cell c is moment / sigma[c]: its upper triangle, row by
+    # row, is a11 a12 a13 a22 a23 a33 and its least eigenvalue is
+    # eigenvalues[0] / sigma[c]
+    upper = tensor.moment[np.triu_indices(3)]
+    rows = np.column_stack([xc, upper / tensor.sigma[:, None],
+                            tensor.eigenvalues[0] / tensor.sigma])
+    path = os.path.join(ns.out, "tensor.csv")
+    _write_csv(path, ["x", "a11", "a12", "a13", "a22", "a23", "a33", "min_eig"],
+               rows, written)
+    _write_json(os.path.join(ns.out, "tensor_summary.json"), {
         "coercivity_lb": tensor.coercivity_lb,
         "c_K": certify_assumptions(op).c_K,
         "n_cells": tensor.n_cells,
-    })
-    outputs = [path, summary]
-    outputs.append(_write_manifest(out, argv, ns.config, outputs))
+    }, written)
     print(f"tensor: {tensor.n_cells} cells, coercivity >= "
           f"{tensor.coercivity_lb:.6g}, wrote {path}")
     return EXIT_OK
 
 
-def _mms_table(cfg, ns, out, argv, error_name, mesh_error):
+def _mms_table(cfg, ns, written, error_name, mesh_error):
     """Mesh-refinement table of mesh_error(grid) over the study meshes, with
-    the observed order log2(err[i-1] / err[i]) of each refinement."""
+    the observed order log2(err[i-1] / err[i]) / log2(n[i] / n[i-1]) of
+    each refinement."""
     rows = []
-    errs = []
     for n in cfg.study.meshes:
         grid = Grid1D(cfg.problem.grid.length, n)
         err = mesh_error(grid)
-        errs.append(err)
-        order = (math.log2(errs[-2] / err) if len(errs) > 1 else float("nan"))
+        order = float("nan")
+        if rows:
+            n_prev, _, err_prev, _ = rows[-1]
+            order = math.log2(err_prev / err) / math.log2(n / n_prev)
         rows.append([n, grid.h, err, order])
         print(f"mms n={n:5d}  {error_name}={err:.6e}"
-              + (f"  order={order:.3f}" if len(errs) > 1 else ""))
-    path = os.path.join(out, "mms_table.csv")
-    _write_csv(path, ["n_cells", "h", error_name, "order"], rows)
-    _write_manifest(out, argv, ns.config, outputs=[path])
+              + (f"  order={order:.3f}" if len(rows) > 1 else ""))
+    _write_csv(os.path.join(ns.out, "mms_table.csv"),
+               ["n_cells", "h", error_name, "order"], rows, written)
     return EXIT_OK
 
 
-def _mms_diffusion_cmd(cfg, op, ns, out, argv):
+def _mms_diffusion_cmd(cfg, op, ns, written):
     case = manufactured_case(cfg.study.mms, cfg.problem.grid.length)
     src = mms_diffusion_source(case, cfg.problem.sigma, cfg.problem.gamma, op)
 
@@ -186,26 +177,13 @@ def _mms_diffusion_cmd(cfg, op, ns, out, argv):
         sol = solve_diffusion(problem, op)
         return float(np.max(np.abs(sol.u_nodes - case.ubar(grid.edges))))
 
-    return _mms_table(cfg, ns, out, argv, "max_nodal_error", max_nodal_error)
+    return _mms_table(cfg, ns, written, "max_nodal_error", max_nodal_error)
 
 
-def _solve_diffusion_cmd(cfg, ns, out, argv):
+def _solve_diffusion_cmd(cfg, ns, written):
     op = _slab_operator(cfg)
     if cfg.study.mms:
-        return _mms_diffusion_cmd(cfg, op, ns, out, argv)
-    sol = solve_diffusion(cfg.problem, op)
-    grid = sol.grid
-    nodes = grid.edges
-    # gradient interpolated to the nodes so one CSV covers all fields
-    grad_nodes = np.empty(nodes.size)
-    grad_nodes[1:-1] = 0.5 * (sol.grad[:-1] + sol.grad[1:])
-    grad_nodes[0] = -sol.flux[0] / sol.a11[0]
-    grad_nodes[-1] = -sol.flux[-1] / sol.a11[-1]
-    path = os.path.join(out, "diffusion_solution.csv")
-    _write_csv(path, ["x", "u0", "grad_u0", "flux"],
-               zip(nodes, sol.u_nodes, grad_nodes, sol.flux))
-    outputs = [path]
-
+        return _mms_diffusion_cmd(cfg, op, ns, written)
     if cfg.study.reference == "cosh":
         for name, fld in (("sigma", cfg.problem.sigma),
                           ("gamma", cfg.problem.gamma),
@@ -215,6 +193,19 @@ def _solve_diffusion_cmd(cfg, ns, out, argv):
                     f"cosh reference needs constant coefficients ({name} is "
                     f"{fld.kind})"
                 )
+    sol = solve_diffusion(cfg.problem, op)
+    grid = sol.grid
+    nodes = grid.edges
+    # gradient interpolated to the nodes so one CSV covers all fields
+    grad_nodes = np.empty(nodes.size)
+    grad_nodes[1:-1] = 0.5 * (sol.grad[:-1] + sol.grad[1:])
+    grad_nodes[0] = -sol.flux[0] / sol.a11[0]
+    grad_nodes[-1] = -sol.flux[-1] / sol.a11[-1]
+    path = os.path.join(ns.out, "diffusion_solution.csv")
+    _write_csv(path, ["x", "u0", "grad_u0", "flux"],
+               zip(nodes, sol.u_nodes, grad_nodes, sol.flux), written)
+
+    if cfg.study.reference == "cosh":
         s = cfg.problem.sigma.value
         g = cfg.problem.gamma.value
         f = cfg.problem.source.value
@@ -224,16 +215,14 @@ def _solve_diffusion_cmd(cfg, ns, out, argv):
                            / np.cosh(kappa * L / 2))
         max_err = float(np.max(np.abs(sol.u_nodes - exact)))
         print(f"reference max nodal error: {max_err:.6e}")
-        ref_path = os.path.join(out, "reference_error.json")
-        _write_json(ref_path, {"reference": "cosh", "max_nodal_error": max_err})
-        outputs.append(ref_path)
+        _write_json(os.path.join(ns.out, "reference_error.json"),
+                    {"reference": "cosh", "max_nodal_error": max_err}, written)
 
-    outputs.append(_write_manifest(out, argv, ns.config, outputs))
     print(f"diffusion solve: {grid.n_cells} cells, wrote {path}")
     return EXIT_OK
 
 
-def _mms_transport_cmd(cfg, op, ns, out, argv):
+def _mms_transport_cmd(cfg, op, ns, written):
     case = manufactured_case(cfg.study.mms, cfg.problem.grid.length)
     quad = op.quadrature
 
@@ -244,33 +233,30 @@ def _mms_transport_cmd(cfg, op, ns, out, argv):
         exact = case.u(grid.centers[:, None], quad.nodes[None, :])
         return space_velocity_norm(sol.u - exact, grid, quad, 2)
 
-    return _mms_table(cfg, ns, out, argv, "l2_error", l2_error)
+    return _mms_table(cfg, ns, written, "l2_error", l2_error)
 
 
-def _solve_transport_cmd(cfg, ns, out, argv):
+def _solve_transport_cmd(cfg, ns, written):
     op = _slab_operator(cfg)
     if cfg.study.mms:
-        return _mms_transport_cmd(cfg, op, ns, out, argv)
+        return _mms_transport_cmd(cfg, op, ns, written)
     quad = op.quadrature
-    log_path = os.path.join(out, "iteration_log.json")
+    log_path = os.path.join(ns.out, "iteration_log.json")
     try:
         sol = solve_transport(cfg.problem, ns.eps, op, cfg.solver)
     except ConvergenceError as exc:
-        _write_json(log_path, exc.log.as_dict())
-        _write_manifest(out, argv, ns.config, [log_path])
+        _write_json(log_path, exc.log.as_dict(), written)
         raise
     grid = sol.grid
     xc = grid.centers
     # one row per (cell, ordinate), cells outermost
     rows = np.column_stack([np.repeat(xc, quad.n),
                             np.tile(quad.nodes, grid.n_cells), sol.u.ravel()])
-    path = os.path.join(out, "transport_solution.csv")
-    _write_csv(path, ["x", "mu", "u"], rows)
-    avg_path = os.path.join(out, "transport_average.csv")
-    _write_csv(avg_path, ["x", "u_bar"], zip(xc, sol.u_bar))
-    _write_json(log_path, sol.log.as_dict())
-    outputs = [path, avg_path, log_path]
-    outputs.append(_write_manifest(out, argv, ns.config, outputs))
+    _write_csv(os.path.join(ns.out, "transport_solution.csv"), ["x", "mu", "u"],
+               rows, written)
+    _write_csv(os.path.join(ns.out, "transport_average.csv"), ["x", "u_bar"],
+               zip(xc, sol.u_bar), written)
+    _write_json(log_path, sol.log.as_dict(), written)
 
     ns_set = norms(sol.u, ns.eps, cfg.problem.sigma(xc), cfg.problem.gamma(xc),
                    op, grid, ps=cfg.study.p_norms)
@@ -283,17 +269,13 @@ def _solve_transport_cmd(cfg, ns, out, argv):
     return EXIT_OK
 
 
-def cmd_solve(ns, argv):
-    cfg = load_config(ns.config)
-    out = _out_dir(ns)
+def cmd_solve(cfg, ns, written):
     if ns.mode == "diffusion":
-        return _solve_diffusion_cmd(cfg, ns, out, argv)
-    return _solve_transport_cmd(cfg, ns, out, argv)
+        return _solve_diffusion_cmd(cfg, ns, written)
+    return _solve_transport_cmd(cfg, ns, written)
 
 
-def cmd_study(ns, argv):
-    cfg = load_config(ns.config)
-    out = _out_dir(ns)
+def cmd_study(cfg, ns, written):
     if not cfg.study.eps:
         raise ValidationError("study requires an eps list in [study]")
     op = _slab_operator(cfg)
@@ -304,19 +286,14 @@ def cmd_study(ns, argv):
         )
         failure = None
     except ConvergenceError as exc:
-        report = getattr(exc, "partial_report", None)
+        report = exc.partial_report
         failure = exc
-        if report is None:
-            raise
 
-    csv_path = os.path.join(out, "report.csv")
-    _write_csv(csv_path, ["eps", *report.columns],
-               zip(report.eps, *report.columns.values()))
-    slopes_path = os.path.join(out, "slopes.json")
-    _write_json(slopes_path, report.slopes_payload())
-    plot_paths = report.write_plot_files(out)
-    outputs = [csv_path, slopes_path, *plot_paths]
-    outputs.append(_write_manifest(out, argv, ns.config, outputs))
+    _write_csv(os.path.join(ns.out, "report.csv"), ["eps", *report.columns],
+               zip(report.eps, *report.columns.values()), written)
+    _write_json(os.path.join(ns.out, "slopes.json"), report.slopes_payload(),
+                written)
+    written.extend(report.write_plot_files(ns.out))
 
     for note in report.notes:
         print(f"note: {note}")
@@ -365,8 +342,18 @@ def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     ns = parser.parse_args(argv)
+    # every path the command writes; the manifest lists them once it ends,
+    # also when it ends in a convergence or certification failure
+    written = []
     try:
-        return ns.func(ns, ["translimit", *argv])
+        cfg = load_config(ns.config)
+        os.makedirs(ns.out, exist_ok=True)
+        try:
+            return ns.func(cfg, ns, written)
+        finally:
+            if written:
+                _write_manifest(ns.out, ["translimit", *argv], ns.config,
+                                written)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"usage: run 'translimit {ns.command} --help' for details",

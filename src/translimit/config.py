@@ -183,12 +183,17 @@ def load_config(path):
         raise ValidationError(
             f"[study] reference = {reference!r} is not a known reference (cosh)"
         )
+    meshes = tuple(_int(tok, "meshes", "study")
+                   for tok in st.get("meshes", "32 64 128 256").split())
+    if len(set(meshes)) != len(meshes):
+        raise ValidationError(
+            f"[study] meshes = {st['meshes']!r}: a repeated mesh has no order"
+        )
     study = StudySpec(
         eps=_float_list(st["eps"], "eps", "study") if "eps" in st else (),
         p_norms=p_norms,
         mms=st.get("mms"),
-        meshes=tuple(_int(tok, "meshes", "study")
-                     for tok in st.get("meshes", "32 64 128 256").split()),
+        meshes=meshes,
         reference=reference,
         floor_cells=_int(st.get("floor_cells", 64), "floor_cells", "study"),
     )

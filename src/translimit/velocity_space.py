@@ -531,27 +531,27 @@ def pinv_apply(op, rhs):
 
 @dataclass(frozen=True)
 class DiffusionTensor:
-    """Per-cell macroscopic diffusion tensor with its coercivity bound.
+    """Macroscopic diffusion tensor moment / sigma[c] with its coercivity bound.
 
-    matrices : (n_cells, 3, 3) symmetric positive definite tensors
+    moment : the sigma-independent 3x3 velocity moment; the tensor of cell c
+        is moment / sigma[c], and its eigenvalues are eigenvalues / sigma[c]
+    eigenvalues : ascending eigenvalues of moment
+    sigma : (n_cells,) strictly positive cross section
     coercivity_lb : smallest tensor eigenvalue over all cells
-    moment : the sigma-independent 3x3 velocity moment, so that
-        matrices[c] = moment / sigma[c]
     """
 
-    matrices: np.ndarray
-    coercivity_lb: float
     moment: np.ndarray
+    eigenvalues: np.ndarray
     sigma: np.ndarray
+    coercivity_lb: float
 
     def __post_init__(self):
-        object.__setattr__(self, "matrices", _readonly(self.matrices))
-        object.__setattr__(self, "moment", _readonly(self.moment))
-        object.__setattr__(self, "sigma", _readonly(self.sigma))
+        for name in ("moment", "eigenvalues", "sigma"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
     def n_cells(self):
-        return self.matrices.shape[0]
+        return self.sigma.size
 
 
 def diffusion_moment(op):
@@ -568,7 +568,7 @@ def diffusion_moment(op):
 
 
 def diffusion_tensor(op, sigma):
-    """Assemble the per-cell diffusion tensor diffusion_moment(op) / sigma.
+    """The diffusion tensor diffusion_moment(op) / sigma of each cell.
 
     Requires a certified operator on a sphere quadrature and strictly
     positive sigma.  Coercivity of each cell tensor against
@@ -587,7 +587,6 @@ def diffusion_tensor(op, sigma):
         raise CertificationError(
             f"diffusion tensor coercivity {eigs[0]:.12g} below the bound 1/3"
         )
-    matrices = b[None, :, :] / sigma[:, None, None]
     coercivity_lb = float(eigs[0] / np.max(sigma))
-    return DiffusionTensor(matrices=matrices, coercivity_lb=coercivity_lb,
-                           moment=b, sigma=sigma)
+    return DiffusionTensor(moment=b, eigenvalues=eigs, sigma=sigma,
+                           coercivity_lb=coercivity_lb)

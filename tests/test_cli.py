@@ -73,7 +73,8 @@ def read_csv(path):
 
 
 def check_mms_table(rows, error_name, meshes, length=1.0):
-    """Mesh column, h = L/n, and order[i] = log2(err[i-1] / err[i])."""
+    """Mesh column, h = L/n, and the observed order
+    order[i] = log2(err[i-1] / err[i]) / log2(n[i] / n[i-1])."""
     assert [int(r["n_cells"]) for r in rows] == meshes
     assert list(rows[0]) == ["n_cells", "h", error_name, "order"]
     errs = [float(r[error_name]) for r in rows]
@@ -81,7 +82,8 @@ def check_mms_table(rows, error_name, meshes, length=1.0):
         assert float(r["h"]) == length / n
     assert math.isnan(float(rows[0]["order"]))
     for i in range(1, len(rows)):
-        assert float(rows[i]["order"]) == math.log2(errs[i - 1] / errs[i])
+        assert float(rows[i]["order"]) == (math.log2(errs[i - 1] / errs[i])
+                                           / math.log2(meshes[i] / meshes[i - 1]))
 
 
 def reference_write_csv(path, header, rows):
@@ -123,9 +125,11 @@ class TestWriteCsv:
     @staticmethod
     def assert_same_bytes(tmp_dir, header, block_rows, reference_rows):
         got, want = tmp_dir / "block.csv", tmp_dir / "reference.csv"
-        _write_csv(got, header, block_rows)
+        written = []
+        _write_csv(got, header, block_rows, written)
         reference_write_csv(want, header, reference_rows)
         assert got.read_bytes() == want.read_bytes()
+        assert written == [got]
 
     @settings(max_examples=60, deadline=None)
     @given(table=float_tables())
@@ -152,7 +156,7 @@ class TestWriteCsv:
 
     def test_row_width_must_match_header(self, tmp_path):
         with pytest.raises(ValueError):
-            _write_csv(tmp_path / "bad.csv", ["a", "b"], np.ones((3, 3)))
+            _write_csv(tmp_path / "bad.csv", ["a", "b"], np.ones((3, 3)), [])
 
 
 class TestCertify:
@@ -236,6 +240,7 @@ amplitude = 0.5"""))
     def test_certification_gate(self, tmp_path):
         cfg = write(tmp_path, LINEAR_ONE)
         assert main(["tensor", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
 
 
 class TestSolve:
@@ -272,6 +277,21 @@ reference = cosh
         assert np.max(np.abs(u0 - exact)) < 1e-5
         ref = json.loads((tmp_path / "reference_error.json").read_text())
         assert ref["max_nodal_error"] < 1e-5
+
+    def test_cosh_reference_with_varying_sigma_writes_nothing(self, tmp_path,
+                                                               capsys):
+        # the coefficients are checked before the solve, so no file is left
+        # behind that no manifest lists
+        text = (CONFIGS / "cosh_benchmark.ini").read_text().replace(
+            "[coefficients.sigma]\nkind = constant\nvalue = 1.0",
+            "[coefficients.sigma]\nkind = sinusoid\noffset = 1.0\namplitude = 0.5")
+        assert "sinusoid" in text
+        out = tmp_path / "out"
+        rc = main(["solve", "--config", write(tmp_path, text),
+                   "--mode", "diffusion", "--out", str(out)])
+        assert rc == 2
+        assert "constant coefficients" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_unknown_reference_exits_two(self, tmp_path, capsys):
         cfg = write(tmp_path, "[study]\nreference = cosh-typo\n")
@@ -360,6 +380,39 @@ meshes = 32 64 128
         rows = read_csv(tmp_path / "mms_table.csv")
         check_mms_table(rows, "max_nodal_error", [32, 64, 128])
         assert float(rows[-1]["order"]) >= 1.9
+
+    @pytest.mark.parametrize("meshes", [[32, 96], [64, 32]])
+    def test_mms_order_of_any_mesh_pair(self, tmp_path, meshes):
+        # the order divides by log2 of the mesh ratio, so it is the
+        # method's second order whether the meshes triple or halve
+        cfg = write(tmp_path, f"""
+[scattering]
+n_ordinates = 8
+[study]
+mms = transport-trig
+meshes = {meshes[0]} {meshes[1]}
+""")
+        rc = main(["solve", "--config", cfg, "--mode", "transport",
+                   "--eps", "1.0", "--out", str(tmp_path)])
+        assert rc == 0
+        rows = read_csv(tmp_path / "mms_table.csv")
+        check_mms_table(rows, "l2_error", meshes)
+        assert 1.9 <= float(rows[-1]["order"]) <= 2.1
+
+    def test_repeated_mms_mesh_exits_two(self, tmp_path, capsys):
+        cfg = write(tmp_path, """
+[scattering]
+n_ordinates = 8
+[study]
+mms = transport-trig
+meshes = 32 32
+""")
+        out = tmp_path / "out"
+        rc = main(["solve", "--config", cfg, "--mode", "transport",
+                   "--eps", "1.0", "--out", str(out)])
+        assert rc == 2
+        assert "repeated mesh" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode, case", [("transport", "diffusion-sin"),
                                             ("diffusion", "transport-trig")])
@@ -483,6 +536,47 @@ max_iterations = 30
         assert main(["study", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert len(read_csv(tmp_path / "report.csv")) == 4
         assert len(built) == 1
+
+
+MANIFEST_CASES = {
+    "certify": (["certify"], ISO, 0),
+    "certify-g-one": (["certify"], LINEAR_ONE, 4),
+    "tensor": (["tensor"], ISO, 0),
+    "study": (["study"], SMOOTH_STUDY, 0),
+    "study-aborted": (["study"], SMOOTH_STUDY + """
+[solver]
+acceleration = none
+max_iterations = 30
+""", 3),
+    "diffusion-cosh": (["solve", "--mode", "diffusion"],
+                       (CONFIGS / "cosh_benchmark.ini").read_text(), 0),
+    "transport": (["solve", "--mode", "transport", "--eps", "0.5"], ISO, 0),
+    "transport-diverges": (["solve", "--mode", "transport",
+                            "--eps", repr(2.0**-12)],
+                           (CONFIGS / "smooth_study.ini").read_text(), 3),
+    "mms": (["solve", "--mode", "transport", "--eps", "1"], """
+[scattering]
+n_ordinates = 8
+[study]
+mms = transport-trig
+meshes = 32 64
+""", 0),
+}
+
+
+class TestManifest:
+    @pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
+    def test_lists_exactly_the_files_written(self, tmp_path, case):
+        command, text, code = MANIFEST_CASES[case]
+        cfg = write(tmp_path, text)
+        out = tmp_path / "out"
+        argv = [*command, "--config", cfg, "--out", str(out)]
+        assert main(argv) == code
+        manifest = json.loads((out / "manifest.json").read_text())
+        files = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert files
+        assert manifest["outputs"] == files
+        assert manifest["command"] == ["translimit", *argv]
 
 
 class TestThickCasesConverge:

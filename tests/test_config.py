@@ -135,6 +135,12 @@ values = 1.0 4.0
                      "--out", str(tmp_path / "out")]) == 2
         assert "meshes" in capsys.readouterr().err
 
+    def test_repeated_mesh_rejected(self, tmp_path):
+        # a repeated mesh has no order: log2(n / n) = 0 would divide by zero
+        with pytest.raises(ValidationError, match="repeated mesh"):
+            load_config(write(tmp_path, "[study]\nmeshes = 32 64 32\n"))
+        assert load_config(write(tmp_path, "[study]\nmeshes = 64 32\n")).study.meshes == (64, 32)
+
     def test_bad_number(self, tmp_path):
         with pytest.raises(ValidationError, match="not a number"):
             load_config(write(tmp_path, "[grid]\nlength = tall\n"))

@@ -10,6 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from translimit import (
     CertificationError,
+    CoefficientField,
+    Grid1D,
     SolvabilityError,
     ValidationError,
     apply_K,
@@ -360,8 +362,13 @@ class TestDiffusionMoment:
         sigma = np.array([1.0, 2.5])
         t = diffusion_tensor(op, sigma)
         np.testing.assert_array_equal(t.moment, diffusion_moment(op))
-        np.testing.assert_allclose(t.matrices, t.moment / sigma[:, None, None],
-                                   rtol=1e-15)
+        np.testing.assert_array_equal(t.sigma, sigma)
+        assert t.n_cells == 2
+        # the eigenvalues of cell c's tensor are eigenvalues / sigma[c]
+        for sg in sigma:
+            np.testing.assert_allclose(t.eigenvalues / sg,
+                                       np.linalg.eigvalsh(t.moment / sg),
+                                       rtol=1e-15)
 
     def test_uncertified_operator_rejected(self, quad8):
         op = assemble_scattering(kernel_linear(1.0), quad8)
@@ -373,19 +380,21 @@ class TestDiffusionTensor:
     def test_isotropic_is_identity_over_three(self, sphere48):
         op = assemble_scattering(kernel_isotropic(), sphere48)
         t = diffusion_tensor(op, [1.0])
-        np.testing.assert_allclose(t.matrices[0], np.eye(3) / 3.0, atol=1e-10)
+        np.testing.assert_allclose(t.moment / t.sigma[0], np.eye(3) / 3.0,
+                                   atol=1e-10)
 
     def test_sigma_scaling(self, sphere48):
         op = assemble_scattering(kernel_isotropic(), sphere48)
         t = diffusion_tensor(op, [1.0, 2.0])
-        np.testing.assert_allclose(t.matrices[1], np.eye(3) / 6.0, atol=1e-10)
+        np.testing.assert_allclose(t.moment / t.sigma[1], np.eye(3) / 6.0,
+                                   atol=1e-10)
 
     def test_linear_kernel_against_dense_pseudoinverse_oracle(self, sphere48):
         g = 0.5
         op = assemble_scattering(kernel_linear(g), sphere48)
         t = diffusion_tensor(op, [1.0])
-        np.testing.assert_allclose(t.matrices[0], np.eye(3) / (3 * (1 - g)),
-                                   atol=1e-8)
+        np.testing.assert_allclose(t.moment / t.sigma[0],
+                                   np.eye(3) / (3 * (1 - g)), atol=1e-8)
         # oracle: SVD pseudoinverse of the symmetrized matrix, then summation
         w = sphere48.weights
         s = np.sqrt(w)
@@ -395,15 +404,15 @@ class TestDiffusionTensor:
         v = sphere48.points
         g_cols = (pinv @ (v * s[:, None])) / s[:, None]
         oracle = v.T @ (w[:, None] * g_cols)
-        np.testing.assert_allclose(t.matrices[0], oracle, atol=1e-10)
+        np.testing.assert_allclose(t.moment / t.sigma[0], oracle, atol=1e-10)
 
     def test_eigenvalue_window(self, sphere48):
         op = assemble_scattering(kernel_linear(0.5), sphere48)
         report = certify_assumptions(op)
         sigma = np.array([0.5, 1.0, 2.0])
         t = diffusion_tensor(op, sigma)
-        for mat, sg in zip(t.matrices, sigma):
-            eig = np.linalg.eigvalsh(mat)
+        for sg in t.sigma:
+            eig = np.linalg.eigvalsh(t.moment / sg)
             assert eig[0] >= (1.0 - 1e-8) / (3 * sg)
             assert eig[-1] <= report.c_K * (1.0 + 1e-8) / (3 * sg)
 
@@ -557,6 +566,21 @@ class TestFactorOnly:
         arrays = [a for a in held if isinstance(a, np.ndarray)]
         assert {"features", "to_moments", "scatter"} <= set(vars(op))
         assert max(a.size for a in arrays) <= op.n * op.rank
+
+
+class TestTensorMomentOnly:
+    def test_no_array_larger_than_the_cells_or_the_moment(self, sphere48):
+        # one 3x3 moment for all cells: the tensor of cell c is
+        # moment / sigma[c] and is never stored
+        op = assemble_scattering(kernel_linear(0.5), sphere48)
+        sigma = CoefficientField.sinusoid(offset=1.0, amplitude=0.5)
+        n_cells = 65536
+        t = diffusion_tensor(op, sigma(Grid1D(1.0, n_cells).centers))
+        assert t.n_cells == n_cells
+        assert not hasattr(t, "matrices")
+        arrays = [a for a in vars(t).values() if isinstance(a, np.ndarray)]
+        assert {"moment", "eigenvalues", "sigma"} <= set(vars(t))
+        assert max(a.size for a in arrays) <= max(n_cells, 9)
 
 
 class TestEigensolverSize:
