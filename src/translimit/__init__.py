@@ -44,6 +44,7 @@ from .transport import (
     IterationLog,
     OutflowTrace,
     SolverOptions,
+    SweepPlan,
     TransportSolution,
     directional_derivative,
     outflow_trace,
@@ -81,7 +82,8 @@ __all__ = [
     "mms_transport_source", "mms_diffusion_source",
     "DiffusionSolution", "solve_diffusion",
     "SolverOptions", "IterationLog", "TransportSolution", "OutflowTrace",
-    "sweep", "solve_transport", "directional_derivative", "outflow_trace",
+    "SweepPlan", "sweep", "solve_transport", "directional_derivative",
+    "outflow_trace",
     "particle_balance",
     "NormSet", "norms", "velocity_average", "split_mean_fluctuation",
     "space_velocity_norm", "first_order_corrector",

@@ -9,6 +9,7 @@ coefficients, isotropic scattering and zero inflow.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 
@@ -59,16 +60,22 @@ class Config:
 
 def _float(raw, key, where):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ValidationError(f"[{where}] {key} = {raw!r} is not a number") from exc
+    if not math.isfinite(value):
+        raise ValidationError(f"[{where}] {key} = {raw!r} is not finite")
+    return value
 
 
 def _float_list(raw, key, where):
     try:
-        return tuple(float(tok) for tok in raw.split())
+        values = tuple(float(tok) for tok in raw.split())
     except ValueError as exc:
         raise ValidationError(f"[{where}] {key} must be a number list") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"[{where}] {key} = {raw!r} has a non-finite entry")
+    return values
 
 
 def _int(raw, key, where):

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpbtrs
 
+from .errors import ValidationError
 from .velocity_space import diffusion_moment
 
 __all__ = ["DiffusionSolution", "solve_diffusion"]
@@ -48,12 +50,22 @@ def assemble_banded(a, gamma, h):
 
 
 def factor_operator(a, gamma, h):
-    """Cholesky factorization of the banded operator, reusable across solves."""
+    """Cholesky factorization of the banded operator, reusable across solves.
+
+    cholesky_banded rejects a non-finite operator, once per factor.
+    solve_cells checks nothing but LAPACK's info, so its right-hand sides
+    must come from finite data: the problem's fields are finite by
+    construction, and the transport DSA checks each sweep average first.
+    """
     return scipy.linalg.cholesky_banded(assemble_banded(a, gamma, h))
 
 
 def solve_cells(factor, rhs):
-    return scipy.linalg.cho_solve_banded((factor, False), rhs)
+    """Solve with the upper banded factor of factor_operator: one dpbtrs."""
+    u, info = dpbtrs(factor, rhs)
+    if info != 0:
+        raise ValidationError(f"banded diffusion solve failed (dpbtrs info {info})")
+    return u
 
 
 def face_fluxes(u, a, ah, h):

@@ -46,8 +46,9 @@ class Grid1D:
     n_cells: int
 
     def __post_init__(self):
-        if not (self.length > 0.0):
-            raise ValidationError(f"grid length must be positive, got {self.length}")
+        if not (0.0 < self.length < math.inf):
+            raise ValidationError(
+                f"grid length must be positive and finite, got {self.length}")
         if int(self.n_cells) < 1:
             raise ValidationError(f"n_cells must be >= 1, got {self.n_cells}")
         object.__setattr__(self, "length", float(self.length))
@@ -98,6 +99,10 @@ class CoefficientField:
                 raise ValidationError("breakpoints must be strictly increasing")
             object.__setattr__(self, "breakpoints", bp)
             object.__setattr__(self, "values", vals)
+        numbers = (self.value, self.amplitude, self.frequency, self.phase,
+                   *self.breakpoints, *self.values)
+        if not all(math.isfinite(v) for v in numbers):
+            raise ValidationError(f"{self.kind} field has a non-finite parameter")
 
     @classmethod
     def constant(cls, value):
@@ -212,8 +217,8 @@ def scaled_fields(problem, eps, grid, quad):
     grid.centers, and eps * g_left / eps * g_right on the positive/negative
     ordinates of quad.
     """
-    if not (eps > 0.0):
-        raise ValidationError(f"eps must be positive, got {eps}")
+    if not (0.0 < eps < math.inf):
+        raise ValidationError(f"eps must be positive and finite, got {eps}")
     eps = float(eps)
     xc = grid.centers
     pos = quad.nodes > 0.0

@@ -17,9 +17,10 @@ one in the diffusive regime.
 A sweep's diamond (or upwind) march along one ordinate is a bidiagonal
 system in that ordinate's edge values, lower-bidiagonal for mu > 0 and upper
 for mu < 0.  All ordinates of one direction are stacked into one
-block-diagonal banded system and solved by a single LAPACK triangular banded
-solve (dtbtrs), so a sweep is two LAPACK calls and no Python loop over
-cells.
+block-diagonal banded system.  Those bands depend on sigma_t, the ordinates,
+the mesh and the scheme, not on the iterate, so a SweepPlan builds them once
+per solve; a sweep is then one LAPACK triangular banded solve (dtbtrs) per
+direction and no Python loop over cells.
 
 The convergence test combines the relative change of the velocity average
 with the discrete particle-balance residual of the current sweep, so every
@@ -30,6 +31,7 @@ even when the scattering ratio sigma_eps/eps amplifies iteration error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -45,6 +47,7 @@ __all__ = [
     "IterationLog",
     "TransportSolution",
     "OutflowTrace",
+    "SweepPlan",
     "sweep",
     "solve_transport",
     "directional_derivative",
@@ -103,6 +106,8 @@ class IterationLog:
         (last residual / first) ** (1 / (sweeps - 1)); 0 when undefined
     balance_residual : particle-balance residual of the last full sweep
     negative_fraction : share of negative cell values in that sweep
+    max_optical_thickness : largest cell optical thickness sigma_t * h at
+        eps, gamma_eps + sigma_eps times the cell width
     """
 
     residuals: tuple
@@ -111,6 +116,7 @@ class IterationLog:
     spectral_radius_estimate: float
     balance_residual: float
     negative_fraction: float
+    max_optical_thickness: float
 
     def as_dict(self):
         return {
@@ -120,6 +126,7 @@ class IterationLog:
             "spectral_radius_estimate": float(self.spectral_radius_estimate),
             "balance_residual": float(self.balance_residual),
             "negative_fraction": float(self.negative_fraction),
+            "max_optical_thickness": float(self.max_optical_thickness),
         }
 
 
@@ -141,82 +148,68 @@ class TransportSolution:
     log: IterationLog
 
 
-def sweep(sigma_t, emission, g_left, g_right, grid, quad, scheme="diamond"):
-    """One transport sweep: invert mu d/dx + sigma_t per ordinate.
+class SweepPlan:
+    """The part of a sweep that does not change between iterates.
 
-    Positive ordinates march from x = 0 with inflow g_left, negative ones
-    from x = L with inflow g_right.  The diamond closure takes the cell value
-    as the edge average; upwind takes the downstream edge.  Each direction's
-    march is one banded triangular solve (see _march).
-
-    Parameters
-    ----------
-    sigma_t : (n_cells,) non-negative total removal gamma_eps + sigma_eps
-    emission : (n_cells, n_ordinates) emission sigma_eps K u + f_eps
-    g_left : scalar or array over the positive ordinates
-    g_right : scalar or array over the negative ordinates
-
-    Returns (cells, edges).
-    """
-    mu = quad.nodes
-    n = grid.n_cells
-    m = mu.size
-    emission = np.asarray(emission, dtype=float)
-    if emission.shape != (n, m):
-        raise ValidationError(f"emission has shape {emission.shape}, expected {(n, m)}")
-    sigma_t = np.asarray(sigma_t, dtype=float)
-    if sigma_t.shape != (n,):
-        raise ValidationError(f"sigma_t has shape {sigma_t.shape}, expected {(n,)}")
-    if not np.all(sigma_t >= 0.0):
-        raise ValidationError("sigma_t must be non-negative")
-    if np.any(mu == 0.0):
-        raise ValidationError("quadrature contains a zero ordinate")
-    if scheme not in ("diamond", "upwind"):
-        raise ValidationError(f"unknown scheme {scheme!r}")
-    pos = mu > 0.0
-    neg = ~pos
-    g_left = _inflow(g_left, int(pos.sum()), "g_left")
-    g_right = _inflow(g_right, int(neg.sum()), "g_right")
-
-    # per cell: (a + s_out) e_out - (a - s_in) e_in = emission, a = |mu|/h
-    if scheme == "diamond":
-        s_out = s_in = 0.5 * sigma_t
-    else:
-        s_out, s_in = sigma_t, np.zeros(n)
-    edges = np.empty((n + 1, m))
-    edges[0, pos] = g_left
-    edges[1:, pos] = _march(mu[pos] / grid.h, s_out, s_in, emission, pos,
-                            g_left, forward=True).T
-    edges[n, neg] = g_right
-    edges[:-1, neg] = _march(-mu[neg] / grid.h, s_out, s_in, emission, neg,
-                             g_right, forward=False).T
-    if scheme == "diamond":
-        cells = 0.5 * (edges[:-1] + edges[1:])
-    else:
-        cells = np.where(pos, edges[1:], edges[:-1])
-    return cells, edges
-
-
-def _inflow(g, count, name):
-    g = np.asarray(g, dtype=float)
-    if g.shape not in ((), (count,)):
-        raise ValidationError(f"{name} has shape {g.shape}, expected () or {(count,)}")
-    return g
-
-
-def _march(a, s_out, s_in, emission, sel, g, forward):
-    """Outgoing edge values (len(a), n_cells) of the ordinates in sel.
-
-    Ordinate j's march is a bidiagonal system in its n_cells outgoing edges:
+    Built once per solve from the total removal sigma_t (shape (n_cells,),
+    non-negative), the grid, the ordinates (none zero) and the scheme, which
+    are all checked here.  Per cell, a direction's march reads
+    (a + s_out) e_out - (a - s_in) e_in = emission with a = |mu|/h, so
+    ordinate j's march is a bidiagonal system in its n_cells outgoing edges:
     diagonal a_j + s_out, and -(a_j - s_in) coupling each cell to the edge it
     enters through.  That edge is the previous unknown (lower-bidiagonal)
     marching forward from x = 0, the next one (upper) marching back from
-    x = L.  The ordinates' systems are stacked block-diagonally and solved by
-    one dtbtrs call; the diagonal is positive, so no pivoting is needed.
+    x = L.  Per direction (positive, then negative ordinates) the plan holds
+    the mask of its ordinates, their systems stacked block-diagonally in the
+    (2, ordinates * n_cells) Fortran-order band storage dtbtrs reads, and the
+    coefficients a_j - s_in that carry the inflow into the first cell.  The
+    diagonal is positive, so no pivoting is needed.
     """
-    n = s_out.size
+
+    def __init__(self, sigma_t, grid, quad, scheme="diamond"):
+        mu = quad.nodes
+        n = grid.n_cells
+        sigma_t = np.asarray(sigma_t, dtype=float)
+        if sigma_t.shape != (n,):
+            raise ValidationError(f"sigma_t has shape {sigma_t.shape}, expected {(n,)}")
+        if not np.all(sigma_t >= 0.0):
+            raise ValidationError("sigma_t must be non-negative")
+        if np.any(mu == 0.0):
+            raise ValidationError("quadrature contains a zero ordinate")
+        if scheme not in ("diamond", "upwind"):
+            raise ValidationError(f"unknown scheme {scheme!r}")
+        self.n_cells = n
+        self.diamond = scheme == "diamond"
+        self.pos = mu > 0.0
+        if self.diamond:
+            s_out = s_in = 0.5 * sigma_t
+        else:
+            s_out, s_in = sigma_t, np.zeros(n)
+        self.directions = tuple(
+            _Direction(sel, forward,
+                       *_band(np.abs(mu[sel]) / grid.h, s_out, s_in, forward))
+            for sel, forward in ((self.pos, True), (~self.pos, False))
+        )
+
+
+class _Direction(NamedTuple):
+    """One direction of a SweepPlan: the mask of its ordinates, whether it
+    marches forward from x = 0, its band storage (None without ordinates)
+    and its inflow coefficients a - s_in of the cell it enters first."""
+
+    sel: np.ndarray
+    forward: bool
+    band: np.ndarray | None
+    inflow: np.ndarray
+
+
+def _band(a, s_out, s_in, forward):
+    """Band storage of one direction's stacked march and its inflow
+    coefficients."""
+    inflow = a - s_in[0 if forward else -1]
     if a.size == 0:  # dtbtrs reports a spurious info on an empty system
-        return np.empty((0, n))
+        return None, inflow
+    n = s_out.size
     a = a[:, None]
     # interleaved, so that band.reshape(-1, 2).T is the (2, N) Fortran-order
     # band storage dtbtrs reads without a copy
@@ -232,14 +225,56 @@ def _march(a, s_out, s_in, emission, sel, g, forward):
     else:
         np.subtract(s_in[:-1], a, out=coupling[:, 1:])
         coupling[:, 0] = 0.0
-    rhs = emission.T[sel]
-    inflow_cell = 0 if forward else -1
-    rhs[:, inflow_cell] += (a[:, 0] - s_in[inflow_cell]) * g
-    edges, info = dtbtrs(band.reshape(-1, 2).T, rhs.reshape(-1, 1),
-                         uplo="L" if forward else "U", overwrite_b=1)
-    if info != 0:
-        raise ValidationError(f"transport sweep system is singular (dtbtrs info {info})")
-    return edges.reshape(a.size, n)
+    return band.reshape(-1, 2).T, inflow
+
+
+def sweep(plan, emission, g_left, g_right):
+    """One transport sweep: invert mu d/dx + sigma_t per ordinate.
+
+    Positive ordinates march from x = 0 with inflow g_left, negative ones
+    from x = L with inflow g_right.  The diamond closure takes the cell value
+    as the edge average; upwind takes the downstream edge.  The bands come
+    from the SweepPlan, built once per solve, so a sweep adds the inflow to
+    the right-hand side and makes one dtbtrs call per direction.
+
+    Parameters
+    ----------
+    plan : SweepPlan of sigma_t (the total removal gamma_eps + sigma_eps),
+        the grid, the ordinates and the scheme
+    emission : (n_cells, n_ordinates) emission sigma_eps K u + f_eps
+    g_left : scalar or array over the positive ordinates
+    g_right : scalar or array over the negative ordinates
+
+    Returns (cells, edges).
+    """
+    n = plan.n_cells
+    pos = plan.pos
+    emission = np.asarray(emission, dtype=float)
+    if emission.shape != (n, pos.size):
+        raise ValidationError(
+            f"emission has shape {emission.shape}, expected {(n, pos.size)}")
+    edges = np.empty((n + 1, pos.size))
+    for d, g, name in zip(plan.directions, (g_left, g_right), ("g_left", "g_right")):
+        g = np.asarray(g, dtype=float)
+        if g.shape not in ((), d.inflow.shape):
+            raise ValidationError(
+                f"{name} has shape {g.shape}, expected () or {d.inflow.shape}")
+        edges[0 if d.forward else n, d.sel] = g
+        if d.band is None:
+            continue
+        rhs = emission.T[d.sel]
+        rhs[:, 0 if d.forward else -1] += d.inflow * g
+        out, info = dtbtrs(d.band, rhs.reshape(-1, 1), uplo="L" if d.forward else "U",
+                           overwrite_b=1)
+        if info != 0:
+            raise ValidationError(f"transport sweep system is singular (dtbtrs info {info})")
+        outgoing = edges[1:] if d.forward else edges[:-1]
+        outgoing[:, d.sel] = out.reshape(-1, n).T
+    if plan.diamond:
+        cells = 0.5 * (edges[:-1] + edges[1:])
+    else:
+        cells = np.where(pos, edges[1:], edges[:-1])
+    return cells, edges
 
 
 def particle_balance(cells, edges, gamma_e, f_e, gl, gr, grid, quad):
@@ -397,6 +432,8 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
     sigma_e = fields["sigma"]
     gamma_e = fields["gamma"]
     sigma_t = sigma_e + gamma_e
+    plan = SweepPlan(sigma_t, grid, quad, options.scheme)
+    thickness = float(np.max(sigma_t * grid.h))
     w = quad.weights
     gl = fields["g_left"]
     gr = fields["g_right"]
@@ -436,6 +473,7 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
             spectral_radius_estimate=_reduction_per_sweep(history),
             balance_residual=float(balance),
             negative_fraction=float(np.mean(cells < 0.0)),
+            max_optical_thickness=thickness,
         )
 
     def require_finite(values, what):
@@ -450,8 +488,7 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
         the sweep's cells and edges, and the accelerated average."""
         nonlocal iterations
         emission = (sigma_e[:, None] * moments) @ op.scatter + source
-        swept, swept_edges = sweep(sigma_t, emission, g_left, g_right, grid, quad,
-                                   options.scheme)
+        swept, swept_edges = sweep(plan, emission, g_left, g_right)
         iterations += 1
         next_moments = swept @ op.to_moments
         sbar = next_moments @ z

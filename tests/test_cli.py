@@ -332,7 +332,8 @@ reference = cosh
         avg = read_csv(tmp_path / "transport_average.csv")
         assert set(avg[0]) == {"x", "u_bar"}
         log = json.loads((tmp_path / "iteration_log.json").read_text())
-        assert {"residuals", "spectral_radius_estimate", "iterations"} <= set(log)
+        assert {"residuals", "spectral_radius_estimate", "iterations",
+                "max_optical_thickness"} <= set(log)
         # byte-identical to the nested per-cell, per-ordinate rows the
         # command used to build, written by the per-value writer
         config = load_config(cfg)
@@ -436,6 +437,26 @@ meshes = 32 64
         rc = main(["solve", "--config", str(tmp_path / "nope.ini"),
                    "--mode", "transport", "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("mode, eps, old, new", [
+        ("transport", "inf", "", ""),
+        ("transport", "0.125", "length = 1.0", "length = inf"),
+        ("transport", "0.125", "offset = 1.0", "offset = inf"),
+        ("diffusion", "1.0", "[source]\nkind = constant\nvalue = 1.0",
+         "[source]\nkind = constant\nvalue = nan"),
+    ], ids=["eps", "length", "offset", "source"])
+    def test_non_finite_input_exits_two(self, tmp_path, capsys, mode, eps, old,
+                                        new):
+        # each used to end in a scipy ValueError traceback (exit 1), or with
+        # a nan solution written and exit 0
+        text = (CONFIGS / "smooth_study.ini").read_text()
+        assert old in text
+        out = tmp_path / "out"
+        rc = main(["solve", "--mode", mode, "--eps", eps, "--config",
+                   write(tmp_path, text.replace(old, new)), "--out", str(out)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not any(out.glob("*"))
 
 
 class TestStudy:

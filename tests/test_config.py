@@ -145,6 +145,18 @@ values = 1.0 4.0
         with pytest.raises(ValidationError, match="not a number"):
             load_config(write(tmp_path, "[grid]\nlength = tall\n"))
 
+    @pytest.mark.parametrize("text", [
+        "[grid]\nlength = inf\n",
+        "[source]\nvalue = nan\n",
+        "[coefficients.sigma]\nkind = sinusoid\noffset = inf\n",
+        "[boundary]\ng_left = -inf\n",
+        "[study]\neps = 0.5 inf\n",
+        "[coefficients.gamma]\nkind = piecewise\nbreakpoints = nan\nvalues = 1 2\n",
+    ], ids=["length", "source", "offset", "g-left", "eps-list", "breakpoints"])
+    def test_non_finite_number_rejected(self, tmp_path, text):
+        with pytest.raises(ValidationError, match="finite"):
+            load_config(write(tmp_path, text))
+
     def test_piecewise_requires_both_lists(self, tmp_path):
         text = "[coefficients.sigma]\nkind = piecewise\nbreakpoints = 0.5\n"
         with pytest.raises(ValidationError):

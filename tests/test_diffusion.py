@@ -2,18 +2,23 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from translimit import (
     CertificationError,
     CoefficientField,
     Grid1D,
+    ValidationError,
     assemble_scattering,
     kernel_linear,
     manufactured_case,
     mms_diffusion_source,
     solve_diffusion,
 )
-from translimit.diffusion import assemble_banded
+import translimit.diffusion as diffusion
+from translimit.diffusion import assemble_banded, factor_operator, solve_cells
 from conftest import make_problem
 
 
@@ -128,3 +133,28 @@ class TestStructure:
         p = make_problem(n_cells=16)
         with pytest.raises(CertificationError):
             solve_diffusion(p, assemble_scattering(kernel_linear(1.0), quad8))
+
+
+class TestSolveCells:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_matches_cho_solve_banded_bit_for_bit(self, n, columns, seed):
+        # a random SPD tridiagonal system in upper band storage: diagonally
+        # dominant, with entries spread over six decades
+        rng = np.random.default_rng(seed)
+        off = rng.normal(size=n - 1) * 10.0 ** rng.uniform(-3.0, 3.0, n - 1)
+        ab = np.zeros((2, n))
+        ab[0, 1:] = off
+        ab[1] = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        ab[1, 1:] += np.abs(off)
+        ab[1, :-1] += np.abs(off)
+        factor = scipy.linalg.cholesky_banded(ab)
+        rhs = rng.normal(size=(n, columns) if columns else n)
+        want = scipy.linalg.cho_solve_banded((factor, False), rhs)
+        np.testing.assert_array_equal(solve_cells(factor, rhs), want)
+
+    def test_nonzero_info_raises(self, monkeypatch):
+        monkeypatch.setattr(diffusion, "dpbtrs", lambda ab, b: (b, -1))
+        factor = factor_operator(np.ones(4), np.ones(4), 0.25)
+        with pytest.raises(ValidationError, match="dpbtrs info -1"):
+            solve_cells(factor, np.ones(4))

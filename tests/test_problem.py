@@ -34,6 +34,11 @@ class TestGrid:
         with pytest.raises(ValidationError):
             Grid1D(1.0, 0)
 
+    @pytest.mark.parametrize("length", [np.inf, np.nan])
+    def test_non_finite_length_rejected(self, length):
+        with pytest.raises(ValidationError, match="finite"):
+            Grid1D(length, 8)
+
 
 class TestCoefficientField:
     def test_constant(self):
@@ -73,6 +78,20 @@ class TestCoefficientField:
             CoefficientField.piecewise([0.5], [1.0])
         with pytest.raises(ValidationError):
             CoefficientField(kind="mystery")
+
+    @pytest.mark.parametrize("build", [
+        lambda: CoefficientField.constant(np.nan),
+        lambda: CoefficientField.sinusoid(np.inf, 0.5),
+        lambda: CoefficientField.sinusoid(1.0, np.nan),
+        lambda: CoefficientField.sinusoid(1.0, 0.5, frequency=np.inf),
+        lambda: CoefficientField.sinusoid(1.0, 0.5, phase=-np.inf),
+        lambda: CoefficientField.piecewise([np.nan], [1.0, 2.0]),
+        lambda: CoefficientField.piecewise([0.5], [1.0, np.inf]),
+    ], ids=["value", "offset", "amplitude", "frequency", "phase", "breakpoint",
+            "piece-value"])
+    def test_non_finite_parameter_rejected(self, build):
+        with pytest.raises(ValidationError, match="non-finite"):
+            build()
 
 
 class TestProblemValidation:
@@ -170,6 +189,11 @@ class TestScale:
     def test_invalid_eps(self, quad8):
         with pytest.raises(ValidationError):
             scaled_fields(make_problem(), 0.0, make_problem().grid, quad8)
+
+    @pytest.mark.parametrize("eps", [np.inf, np.nan])
+    def test_non_finite_eps_rejected(self, quad8, eps):
+        with pytest.raises(ValidationError):
+            scaled_fields(make_problem(), eps, make_problem().grid, quad8)
 
     def test_fields_on_the_given_grid(self, quad8):
         p = make_problem(n_cells=100, sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0))

@@ -13,6 +13,7 @@ from translimit import (
     Grid1D,
     KernelSpec,
     SolverOptions,
+    SweepPlan,
     ValidationError,
     assemble_scattering,
     build_angular_quadrature,
@@ -35,7 +36,8 @@ from conftest import (cell_equation_residual, dense_scattering, l2_error, make_p
 def pure_absorber_sweep(n, quad, sigma=2.0, g_in=1.0, scheme="diamond"):
     grid = Grid1D(1.0, n)
     emission = np.zeros((n, quad.n))
-    cells, edges = sweep(np.full(n, sigma), emission, g_in, 0.0, grid, quad, scheme)
+    plan = SweepPlan(np.full(n, sigma), grid, quad, scheme)
+    cells, edges = sweep(plan, emission, g_in, 0.0)
     return grid, cells, edges
 
 
@@ -61,7 +63,8 @@ class TestSweep:
         n, sigma, c = 400, 10.0, 0.7
         grid = Grid1D(1.0, n)
         emission = np.full((n, quad8.n), sigma * c)
-        cells, edges = sweep(np.full(n, sigma), emission, 0.0, 0.0, grid, quad8)
+        cells, edges = sweep(SweepPlan(np.full(n, sigma), grid, quad8), emission,
+                             0.0, 0.0)
         pos = quad8.nodes > 0
         exact = c * (1.0 - np.exp(-sigma * grid.edges[:, None]
                                   / quad8.nodes[pos][None, :]))
@@ -83,7 +86,7 @@ class TestSweep:
     def test_shape_validation(self, quad8):
         grid = Grid1D(1.0, 10)
         with pytest.raises(ValidationError):
-            sweep(np.ones(10), np.zeros((5, 8)), 0.0, 0.0, grid, quad8)
+            sweep(SweepPlan(np.ones(10), grid, quad8), np.zeros((5, 8)), 0.0, 0.0)
 
     @pytest.mark.parametrize("sigma_t, g_left, g_right, scheme", [
         (np.ones(9), 0.0, 0.0, "diamond"),       # sigma_t longer than n_cells
@@ -98,7 +101,8 @@ class TestSweep:
                                       scheme):
         grid = Grid1D(1.0, 4)
         with pytest.raises(ValidationError):
-            sweep(sigma_t, np.zeros((4, 8)), g_left, g_right, grid, quad8, scheme)
+            sweep(SweepPlan(sigma_t, grid, quad8, scheme), np.zeros((4, 8)),
+                  g_left, g_right)
 
 
 def reference_sweep(sigma_t, emission, g_left, g_right, grid, quad, scheme):
@@ -167,7 +171,9 @@ class TestSweepProperties:
               Grid1D(1.0, 33), AngularQuadrature(np.array([1.0 / 64]),
                                                  np.array([1.0])), "diamond"))
     def test_matches_per_cell_march(self, inputs):
-        cells, edges = sweep(*inputs)
+        sigma_t, emission, g_left, g_right, grid, quad, scheme = inputs
+        cells, edges = sweep(SweepPlan(sigma_t, grid, quad, scheme), emission,
+                             g_left, g_right)
         ref_cells, ref_edges = reference_sweep(*inputs)
         close(edges, ref_edges)
         # the cells are the scheme's closure of the returned edges, so they
@@ -187,17 +193,69 @@ class TestSweepProperties:
         rng = np.random.default_rng(emission.size)
         other = (rng.normal(size=emission.shape), rng.normal(),
                  rng.normal(size=np.shape(g_right)))
-        one = sweep(sigma_t, emission, g_left, g_right, grid, quad, scheme)
-        two = sweep(sigma_t, *other, grid, quad, scheme)
-        mixed = sweep(sigma_t, alpha * emission + beta * other[0],
+        plan = SweepPlan(sigma_t, grid, quad, scheme)
+        one = sweep(plan, emission, g_left, g_right)
+        two = sweep(plan, *other)
+        mixed = sweep(plan, alpha * emission + beta * other[0],
                       alpha * np.asarray(g_left) + beta * other[1],
-                      alpha * np.asarray(g_right) + beta * other[2],
-                      grid, quad, scheme)
+                      alpha * np.asarray(g_right) + beta * other[2])
         for got, a, b in zip(mixed, one, two):
             want = alpha * a + beta * b
             scale = max(float(np.max(np.abs(alpha * a))),
                         float(np.max(np.abs(beta * b))), 1e-300)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+class TestSweepPlan:
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_inputs(), st.integers(0, 2**32 - 1))
+    def test_reused_plan_matches_a_fresh_one(self, inputs, seed):
+        # a solve builds one plan and sweeps with it many times, so nothing
+        # a sweep does may change the plan
+        sigma_t, emission, g_left, g_right, grid, quad, scheme = inputs
+        plan = SweepPlan(sigma_t, grid, quad, scheme)
+        rng = np.random.default_rng(seed)
+        counts = [int(np.sum(quad.nodes > 0.0)), int(np.sum(quad.nodes < 0.0))]
+        calls = [(emission, g_left, g_right)]
+        for k in range(3):
+            inflows = [rng.normal() if k % 2 else rng.normal(size=c) for c in counts]
+            calls.append((rng.normal(size=emission.shape), *inflows))
+        for args in calls:
+            reused = sweep(plan, *args)
+            fresh = sweep(SweepPlan(sigma_t, grid, quad, scheme), *args)
+            for got, want in zip(reused, fresh):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("acceleration", ["dsa", "none"])
+    @pytest.mark.parametrize("scheme", ["diamond", "upwind"])
+    def test_one_plan_per_solve(self, monkeypatch, iso8, acceleration, scheme):
+        import translimit.transport as transport
+
+        plans = []
+        original = transport.SweepPlan
+        monkeypatch.setattr(transport, "SweepPlan",
+                            lambda *a, **k: plans.append(1) or original(*a, **k))
+        opts = SolverOptions(scheme=scheme, acceleration=acceleration)
+        log = solve_transport(make_problem(n_cells=32), 0.5, iso8, opts).log
+        assert log.iterations > 1
+        assert len(plans) == 1
+
+    def test_nonzero_info_raises(self, monkeypatch, quad8):
+        import translimit.transport as transport
+
+        plan = SweepPlan(np.ones(4), Grid1D(1.0, 4), quad8)
+        monkeypatch.setattr(transport, "dtbtrs", lambda band, b, **k: (b, 2))
+        with pytest.raises(ValidationError, match="dtbtrs info 2"):
+            sweep(plan, np.zeros((4, 8)), 0.0, 0.0)
+
+    def test_max_optical_thickness_recorded(self, iso8):
+        eps = 0.125
+        p = make_problem(n_cells=64, sigma=SLAB_SIGMA["smooth"], gamma=2.0)
+        log = solve_transport(p, eps, iso8).log
+        xc = p.grid.centers
+        thickness = np.max((p.sigma(xc) / eps + eps * p.gamma(xc)) * p.grid.h)
+        assert log.max_optical_thickness == thickness
+        assert log.as_dict()["max_optical_thickness"] == thickness
 
 
 def piecewise_fields(draw, lo, hi):
@@ -293,7 +351,8 @@ class TestSolveTransport:
         gamma_e = 0.25 * p.gamma(xc)
         matrix = dense_scattering(kernel_isotropic(), quad8)
         emission = sigma_e[:, None] * (sol.u @ matrix.T) + 0.25
-        cells, _ = sweep(sigma_e + gamma_e, emission, 0.0, 0.0, p.grid, quad8)
+        cells, _ = sweep(SweepPlan(sigma_e + gamma_e, p.grid, quad8), emission,
+                         0.0, 0.0)
         rel = np.linalg.norm(cells - sol.u) / np.linalg.norm(sol.u)
         assert rel <= opts.tolerance
 
@@ -390,7 +449,7 @@ class TestDerivedFields:
         grid, cells, edges = pure_absorber_sweep(n, quad8, sigma=2.0)
         log = IterationLog(residuals=(), iterations=0, converged=True,
                            spectral_radius_estimate=0.0, balance_residual=0.0,
-                           negative_fraction=0.0)
+                           negative_fraction=0.0, max_optical_thickness=0.0)
         sol = TransportSolution(grid=grid, quad=quad8, eps=1.0, u=cells,
                                 edges=edges, u_bar=cells @ quad8.weights, log=log)
         trace = outflow_trace(sol)
