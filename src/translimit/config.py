@@ -68,12 +68,12 @@ def _float(raw, key, where):
     return value
 
 
-def _float_list(raw, key, where):
+def _float_list(raw, key, where, finite=True):
     try:
         values = tuple(float(tok) for tok in raw.split())
     except ValueError as exc:
         raise ValidationError(f"[{where}] {key} must be a number list") from exc
-    if not all(math.isfinite(v) for v in values):
+    if finite and not all(math.isfinite(v) for v in values):
         raise ValidationError(f"[{where}] {key} = {raw!r} has a non-finite entry")
     return values
 
@@ -180,7 +180,9 @@ def load_config(path):
     )
 
     st = sections.get("study", {})
-    p_norms = _float_list(st.get("p_norms", "1 4"), "p_norms", "study")
+    # p = inf is the sup norm; p >= 1 also rejects nan
+    p_norms = _float_list(st.get("p_norms", "1 4"), "p_norms", "study",
+                          finite=False)
     if not all(p >= 1.0 for p in p_norms):
         raise ValidationError(
             f"[study] p_norms = {st['p_norms']!r}: every p must be at least 1"

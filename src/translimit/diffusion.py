@@ -20,6 +20,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dpbtrs
 
 from .errors import ValidationError
+from .problem import _require_finite_fields
 from .velocity_space import diffusion_moment
 
 __all__ = ["DiffusionSolution", "solve_diffusion"]
@@ -53,9 +54,9 @@ def factor_operator(a, gamma, h):
     """Cholesky factorization of the banded operator, reusable across solves.
 
     cholesky_banded rejects a non-finite operator, once per factor.
-    solve_cells checks nothing but LAPACK's info, so its right-hand sides
-    must come from finite data: the problem's fields are finite by
-    construction, and the transport DSA checks each sweep average first.
+    solve_cells checks nothing but LAPACK's info, so each caller checks its
+    right-hand side first: solve_diffusion its evaluated fields, the
+    transport DSA each sweep average.
     """
     return scipy.linalg.cholesky_banded(assemble_banded(a, gamma, h))
 
@@ -119,9 +120,11 @@ def solve_diffusion(problem, op):
     grid = problem.grid
     xc = grid.centers
     h = grid.h
-    a = diffusion_moment(op)[0, 0] / problem.sigma(xc)
+    sigma = problem.sigma(xc)
     gamma = problem.gamma(xc)
     rhs = problem.source(xc)
+    _require_finite_fields(sigma=sigma, gamma=gamma, source=rhs)
+    a = diffusion_moment(op)[0, 0] / sigma
 
     u = solve_cells(factor_operator(a, gamma, h), rhs)
     flux = face_fluxes(u, a, interface_diffusivity(a), h)

@@ -210,25 +210,42 @@ def _eval_inflow(g, mu):
     return np.full_like(mu, float(g))
 
 
+def _require_finite_fields(**fields):
+    """Raise ValidationError unless every named cell array is finite.
+
+    Finite field parameters can still evaluate to inf or nan: a sinusoid
+    of frequency 1e308 takes the sine of inf.  The solvers' LAPACK calls
+    check nothing per right-hand side, so the fields are checked here,
+    once per solve.
+    """
+    for name, values in fields.items():
+        if not np.all(np.isfinite(values)):
+            raise ValidationError(f"{name} is not finite on the grid")
+
+
 def scaled_fields(problem, eps, grid, quad):
     """The problem's fields as the solver sees them at eps.
 
     Returns a dict of arrays: sigma / eps, eps * gamma and eps * source at
     grid.centers, and eps * g_left / eps * g_right on the positive/negative
-    ordinates of quad.
+    ordinates of quad.  Raises ValidationError when a cell array is not
+    finite.
     """
     if not (0.0 < eps < math.inf):
         raise ValidationError(f"eps must be positive and finite, got {eps}")
     eps = float(eps)
     xc = grid.centers
     pos = quad.nodes > 0.0
-    return {
+    fields = {
         "sigma": problem.sigma(xc) / eps,
         "gamma": eps * problem.gamma(xc),
         "source": eps * problem.source(xc),
         "g_left": eps * _eval_inflow(problem.g_left, quad.nodes[pos]),
         "g_right": eps * _eval_inflow(problem.g_right, quad.nodes[~pos]),
     }
+    _require_finite_fields(sigma=fields["sigma"], gamma=fields["gamma"],
+                           source=fields["source"])
+    return fields
 
 
 @dataclass(frozen=True)

@@ -444,11 +444,20 @@ meshes = 32 64
         ("transport", "0.125", "offset = 1.0", "offset = inf"),
         ("diffusion", "1.0", "[source]\nkind = constant\nvalue = 1.0",
          "[source]\nkind = constant\nvalue = nan"),
-    ], ids=["eps", "length", "offset", "source"])
+        # finite parameters whose field is nan on the grid: sin(inf)
+        ("diffusion", "1.0", "[source]\nkind = constant\nvalue = 1.0",
+         "[source]\nkind = sinusoid\noffset = 1.0\nfrequency = 1e308"),
+        ("transport", "0.125", "[source]\nkind = constant\nvalue = 1.0",
+         "[source]\nkind = sinusoid\noffset = 1.0\nfrequency = 1e308"),
+        ("diffusion", "1.0", "frequency = 1.0", "frequency = 1e308"),
+        ("transport", "0.125", "frequency = 1.0", "frequency = 1e308"),
+    ], ids=["eps", "length", "offset", "source", "source-field-diffusion",
+            "source-field-transport", "sigma-field-diffusion",
+            "sigma-field-transport"])
     def test_non_finite_input_exits_two(self, tmp_path, capsys, mode, eps, old,
                                         new):
-        # each used to end in a scipy ValueError traceback (exit 1), or with
-        # a nan solution written and exit 0
+        # each used to end in a scipy ValueError traceback (exit 1), with a
+        # nan solution written and exit 0, or in a diverged solve (exit 3)
         text = (CONFIGS / "smooth_study.ini").read_text()
         assert old in text
         out = tmp_path / "out"
@@ -517,13 +526,23 @@ floor_cells = 32
 
     @pytest.mark.parametrize("command", [["study"],
                                          ["solve", "--mode", "transport"]])
-    @pytest.mark.parametrize("p", ["0", "-1", "0.5"])
+    @pytest.mark.parametrize("p", ["0", "-1", "0.5", "nan"])
     def test_p_norm_below_one_exits_two(self, tmp_path, capsys, command, p):
         # an L^p norm needs p >= 1; p = 0 would also divide by zero
         cfg = write(tmp_path, SMOOTH_STUDY + f"p_norms = 1 {p}\n")
         assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "p_norms" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
+
+    def test_sup_norm_column(self, tmp_path):
+        # p = inf is a norm exponent, not a non-finite input
+        cfg = write(tmp_path, SMOOTH_STUDY + "p_norms = 1 inf\n")
+        assert main(["study", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "report.csv")
+        assert len(rows) == 4
+        assert [k for k in rows[0] if k.startswith("err_l")] == ["err_l1",
+                                                                 "err_linf"]
+        assert all(float(r["err_linf"]) >= float(r["err_l1"]) for r in rows)
 
     def test_convergence_failure_exits_three_with_partial(self, tmp_path):
         cfg = write(tmp_path, SMOOTH_STUDY + """

@@ -157,6 +157,12 @@ values = 1.0 4.0
         with pytest.raises(ValidationError, match="finite"):
             load_config(write(tmp_path, text))
 
+    def test_p_norms_allow_inf(self, tmp_path):
+        cfg = load_config(write(tmp_path, "[study]\np_norms = 1 inf\n"))
+        assert cfg.study.p_norms == (1.0, float("inf"))
+        with pytest.raises(ValidationError, match="p_norms"):
+            load_config(write(tmp_path, "[study]\np_norms = 1 nan\n"))
+
     def test_piecewise_requires_both_lists(self, tmp_path):
         text = "[coefficients.sigma]\nkind = piecewise\nbreakpoints = 0.5\n"
         with pytest.raises(ValidationError):

@@ -134,6 +134,14 @@ class TestStructure:
         with pytest.raises(CertificationError):
             solve_diffusion(p, assemble_scattering(kernel_linear(1.0), quad8))
 
+    @pytest.mark.parametrize("field", ["sigma", "gamma", "source"])
+    def test_non_finite_field_values_rejected(self, iso8, field):
+        # solve_cells checks only LAPACK's info, so a nan source would be
+        # solved and reported as a success; sin(2 pi 1e308 x) is nan
+        bad = CoefficientField.sinusoid(1.0, 0.0, frequency=1e308)
+        with pytest.raises(ValidationError, match=f"{field} is not finite"):
+            solve_diffusion(make_problem(n_cells=16, **{field: bad}), iso8)
+
 
 class TestSolveCells:
     @settings(max_examples=80, deadline=None)

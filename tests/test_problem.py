@@ -195,6 +195,14 @@ class TestScale:
         with pytest.raises(ValidationError):
             scaled_fields(make_problem(), eps, make_problem().grid, quad8)
 
+    @pytest.mark.parametrize("field", ["sigma", "gamma", "source"])
+    def test_non_finite_field_values_rejected(self, quad8, field):
+        # finite parameters, but sin(2 pi 1e308 x) is sin(inf) = nan
+        bad = CoefficientField.sinusoid(1.0, 0.0, frequency=1e308)
+        problem = make_problem(**{field: bad})
+        with pytest.raises(ValidationError, match=f"{field} is not finite"):
+            scaled_fields(problem, 0.5, problem.grid, quad8)
+
     def test_fields_on_the_given_grid(self, quad8):
         p = make_problem(n_cells=100, sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0))
         grid = Grid1D(1.0, 12)
