@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import ValidationError
 from .problem import _require_finite_fields
@@ -51,14 +50,23 @@ def assemble_banded(a, gamma, h):
 
 
 def factor_operator(a, gamma, h):
-    """Cholesky factorization of the banded operator, reusable across solves.
+    """Cholesky factorization of the banded operator, reusable across solves:
+    one dpbtrf on the upper band storage of assemble_banded.
 
-    cholesky_banded rejects a non-finite operator, once per factor.
-    solve_cells checks nothing but LAPACK's info, so each caller checks its
-    right-hand side first: solve_diffusion its evaluated fields, the
-    transport DSA each sweep average.
+    A non-finite operator, or one LAPACK finds not positive definite, raises
+    ValidationError, once per factor.  solve_cells checks nothing but
+    LAPACK's info, so each caller checks its right-hand side first:
+    solve_diffusion its evaluated fields, the transport DSA each sweep
+    average.
     """
-    return scipy.linalg.cholesky_banded(assemble_banded(a, gamma, h))
+    ab = assemble_banded(a, gamma, h)
+    if not np.isfinite(ab).all():
+        raise ValidationError("banded diffusion operator is not finite")
+    factor, info = dpbtrf(ab, overwrite_ab=1)
+    if info != 0:
+        raise ValidationError(
+            f"banded diffusion factorization failed (dpbtrf info {info})")
+    return factor
 
 
 def solve_cells(factor, rhs):
@@ -76,7 +84,7 @@ def face_fluxes(u, a, ah, h):
     the same operator many times computes it once.
     """
     flux = np.empty(u.size + 1)
-    flux[1:-1] = -ah * np.diff(u) / h
+    flux[1:-1] = -ah * (u[1:] - u[:-1]) / h
     flux[0] = -a[0] * (u[0] - 0.0) / (h / 2.0)
     flux[-1] = -a[-1] * (0.0 - u[-1]) / (h / 2.0)
     return flux

@@ -134,9 +134,12 @@ class CoefficientField:
         if self.kind == "piecewise":
             idx = np.searchsorted(np.asarray(self.breakpoints), x, side="right")
             return np.asarray(self.values)[idx]
-        return self.value + self.amplitude * np.sin(
-            2.0 * np.pi * self.frequency * x + self.phase
-        )
+        # finite parameters can still give sin(inf) or an overflowing sum;
+        # the solvers report a non-finite field (_require_finite_fields)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return self.value + self.amplitude * np.sin(
+                2.0 * np.pi * self.frequency * x + self.phase
+            )
 
     def derivative(self, x):
         """Pointwise derivative; zero for piecewise fields away from jumps."""

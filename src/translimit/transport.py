@@ -30,12 +30,12 @@ even when the scattering ratio sigma_eps/eps amplifies iteration error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg.lapack import dtbtrs, dtrtrs
 
 from .diffusion import face_fluxes, factor_operator, interface_diffusivity, solve_cells
 from .errors import ConvergenceError, ValidationError
@@ -160,7 +160,8 @@ class SweepPlan:
     enters through.  That edge is the previous unknown (lower-bidiagonal)
     marching forward from x = 0, the next one (upper) marching back from
     x = L.  Per direction (positive, then negative ordinates) the plan holds
-    the mask of its ordinates, their systems stacked block-diagonally in the
+    its ordinates (a slice when they are contiguous, as in a Gauss rule,
+    else an index array), their systems stacked block-diagonally in the
     (2, ordinates * n_cells) Fortran-order band storage dtbtrs reads, and the
     coefficients a_j - s_in that carry the inflow into the first cell.  The
     diagonal is positive, so no pivoting is needed.
@@ -188,16 +189,27 @@ class SweepPlan:
         self.directions = tuple(
             _Direction(sel, forward,
                        *_band(np.abs(mu[sel]) / grid.h, s_out, s_in, forward))
-            for sel, forward in ((self.pos, True), (~self.pos, False))
+            for sel, forward in ((_ordinates(self.pos), True),
+                                 (_ordinates(~self.pos), False))
         )
 
 
-class _Direction(NamedTuple):
-    """One direction of a SweepPlan: the mask of its ordinates, whether it
-    marches forward from x = 0, its band storage (None without ordinates)
-    and its inflow coefficients a - s_in of the cell it enters first."""
+def _ordinates(mask):
+    """The ordinates in mask: a slice when they are contiguous, else their
+    indices."""
+    index = np.flatnonzero(mask)
+    if index.size and index[-1] - index[0] + 1 == index.size:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
 
-    sel: np.ndarray
+
+class _Direction(NamedTuple):
+    """One direction of a SweepPlan: its ordinates (a slice or indices),
+    whether it marches forward from x = 0, its band storage (None without
+    ordinates) and its inflow coefficients a - s_in of the cell it enters
+    first."""
+
+    sel: slice | np.ndarray
     forward: bool
     band: np.ndarray | None
     inflow: np.ndarray
@@ -262,7 +274,9 @@ def sweep(plan, emission, g_left, g_right):
         edges[0 if d.forward else n, d.sel] = g
         if d.band is None:
             continue
-        rhs = emission.T[d.sel]
+        # a copy: with a slice, emission.T[sel] is a view of the caller's
+        # emission, which the inflow must not be added to
+        rhs = emission.T[d.sel].copy()
         rhs[:, 0 if d.forward else -1] += d.inflow * g
         out, info = dtbtrs(d.band, rhs.reshape(-1, 1), uplo="L" if d.forward else "U",
                            overwrite_b=1)
@@ -321,27 +335,31 @@ def _gmres(matvec, b, rtol, max_steps, residuals):
     residual |b - matvec(x_k)| / |b| of step k's minimizer is known without
     forming x_k.  That residual is appended to residuals after each step,
     one entry per matvec.
-    The basis and the triangular columns grow with the steps taken.  The
-    iteration stops once the residual is <= rtol or not finite, after
-    max_steps steps, or on a breakdown, where the Krylov space is invariant
-    and the iterate exact.  b is any array; matvec maps that shape to it.
+    The basis (flat vectors) and the triangular columns (Python floats) grow
+    with the steps taken.  The iteration stops once the residual is <= rtol
+    or not finite, after max_steps steps, or on a breakdown, where the
+    Krylov space is invariant and the iterate exact.  b is any array;
+    matvec maps that shape to it.
     """
     # solve for b / max|b|, whose norm neither underflows nor overflows
     scale = float(np.max(np.abs(b), initial=0.0))
     if not (scale > 0.0 and np.isfinite(scale)) or max_steps < 1:
         return np.zeros_like(b)
-    beta = float(np.linalg.norm(b / scale))
-    basis = [b / (scale * beta)]
+    flat = b.reshape(-1) / scale
+    beta = math.sqrt(flat.dot(flat))
+    basis = [b.reshape(-1) / (scale * beta)]
     columns = []
     rotations = []
     g = [beta]
     for k in range(max_steps):
-        v = matvec(basis[k])
-        col = np.empty(k + 2)
-        for i, q in enumerate(basis):
-            col[i] = np.vdot(q, v)
-            v -= col[i] * q
-        col[k + 1] = h_next = float(np.linalg.norm(v))
+        v = matvec(basis[k].reshape(b.shape)).reshape(-1)
+        col = []
+        for q in basis:
+            coef = float(q.dot(v))
+            v -= coef * q
+            col.append(coef)
+        h_next = math.sqrt(v.dot(v))
+        col.append(h_next)
         for i, (c, s) in enumerate(rotations):
             col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
                                   c * col[i + 1] - s * col[i])
@@ -366,11 +384,24 @@ def _gmres(matvec, b, rtol, max_steps, residuals):
     r = np.zeros((steps, steps))
     for j, col in enumerate(columns):
         r[:j + 1, j] = col
-    y = solve_triangular(r, np.asarray(g[:steps]))
+    y = _solve_upper(r, np.array(g[:steps]))
     x = y[0] * basis[0]
     for coef, q in zip(y[1:], basis[1:steps]):
         x += coef * q
-    return scale * x
+    return (scale * x).reshape(b.shape)
+
+
+def _solve_upper(r, rhs):
+    """Solve r y = rhs for a C-order upper-triangular r.
+
+    One dtrtrs on r.T, the Fortran-order lower triangle, with trans set:
+    the LAPACK call scipy.linalg.solve_triangular(r, rhs) makes, so y has
+    the same bits, without that function's checks and dispatch.
+    """
+    y, info = dtrtrs(r.T, rhs, lower=1, trans=1)
+    if info != 0:
+        raise ValidationError(f"GMRES triangular solve failed (dtrtrs info {info})")
+    return y
 
 
 def solve_transport(problem, eps, op, options=None, source_override=None):
@@ -450,7 +481,7 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
 
     phi = op.features
     mean_moments = w @ phi  # the moments of the constant 1
-    z = np.linalg.lstsq(phi, np.ones(quad.n), rcond=None)[0]  # M @ z = u @ w
+    z = op.mean_weights  # M @ z = u @ w
 
     dsa_factor = current_moments = None
     if options.acceleration == "dsa":
@@ -477,7 +508,7 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
         )
 
     def require_finite(values, what):
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ConvergenceError(
                 f"transport iteration diverged: non-finite {what} after "
                 f"{iterations} sweeps", log=log(),
@@ -487,15 +518,16 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
         """One sweep from the moments and its correction: the next moments,
         the sweep's cells and edges, and the accelerated average."""
         nonlocal iterations
-        emission = (sigma_e[:, None] * moments) @ op.scatter + source
+        # np.dot, not @: matmul takes a slow path for the rank-1 product
+        emission = np.dot(sigma_e[:, None] * moments, op.scatter) + source
         swept, swept_edges = sweep(plan, emission, g_left, g_right)
         iterations += 1
-        next_moments = swept @ op.to_moments
-        sbar = next_moments @ z
+        next_moments = np.dot(swept, op.to_moments)
+        sbar = np.dot(next_moments, z)
         require_finite(sbar, "sweep average")
         if dsa_factor is None:
             return next_moments, swept, swept_edges, sbar
-        delta = solve_cells(dsa_factor, sigma_e * (sbar - moments @ z))
+        delta = solve_cells(dsa_factor, sigma_e * (sbar - np.dot(moments, z)))
         ubar = sbar + delta
         require_finite(ubar, "accelerated average")
         next_moments += delta[:, None] * mean_moments
@@ -516,7 +548,7 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
                              0.1 * options.tolerance, krylov_steps, history)
         smallest_change = np.inf
         while iterations < options.max_iterations:
-            ubar_curr = moments @ z
+            ubar_curr = np.dot(moments, z)
             moments, cells, edges, ubar_next = step(moments, f_e, gl, gr)
             change = float(
                 np.linalg.norm(ubar_next - ubar_curr)

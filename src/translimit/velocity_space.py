@@ -188,10 +188,13 @@ class ScatteringOperator:
     weighted self-adjointness defect max |w_i K_ij - w_j K_ji| and its
     sup-norm row sum max_i sum_j |K_ij|.
 
-    The operator is immutable and owns what is derived from it: its spectrum
-    and its CertReport (certificate), each computed once, on first use.
-    Read the certificate through certify_assumptions(op) and gate on it with
-    .require() before reading the spectrum.
+    The operator is immutable and owns what is derived from it, each
+    computed once, on first use: its spectrum, its CertReport (certificate),
+    its diffusion moment and its mean weights.  Read the certificate through
+    certify_assumptions(op) and gate on it with .require() before reading
+    the spectrum; the diffusion moment, read through diffusion_moment(op),
+    gates itself and raises CertificationError on every read of an operator
+    that fails certification.
     """
 
     quadrature: object
@@ -248,6 +251,18 @@ class ScatteringOperator:
         basis = b @ y[:, ::-1]
         lam = np.sort(np.concatenate([lam_core, np.ones(self.n - lam_core.size)]))
         return t, lam, basis, lam_core, int(np.searchsorted(lam, NULL_CUTOFF))
+
+    @functools.cached_property
+    def diffusion_moment(self):
+        """Read-only (d, d) velocity moment; see diffusion_moment."""
+        return _readonly(_diffusion_moment(self))
+
+    @functools.cached_property
+    def mean_weights(self):
+        """Read-only (r,) weights z with features @ z = 1, so that the
+        velocity average u @ weights is the moments' M @ z."""
+        return _readonly(np.linalg.lstsq(self.features, np.ones(self.n),
+                                         rcond=None)[0])
 
     @functools.cached_property
     def certificate(self):
@@ -560,8 +575,14 @@ def diffusion_moment(op):
     The diffusivity of the limit equation is this (d, d) matrix divided by
     sigma: 1x1 on the slab, 3x3 on the sphere.  The pseudoinverse is applied
     to each velocity component function, all of which have zero mean by the
-    odd symmetry of the quadrature.
+    odd symmetry of the quadrature.  The operator computes it once and
+    returns the same read-only array on every later call.
     """
+    return op.diffusion_moment
+
+
+def _diffusion_moment(op):
+    """The moment diffusion_moment(op) returns, computed afresh."""
     coords = op.quadrature.coords
     b = coords.T @ (op.weights[:, None] * pinv_apply(op, coords.T).T)
     return 0.5 * (b + b.T)

@@ -461,10 +461,15 @@ meshes = 32 64
         text = (CONFIGS / "smooth_study.ini").read_text()
         assert old in text
         out = tmp_path / "out"
-        rc = main(["solve", "--mode", mode, "--eps", eps, "--config",
-                   write(tmp_path, text.replace(old, new)), "--out", str(out)])
+        # the message is the whole report: no numpy RuntimeWarning from
+        # evaluating the field goes to stderr before it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["solve", "--mode", mode, "--eps", eps, "--config",
+                       write(tmp_path, text.replace(old, new)), "--out", str(out)])
         assert rc == 2
         assert "finite" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not any(out.glob("*"))
 
 

@@ -166,3 +166,31 @@ class TestSolveCells:
         factor = factor_operator(np.ones(4), np.ones(4), 0.25)
         with pytest.raises(ValidationError, match="dpbtrs info -1"):
             solve_cells(factor, np.ones(4))
+
+
+class TestFactorOperator:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_matches_cholesky_banded_bit_for_bit(self, n, seed):
+        # diffusivities and absorption spread over six decades, as thick and
+        # thin cells give them; gamma may vanish
+        rng = np.random.default_rng(seed)
+        a = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        gamma = 10.0 ** rng.uniform(-3.0, 3.0, n) * rng.integers(0, 2, n)
+        h = 10.0 ** rng.uniform(-4.0, 0.0)
+        want = scipy.linalg.cholesky_banded(assemble_banded(a, gamma, h))
+        np.testing.assert_array_equal(factor_operator(a, gamma, h), want)
+
+    @pytest.mark.parametrize("field, bad", [("a", np.nan), ("gamma", np.nan),
+                                            ("gamma", np.inf)])
+    def test_non_finite_operator_rejected(self, field, bad):
+        values = {"a": np.ones(4), "gamma": np.ones(4)}
+        values[field][2] = bad
+        with pytest.raises(ValidationError, match="not finite"):
+            factor_operator(values["a"], values["gamma"], 0.25)
+
+    @pytest.mark.parametrize("info", [-1, 2])
+    def test_nonzero_info_raises(self, monkeypatch, info):
+        monkeypatch.setattr(diffusion, "dpbtrf", lambda ab, **k: (ab, info))
+        with pytest.raises(ValidationError, match=f"dpbtrf info {info}"):
+            factor_operator(np.ones(4), np.ones(4), 0.25)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -28,7 +29,7 @@ from translimit import (
     solve_transport,
     sweep,
 )
-from translimit.transport import _gmres
+from translimit.transport import _gmres, _solve_upper
 from conftest import (cell_equation_residual, dense_scattering, l2_error, make_problem,
                       poison_sweep)
 
@@ -204,6 +205,25 @@ class TestSweepProperties:
             scale = max(float(np.max(np.abs(alpha * a))),
                         float(np.max(np.abs(beta * b))), 1e-300)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_inputs())
+    def test_leaves_its_arguments_unchanged(self, inputs):
+        # sorted ordinates are contiguous per sign, as in a Gauss rule, so the
+        # plan selects them by a slice and emission.T[sel] is a view: the
+        # inflow must be added to a copy
+        sigma_t, emission, g_left, g_right, grid, quad, _ = inputs
+        sorted_quad = AngularQuadrature(np.sort(quad.nodes), quad.weights)
+        before = [np.copy(x) for x in (emission, g_left, g_right)]
+        for q in (quad, sorted_quad):
+            for scheme in ("diamond", "upwind"):
+                plan = SweepPlan(sigma_t, grid, q, scheme)
+                if q is sorted_quad:
+                    assert all(isinstance(d.sel, slice) or d.band is None
+                               for d in plan.directions)
+                sweep(plan, emission, g_left, g_right)
+                for got, want in zip((emission, g_left, g_right), before):
+                    np.testing.assert_array_equal(got, want)
 
 
 class TestSweepPlan:
@@ -536,6 +556,27 @@ def krylov_problem(kind, eps):
     else:
         kernel, quad = kernel_linear(0.5), build_angular_quadrature(64)
     return slab_problem(kind, eps), kernel, assemble_scattering(kernel, quad)
+
+
+class TestSolveUpper:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_matches_solve_triangular_bit_for_bit(self, n, seed):
+        # a random upper triangle, its diagonal spread over four decades
+        rng = np.random.default_rng(seed)
+        r = np.triu(rng.normal(size=(n, n)))
+        r[np.diag_indices(n)] = (rng.choice([-1.0, 1.0], n)
+                                 * 10.0 ** rng.uniform(-2.0, 2.0, n))
+        rhs = rng.normal(size=n)
+        np.testing.assert_array_equal(_solve_upper(r, rhs),
+                                      scipy.linalg.solve_triangular(r, rhs))
+
+    def test_nonzero_info_raises(self, monkeypatch):
+        import translimit.transport as transport
+
+        monkeypatch.setattr(transport, "dtrtrs", lambda a, b, **k: (b, 2))
+        with pytest.raises(ValidationError, match="dtrtrs info 2"):
+            _solve_upper(np.eye(3), np.ones(3))
 
 
 class TestKrylovSolve:

@@ -19,14 +19,16 @@ from translimit import (
     build_angular_quadrature,
     build_sphere_quadrature,
     certify_assumptions,
+    convergence_study,
     diffusion_moment,
     diffusion_tensor,
     kernel_isotropic,
     kernel_linear,
     pinv_apply,
 )
+import translimit.velocity_space as velocity_space
 from translimit.velocity_space import NULL_CUTOFF, SPECTRUM_TOL
-from conftest import dense_certificate_values, dense_scattering
+from conftest import dense_certificate_values, dense_scattering, make_problem
 
 
 def identity_kernel(quad):
@@ -372,8 +374,34 @@ class TestDiffusionMoment:
 
     def test_uncertified_operator_rejected(self, quad8):
         op = assemble_scattering(kernel_linear(1.0), quad8)
-        with pytest.raises(CertificationError):
-            diffusion_moment(op)
+        for _ in range(2):
+            with pytest.raises(CertificationError):
+                diffusion_moment(op)
+
+    def test_cached_read_only(self, quad16):
+        op = assemble_scattering(kernel_linear(0.5), quad16)
+        m = diffusion_moment(op)
+        assert diffusion_moment(op) is m
+        np.testing.assert_array_equal(m, velocity_space._diffusion_moment(op))
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 1.0
+        z = op.mean_weights
+        assert op.mean_weights is z
+        np.testing.assert_allclose(op.features @ z, 1.0, rtol=1e-14)
+        with pytest.raises(ValueError, match="read-only"):
+            z[0] = 1.0
+
+    def test_computed_once_per_operator_in_a_study(self, monkeypatch, quad8):
+        # every study row reads the moment twice (its transport DSA and its
+        # diffusion limit); the operator's pseudoinverse runs for it once
+        calls = []
+        original = velocity_space._diffusion_moment
+        monkeypatch.setattr(velocity_space, "_diffusion_moment",
+                            lambda op: calls.append(op) or original(op))
+        op = assemble_scattering(kernel_isotropic(), quad8)
+        convergence_study(make_problem(n_cells=16), [0.5, 0.25, 0.125, 0.0625],
+                          op)
+        assert calls == [op]
 
 
 class TestDiffusionTensor:
