@@ -146,7 +146,8 @@ class CoefficientField:
         x = np.asarray(x, dtype=float)
         if self.kind == "sinusoid":
             om = 2.0 * np.pi * self.frequency
-            return self.amplitude * om * np.cos(om * x + self.phase)
+            with np.errstate(invalid="ignore", over="ignore"):
+                return self.amplitude * om * np.cos(om * x + self.phase)
         return np.zeros_like(x)
 
 

@@ -382,6 +382,27 @@ meshes = 32 64 128
         check_mms_table(rows, "max_nodal_error", [32, 64, 128])
         assert float(rows[-1]["order"]) >= 1.9
 
+    def test_diffusion_mms_with_non_finite_sigma_exits_two(self, tmp_path, capsys):
+        # the manufactured source takes sigma', here cos(inf): the field is
+        # reported, with no numpy RuntimeWarning on stderr before it
+        cfg = write(tmp_path, """
+[coefficients.sigma]
+kind = sinusoid
+offset = 1.0
+amplitude = 0.5
+frequency = 1e308
+[study]
+mms = diffusion-sin
+meshes = 16 32
+""")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["solve", "--config", cfg, "--mode", "diffusion",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "sigma is not finite" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("meshes", [[32, 96], [64, 32]])
     def test_mms_order_of_any_mesh_pair(self, tmp_path, meshes):
         # the order divides by log2 of the mesh ratio, so it is the
