@@ -5,8 +5,8 @@ assumptions, dump the diffusion tensor, run single solves, and run the
 eps-sweep convergence study.  All numeric output files carry full double
 precision; console summaries are rounded.  Each command that writes a file
 also writes one manifest.json, listing exactly the files it wrote.  Exit
-codes: 0 success, 2 validation error, 3 convergence failure,
-4 certification failure.
+codes: 0 success, 2 validation error (an unreadable config and an
+unwritable --out included), 3 convergence failure, 4 certification failure.
 """
 
 from __future__ import annotations
@@ -151,13 +151,14 @@ def cmd_tensor(cfg, ns, written):
 def _mms_table(cfg, ns, written, error_name, mesh_error):
     """Mesh-refinement table of mesh_error(grid) over the study meshes, with
     the observed order log2(err[i-1] / err[i]) / log2(n[i] / n[i-1]) of
-    each refinement."""
+    each refinement; nan when either error is 0, as an exact solve has no
+    order."""
     rows = []
     for n in cfg.study.meshes:
         grid = Grid1D(cfg.problem.grid.length, n)
         err = mesh_error(grid)
         order = float("nan")
-        if rows:
+        if rows and rows[-1][2] != 0.0 and err != 0.0:
             n_prev, _, err_prev, _ = rows[-1]
             order = math.log2(err_prev / err) / math.log2(n / n_prev)
         rows.append([n, grid.h, err, order])
@@ -239,6 +240,11 @@ def _mms_transport_cmd(cfg, op, ns, written):
 def _solve_transport_cmd(cfg, ns, written):
     op = _slab_operator(cfg)
     if cfg.study.mms:
+        if ns.eps != 1.0:
+            raise ValidationError(
+                f"--eps {ns.eps:g}: the [study] mms table solves the "
+                "unscaled problem, so --eps must be 1"
+            )
         return _mms_transport_cmd(cfg, op, ns, written)
     quad = op.quadrature
     log_path = os.path.join(ns.out, "iteration_log.json")
@@ -367,6 +373,10 @@ def main(argv=None):
         return EXIT_CONVERGENCE
     except TranslimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"error: cannot write the outputs in --out {ns.out}: {exc}",
+              file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -114,7 +114,7 @@ class CoefficientField:
                    values=tuple(values))
 
     @classmethod
-    def sinusoid(cls, offset, amplitude, frequency=1.0, phase=0.0):
+    def sinusoid(cls, offset=0.0, amplitude=0.0, frequency=1.0, phase=0.0):
         return cls(kind="sinusoid", value=float(offset), amplitude=float(amplitude),
                    frequency=float(frequency), phase=float(phase))
 

@@ -454,6 +454,34 @@ meshes = 32 64
         assert not (tmp_path / "mms_table.csv").exists()
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("meshes", ["1 2 4 8", "2 1 4"])
+    def test_mms_exact_solve_has_nan_order(self, tmp_path, meshes):
+        # the 1-cell solve is exact at its only (boundary) nodes: log2 of
+        # err / 0 or 0 / err raised and ended the run with no table
+        cfg = write(tmp_path, f"""
+[study]
+mms = diffusion-parabola
+meshes = {meshes}
+""")
+        rc = main(["solve", "--config", cfg, "--mode", "diffusion",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        rows = read_csv(tmp_path / "mms_table.csv")
+        errs = [float(r["max_nodal_error"]) for r in rows]
+        assert errs[[int(r["n_cells"]) for r in rows].index(1)] == 0.0
+        for i in range(1, len(rows)):
+            order = float(rows[i]["order"])
+            assert math.isnan(order) == (errs[i - 1] == 0.0 or errs[i] == 0.0)
+
+    def test_transport_mms_rejects_eps_other_than_one(self, tmp_path, capsys):
+        # the table always solved at eps = 1, whatever --eps said
+        out = tmp_path / "out"
+        rc = main(["solve", "--config", str(CONFIGS / "mms_transport.ini"),
+                   "--mode", "transport", "--eps", "0.1", "--out", str(out)])
+        assert rc == 2
+        assert "--eps" in capsys.readouterr().err
+        assert not any(out.glob("*"))
+
     def test_missing_config_exits_two(self, tmp_path):
         rc = main(["solve", "--config", str(tmp_path / "nope.ini"),
                    "--mode", "transport", "--out", str(tmp_path)])
@@ -628,6 +656,36 @@ mms = transport-trig
 meshes = 32 64
 """, 0),
 }
+
+
+class TestOutputDirectory:
+    def test_out_naming_a_file_exits_two(self, tmp_path, capsys):
+        # os.makedirs raised FileExistsError: a traceback and exit 1
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = main(["certify", "--config", write(tmp_path, ISO),
+                   "--out", str(out)])
+        assert rc == 2
+        assert str(out) in capsys.readouterr().err
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "certification.json").mkdir(parents=True)
+        rc = main(["certify", "--config", write(tmp_path, ISO),
+                   "--out", str(out)])
+        assert rc == 2
+        assert str(out / "certification.json") in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_unwritable_manifest_exits_two(self, tmp_path, capsys):
+        # the manifest is written in a finally block once the command ends
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        rc = main(["certify", "--config", write(tmp_path, ISO),
+                   "--out", str(out)])
+        assert rc == 2
+        assert str(out / "manifest.json") in capsys.readouterr().err
+        assert (out / "certification.json").is_file()
 
 
 class TestManifest:

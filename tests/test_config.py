@@ -1,8 +1,9 @@
+import math
 from pathlib import Path
 
 import pytest
 
-from translimit import ValidationError, load_config
+from translimit import StudySpec, ValidationError, load_config
 from translimit.cli import main
 
 FULL = """
@@ -186,3 +187,63 @@ values = 1.0 4.0
         text = "[coefficients.gamma]\nkind = constant\nvalue = 0.0\n"
         with pytest.raises(ValidationError, match="gamma"):
             load_config(write(tmp_path, text))
+
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        # a 0xff byte ended in a UnicodeDecodeError traceback (exit 1)
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"[grid]\nlength = 1\xff\n")
+        with pytest.raises(ValidationError, match="cannot read config"):
+            load_config(str(path))
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(path), "--out", str(out)]) == 2
+        assert "utf-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreadable_config_path_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="cannot read config"):
+            load_config(str(tmp_path))
+
+
+# each section with every key written out at its documented default, and
+# the section that leaves all of them out
+WRITTEN_DEFAULTS = {
+    "grid": ("[grid]\nlength = 1.0\nn_cells = 100\n", ""),
+    "sigma": ("[coefficients.sigma]\nkind = constant\nvalue = 1\n", ""),
+    "gamma": ("[coefficients.gamma]\nkind = constant\nvalue = 1\n", ""),
+    "source": ("[source]\nkind = constant\nvalue = 1\n", ""),
+    "sinusoid": ("[source]\nkind = sinusoid\noffset = 0\namplitude = 0\n"
+                 "frequency = 1\nphase = 0\n", "[source]\nkind = sinusoid\n"),
+    "boundary": ("[boundary]\ng_left = 0\ng_right = 0\n", ""),
+    "scattering": ("[scattering]\nkernel = isotropic\nn_ordinates = 16\n"
+                   "n_polar = 8\nn_azimuth = 16\n", ""),
+    "linear": ("[scattering]\nkernel = linear\ng_factor = 0\n",
+               "[scattering]\nkernel = linear\n"),
+    "solver": ("[solver]\nscheme = diamond\ntolerance = 1e-10\n"
+               "max_iterations = 200\nacceleration = dsa\n"
+               "balance_target = 1e-10\n", ""),
+    "study": ("[study]\np_norms = 1 4\nmeshes = 32 64 128 256\n"
+              "floor_cells = 64\n", ""),
+}
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("written, omitted", WRITTEN_DEFAULTS.values(),
+                             ids=WRITTEN_DEFAULTS.keys())
+    def test_written_defaults_load_as_omitted_keys(self, tmp_path, written,
+                                                   omitted):
+        assert (load_config(write(tmp_path, written, "written.ini"))
+                == load_config(write(tmp_path, omitted, "omitted.ini")))
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"p_norms": (1.0, 0.5)}, "p_norms"),
+        ({"p_norms": (1.0, math.nan)}, "p_norms"),
+        ({"reference": "sinh"}, "reference"),
+        ({"meshes": (32, 64, 32)}, "repeated mesh"),
+    ], ids=["p-below-one", "p-nan", "reference", "repeated-mesh"])
+    def test_study_spec_checks(self, kwargs, match):
+        with pytest.raises(ValidationError, match=match):
+            StudySpec(**kwargs)
+
+    def test_study_spec_accepts_its_defaults_and_sup_norm(self):
+        assert StudySpec().p_norms == (1.0, 4.0)
+        assert StudySpec(p_norms=(1.0, math.inf), reference="cosh").reference == "cosh"
