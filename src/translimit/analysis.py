@@ -15,10 +15,12 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
+from .config import StudySpec
 from .diffusion import solve_diffusion
 from .errors import ConvergenceError, ValidationError
 from .problem import Grid1D, cells_for_eps, scaled_fields
-from .transport import directional_derivative, outflow_trace, solve_transport
+from .transport import (SolverOptions, directional_derivative, outflow_trace,
+                        solve_transport)
 from .velocity_space import _require_slab, apply_K, certify_assumptions, pinv_apply
 
 __all__ = [
@@ -284,10 +286,9 @@ def _study_row(problem, eps, op, options, ps, floor_cells):
     # + eps|ubar|^2 over the data side |g|_bdry^2 + |fbar|^2/eps bounding it,
     # with the data scaled at eps; the source is isotropic, so fbar = f
     data = scaled_fields(local, eps, grid, quad)
-    mu, w = quad.nodes, quad.weights
-    pos = mu > 0.0
-    g_sq = float(np.sum(w[pos] * mu[pos] * data["g_left"]**2)
-                 + np.sum(w[~pos] * -mu[~pos] * data["g_right"]**2))
+    k, m = quad.n_negative, quad.boundary_measure
+    g_sq = float(np.sum(m[k:] * data["g_left"]**2)
+                 + np.sum(m[:k] * data["g_right"]**2))
     f_sq = grid.h * float(np.sum(data["source"]**2))
     lhs = trace_norm**2 + fluct_norm**2 / eps + eps * grid.h * float(np.sum(mean**2))
     row["energy_ratio"] = lhs / max(g_sq + f_sq / eps, 1e-300)
@@ -313,8 +314,8 @@ def _growth_notes(eps, columns):
     ]
 
 
-def convergence_study(problem, eps_list, op, options=None, ps=(1, 4),
-                      floor_cells=64):
+def convergence_study(problem, eps_list, op, options=None,
+                      ps=StudySpec.p_norms, floor_cells=StudySpec.floor_cells):
     """Solve the scaled transport problem over a geometric eps sweep and
     measure every convergence quantity against the diffusion limit.
 
@@ -333,8 +334,11 @@ def convergence_study(problem, eps_list, op, options=None, ps=(1, 4),
     value.  A transport solve that fails to converge aborts the study with
     the partial report attached to the raised ConvergenceError.  Every p in
     ps must be at least 1, else ValidationError is raised before any solve.
+    ps and floor_cells default to StudySpec's p_norms and floor_cells, and
+    options to SolverOptions().
     """
     _check_ps(ps)
+    options = options if options is not None else SolverOptions()
     _require_slab(op, "convergence_study")
     certify_assumptions(op).require()
     eps = _validate_eps_list(eps_list)
@@ -386,7 +390,7 @@ def convergence_study(problem, eps_list, op, options=None, ps=(1, 4),
             "mesh_rule": "h <= eps/4",
             "floor_cells": int(floor_cells),
             "n_ordinates": int(op.n),
-            "scheme": options.scheme if options is not None else "diamond",
+            "scheme": options.scheme,
         },
     )
     if partial_error is not None:

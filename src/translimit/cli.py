@@ -240,11 +240,6 @@ def _mms_transport_cmd(cfg, op, ns, written):
 def _solve_transport_cmd(cfg, ns, written):
     op = _slab_operator(cfg)
     if cfg.study.mms:
-        if ns.eps != 1.0:
-            raise ValidationError(
-                f"--eps {ns.eps:g}: the [study] mms table solves the "
-                "unscaled problem, so --eps must be 1"
-            )
         return _mms_transport_cmd(cfg, op, ns, written)
     quad = op.quadrature
     log_path = os.path.join(ns.out, "iteration_log.json")
@@ -276,6 +271,10 @@ def _solve_transport_cmd(cfg, ns, written):
 
 
 def cmd_solve(cfg, ns, written):
+    if ns.eps != 1.0 and (cfg.study.mms or ns.mode == "diffusion"):
+        raise ValidationError(
+            f"--eps {ns.eps:g}: the diffusion limit and the [study] mms table "
+            "solve the unscaled problem, so --eps must be 1")
     if ns.mode == "diffusion":
         return _solve_diffusion_cmd(cfg, ns, written)
     return _solve_transport_cmd(cfg, ns, written)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .problem import CoefficientField, Grid1D, KernelSpec, ProblemSpec
+from .problem import FLOOR_CELLS, CoefficientField, Grid1D, KernelSpec, ProblemSpec
 from .transport import SolverOptions
 
 __all__ = ["StudySpec", "Config", "load_config"]
@@ -33,7 +33,7 @@ class StudySpec:
     mms: str | None = None
     meshes: tuple = (32, 64, 128, 256)
     reference: str | None = None
-    floor_cells: int = 64
+    floor_cells: int = FLOOR_CELLS
 
     def __post_init__(self):
         # p = inf is the sup norm; p >= 1 also rejects nan

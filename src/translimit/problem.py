@@ -49,8 +49,9 @@ class Grid1D:
         if not (0.0 < self.length < math.inf):
             raise ValidationError(
                 f"grid length must be positive and finite, got {self.length}")
-        if int(self.n_cells) < 1:
-            raise ValidationError(f"n_cells must be >= 1, got {self.n_cells}")
+        if not (float(self.n_cells).is_integer() and self.n_cells >= 1):
+            raise ValidationError(
+                f"n_cells must be an integer >= 1, got {self.n_cells}")
         object.__setattr__(self, "length", float(self.length))
         object.__setattr__(self, "n_cells", int(self.n_cells))
 
@@ -239,13 +240,13 @@ def scaled_fields(problem, eps, grid, quad):
         raise ValidationError(f"eps must be positive and finite, got {eps}")
     eps = float(eps)
     xc = grid.centers
-    pos = quad.nodes > 0.0
+    k = quad.n_negative
     fields = {
         "sigma": problem.sigma(xc) / eps,
         "gamma": eps * problem.gamma(xc),
         "source": eps * problem.source(xc),
-        "g_left": eps * _eval_inflow(problem.g_left, quad.nodes[pos]),
-        "g_right": eps * _eval_inflow(problem.g_right, quad.nodes[~pos]),
+        "g_left": eps * _eval_inflow(problem.g_left, quad.nodes[k:]),
+        "g_right": eps * _eval_inflow(problem.g_right, quad.nodes[:k]),
     }
     _require_finite_fields(sigma=fields["sigma"], gamma=fields["gamma"],
                            source=fields["source"])
@@ -357,7 +358,11 @@ def mms_diffusion_source(case, sigma, gamma, op):
     return f
 
 
-def cells_for_eps(eps, length, floor=64):
+# the least cell count of a study mesh, unless the study sets its own
+FLOOR_CELLS = 64
+
+
+def cells_for_eps(eps, length, floor=FLOOR_CELLS):
     """Mesh-coupling rule for rate studies: h <= eps/4 with a cell floor.
 
     The cell count is rounded up to an even number so interface-aligned

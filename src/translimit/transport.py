@@ -15,12 +15,15 @@ kept as a deliberately non-robust control: its spectral radius approaches
 one in the diffusive regime.
 
 A sweep's diamond (or upwind) march along one ordinate is a bidiagonal
-system in that ordinate's edge values, lower-bidiagonal for mu > 0 and upper
-for mu < 0.  All ordinates of one direction are stacked into one
-block-diagonal banded system.  Those bands depend on sigma_t, the ordinates,
-the mesh and the scheme, not on the iterate, so a SweepPlan builds them once
-per solve; a sweep is then one LAPACK triangular banded solve (dtbtrs) per
-direction and no Python loop over cells.
+system in that ordinate's edge values.  Taken in the order the ordinate
+crosses the cells (from x = 0 for mu > 0, from x = L for mu < 0) it is
+lower-bidiagonal, so all ordinates stack into one block-diagonal lower band.
+That band depends on sigma_t, the ordinates, the mesh and the scheme, not on
+the iterate, so a SweepPlan builds it once per solve; a sweep is then one
+LAPACK triangular banded solve (dtbtrs) and no Python loop over cells.  The
+slab quadrature keeps its ordinates ascending, so the negative ones are a
+leading slice, and the inflow, the outflow and the balance read the split
+from it.
 
 The convergence test combines the relative change of the velocity average
 with the discrete particle-balance residual of the current sweep, so every
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs, dtrtrs
@@ -152,92 +154,51 @@ class SweepPlan:
     """The part of a sweep that does not change between iterates.
 
     Built once per solve from the total removal sigma_t (shape (n_cells,),
-    non-negative), the grid, the ordinates (none zero) and the scheme, which
-    are all checked here.  Per cell, a direction's march reads
-    (a + s_out) e_out - (a - s_in) e_in = emission with a = |mu|/h, so
-    ordinate j's march is a bidiagonal system in its n_cells outgoing edges:
-    diagonal a_j + s_out, and -(a_j - s_in) coupling each cell to the edge it
-    enters through.  That edge is the previous unknown (lower-bidiagonal)
-    marching forward from x = 0, the next one (upper) marching back from
-    x = L.  Per direction (positive, then negative ordinates) the plan holds
-    its ordinates (a slice when they are contiguous, as in a Gauss rule,
-    else an index array), their systems stacked block-diagonally in the
-    (2, ordinates * n_cells) Fortran-order band storage dtbtrs reads, and the
-    coefficients a_j - s_in that carry the inflow into the first cell.  The
-    diagonal is positive, so no pivoting is needed.
+    non-negative), the grid, the slab quadrature and the scheme; sigma_t and
+    the scheme are checked here, the ordinates by the quadrature.  Per cell,
+    an ordinate's march reads
+    (a + s_out) e_out - (a - s_in) e_in = emission with a = |mu|/h, and
+    each step's incoming edge is the previous step's outgoing one.  Taken
+    in march order (cells from x = 0 for mu > 0, from x = L for mu < 0),
+    ordinate j's march is therefore a lower-bidiagonal system in its
+    n_cells outgoing edges: diagonal a_j + s_out, and -(a_j - s_in)
+    coupling each step to the one before.  The plan stacks every
+    ordinate's system block-diagonally, in the quadrature's order, in the
+    (2, ordinates * n_cells) Fortran-order band storage dtbtrs reads, and
+    keeps the coefficients a_j - s_in that carry each ordinate's inflow
+    into the first cell it enters.  The diagonal is positive, so no
+    pivoting is needed.
     """
 
     def __init__(self, sigma_t, grid, quad, scheme="diamond"):
-        mu = quad.nodes
         n = grid.n_cells
         sigma_t = np.asarray(sigma_t, dtype=float)
         if sigma_t.shape != (n,):
             raise ValidationError(f"sigma_t has shape {sigma_t.shape}, expected {(n,)}")
         if not np.all(sigma_t >= 0.0):
             raise ValidationError("sigma_t must be non-negative")
-        if np.any(mu == 0.0):
-            raise ValidationError("quadrature contains a zero ordinate")
         if scheme not in ("diamond", "upwind"):
             raise ValidationError(f"unknown scheme {scheme!r}")
         self.n_cells = n
+        self.n_negative = k = quad.n_negative
         self.diamond = scheme == "diamond"
-        self.pos = mu > 0.0
         if self.diamond:
             s_out = s_in = 0.5 * sigma_t
         else:
             s_out, s_in = sigma_t, np.zeros(n)
-        self.directions = tuple(
-            _Direction(sel, forward,
-                       *_band(np.abs(mu[sel]) / grid.h, s_out, s_in, forward))
-            for sel, forward in ((_ordinates(self.pos), True),
-                                 (_ordinates(~self.pos), False))
-        )
-
-
-def _ordinates(mask):
-    """The ordinates in mask: a slice when they are contiguous, else their
-    indices."""
-    index = np.flatnonzero(mask)
-    if index.size and index[-1] - index[0] + 1 == index.size:
-        return slice(int(index[0]), int(index[-1]) + 1)
-    return index
-
-
-class _Direction(NamedTuple):
-    """One direction of a SweepPlan: its ordinates (a slice or indices),
-    whether it marches forward from x = 0, its band storage (None without
-    ordinates) and its inflow coefficients a - s_in of the cell it enters
-    first."""
-
-    sel: slice | np.ndarray
-    forward: bool
-    band: np.ndarray | None
-    inflow: np.ndarray
-
-
-def _band(a, s_out, s_in, forward):
-    """Band storage of one direction's stacked march and its inflow
-    coefficients."""
-    inflow = a - s_in[0 if forward else -1]
-    if a.size == 0:  # dtbtrs reports a spurious info on an empty system
-        return None, inflow
-    n = s_out.size
-    a = a[:, None]
-    # interleaved, so that band.reshape(-1, 2).T is the (2, N) Fortran-order
-    # band storage dtbtrs reads without a copy
-    band = np.empty((a.size, n, 2))
-    diag, coupling = band[..., 0], band[..., 1]
-    if not forward:
-        diag, coupling = coupling, diag
-    np.add(a, s_out, out=diag)
-    # band storage puts a cell's coupling in the column of its incoming edge
-    if forward:
-        np.subtract(s_in[1:], a, out=coupling[:, :-1])
-        coupling[:, -1] = 0.0
-    else:
-        np.subtract(s_in[:-1], a, out=coupling[:, 1:])
-        coupling[:, 0] = 0.0
-    return band.reshape(-1, 2).T, inflow
+        a = np.abs(quad.nodes)[:, None] / grid.h
+        # interleaved, so that band.reshape(-1, 2).T is the (2, N) Fortran-order
+        # band storage dtbtrs reads without a copy
+        band = np.empty((quad.n, n, 2))
+        self.inflow = np.empty(quad.n)
+        for rows, march in ((slice(None, k), slice(None, None, -1)),
+                            (slice(k, None), slice(None))):
+            np.add(a[rows], s_out[march], out=band[rows, :, 0])
+            # band storage puts a step's coupling in the column of the step before
+            np.subtract(s_in[march][1:], a[rows], out=band[rows, :-1, 1])
+            self.inflow[rows] = a[rows, 0] - s_in[march][0]
+        band[:, -1, 1] = 0.0
+        self.band = band.reshape(-1, 2).T
 
 
 def sweep(plan, emission, g_left, g_right):
@@ -245,49 +206,52 @@ def sweep(plan, emission, g_left, g_right):
 
     Positive ordinates march from x = 0 with inflow g_left, negative ones
     from x = L with inflow g_right.  The diamond closure takes the cell value
-    as the edge average; upwind takes the downstream edge.  The bands come
-    from the SweepPlan, built once per solve, so a sweep adds the inflow to
-    the right-hand side and makes one dtbtrs call per direction.
+    as the edge average; upwind takes the downstream edge.  The band comes
+    from the SweepPlan, built once per solve, so a sweep lays the emission
+    out in march order, adds the inflow and makes one dtbtrs call.
 
     Parameters
     ----------
     plan : SweepPlan of sigma_t (the total removal gamma_eps + sigma_eps),
         the grid, the ordinates and the scheme
-    emission : (n_cells, n_ordinates) emission sigma_eps K u + f_eps
+    emission : (n_cells, n_ordinates) emission sigma_eps K u + f_eps; it is
+        not written
     g_left : scalar or array over the positive ordinates
     g_right : scalar or array over the negative ordinates
 
     Returns (cells, edges).
     """
-    n = plan.n_cells
-    pos = plan.pos
+    n, k = plan.n_cells, plan.n_negative
+    m = plan.inflow.size
     emission = np.asarray(emission, dtype=float)
-    if emission.shape != (n, pos.size):
+    if emission.shape != (n, m):
         raise ValidationError(
-            f"emission has shape {emission.shape}, expected {(n, pos.size)}")
-    edges = np.empty((n + 1, pos.size))
-    for d, g, name in zip(plan.directions, (g_left, g_right), ("g_left", "g_right")):
+            f"emission has shape {emission.shape}, expected {(n, m)}")
+    incoming = np.empty(m)
+    for rows, g, name in ((slice(k, None), g_left, "g_left"),
+                          (slice(None, k), g_right, "g_right")):
         g = np.asarray(g, dtype=float)
-        if g.shape not in ((), d.inflow.shape):
+        if g.shape not in ((), incoming[rows].shape):
             raise ValidationError(
-                f"{name} has shape {g.shape}, expected () or {d.inflow.shape}")
-        edges[0 if d.forward else n, d.sel] = g
-        if d.band is None:
-            continue
-        # a copy: with a slice, emission.T[sel] is a view of the caller's
-        # emission, which the inflow must not be added to
-        rhs = emission.T[d.sel].copy()
-        rhs[:, 0 if d.forward else -1] += d.inflow * g
-        out, info = dtbtrs(d.band, rhs.reshape(-1, 1), uplo="L" if d.forward else "U",
-                           overwrite_b=1)
-        if info != 0:
-            raise ValidationError(f"transport sweep system is singular (dtbtrs info {info})")
-        outgoing = edges[1:] if d.forward else edges[:-1]
-        outgoing[:, d.sel] = out.reshape(-1, n).T
+                f"{name} has shape {g.shape}, expected () or {incoming[rows].shape}")
+        incoming[rows] = g
+    rhs = np.empty((m, n))
+    rhs[:k] = emission[::-1, :k].T
+    rhs[k:] = emission[:, k:].T
+    rhs[:, 0] += plan.inflow * incoming
+    out, info = dtbtrs(plan.band, rhs.reshape(-1, 1), uplo="L", overwrite_b=1)
+    if info != 0:
+        raise ValidationError(f"transport sweep system is singular (dtbtrs info {info})")
+    out = out.reshape(m, n)
+    edges = np.empty((n + 1, m))
+    edges[n, :k] = incoming[:k]
+    edges[:-1, :k] = out[:k, ::-1].T
+    edges[0, k:] = incoming[k:]
+    edges[1:, k:] = out[k:].T
     if plan.diamond:
         cells = 0.5 * (edges[:-1] + edges[1:])
     else:
-        cells = np.where(pos, edges[1:], edges[:-1])
+        cells = np.concatenate([edges[:-1, :k], edges[1:, k:]], axis=1)
     return cells, edges
 
 
@@ -297,14 +261,12 @@ def particle_balance(cells, edges, gamma_e, f_e, gl, gr, grid, quad):
     The identity holds for a converged solve because the row-normalized,
     weighted-self-adjoint scattering operator is conservative.
     """
-    mu = quad.nodes
     w = quad.weights
     h = grid.h
-    pos = mu > 0.0
-    neg = ~pos
-    out = float(np.sum(w[pos] * mu[pos] * edges[-1, pos])
-                + np.sum(w[neg] * (-mu[neg]) * edges[0, neg]))
-    inflow = float(np.sum(w[pos] * mu[pos] * gl) + np.sum(w[neg] * (-mu[neg]) * gr))
+    k = quad.n_negative
+    m = quad.boundary_measure
+    out = float(np.sum(m[k:] * edges[-1, k:]) + np.sum(m[:k] * edges[0, :k]))
+    inflow = float(np.sum(m[k:] * gl) + np.sum(m[:k] * gr))
     absorption = float(np.sum(h * gamma_e * (cells @ w)))
     source = float(np.sum(h * (f_e @ w)))
     scale = max(abs(out), abs(inflow), abs(absorption), abs(source), 1e-300)
@@ -590,7 +552,8 @@ def directional_derivative(solution):
 class OutflowTrace:
     """Boundary values on the outflow set with their |mu|-weighted measure.
 
-    Collects x = 0 for mu < 0 and x = L for mu > 0.
+    Collects x = 0 for mu < 0 and x = L for mu > 0, in the quadrature's
+    order; mu and weight are the quadrature's own arrays.
     """
 
     mu: np.ndarray
@@ -605,12 +568,10 @@ class OutflowTrace:
 
 
 def outflow_trace(solution):
-    mu = solution.quad.nodes
-    w = solution.quad.weights
-    pos = mu > 0.0
-    neg = ~pos
+    quad = solution.quad
+    k = quad.n_negative
     return OutflowTrace(
-        mu=np.concatenate([mu[neg], mu[pos]]),
-        weight=np.concatenate([w[neg], w[pos]]),
-        value=np.concatenate([solution.edges[0, neg], solution.edges[-1, pos]]),
+        mu=quad.nodes,
+        weight=quad.weights,
+        value=np.concatenate([solution.edges[0, :k], solution.edges[-1, k:]]),
     )

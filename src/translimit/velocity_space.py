@@ -82,18 +82,48 @@ class SphereQuadrature:
 
 @dataclass(frozen=True)
 class AngularQuadrature:
-    """Gauss rule on mu in (-1, 1) with weights summing to one (measure dmu/2)."""
+    """Gauss rule on mu in (-1, 1) with weights summing to one (measure dmu/2).
+
+    nodes : (n,) ascending ordinates, none zero or nan, so the first
+        n_negative of them enter the slab at x = L and the rest at x = 0
+    weights : (n,) one weight per node
+
+    Raises ValidationError for any other nodes or weights.  The transport
+    sweep, the inflow and the outflow trace take the direction split from
+    n_negative and the face measure from boundary_measure.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _readonly(self.nodes))
-        object.__setattr__(self, "weights", _readonly(self.weights))
+        nodes = _readonly(self.nodes)
+        weights = _readonly(self.weights)
+        if nodes.ndim != 1 or weights.shape != nodes.shape:
+            raise ValidationError(
+                f"nodes {nodes.shape} and weights {weights.shape} must be "
+                "1-D of one size")
+        # nan fails both comparisons
+        if not np.all(np.abs(nodes) > 0.0):
+            raise ValidationError("quadrature contains a zero or nan ordinate")
+        if not np.all(np.diff(nodes) >= 0.0):
+            raise ValidationError("quadrature nodes must be ascending")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n(self):
         return self.weights.size
+
+    @functools.cached_property
+    def n_negative(self):
+        """Number of ordinates mu < 0, which come first."""
+        return int(np.searchsorted(self.nodes, 0.0))
+
+    @functools.cached_property
+    def boundary_measure(self):
+        """Read-only (n,) weights * |nodes|, the measure of a face trace."""
+        return _readonly(self.weights * np.abs(self.nodes))
 
     @property
     def coords(self):
@@ -129,6 +159,7 @@ def build_angular_quadrature(n):
     """Gauss-Legendre rule on (-1, 1), weights rescaled to the measure dmu/2.
 
     n must be even so that the node set is symmetric and excludes mu = 0.
+    The nodes are ascending, as AngularQuadrature requires.
     """
     n = int(n)
     if n < 2 or n % 2 != 0:

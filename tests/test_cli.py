@@ -482,6 +482,16 @@ meshes = {meshes}
         assert "--eps" in capsys.readouterr().err
         assert not any(out.glob("*"))
 
+    @pytest.mark.parametrize("eps", ["0.1", "-3", "nan"])
+    def test_diffusion_rejects_eps_other_than_one(self, tmp_path, capsys, eps):
+        # the diffusion solve used to ignore --eps and exit 0
+        out = tmp_path / "out"
+        rc = main(["solve", "--config", str(CONFIGS / "cosh_benchmark.ini"),
+                   "--mode", "diffusion", "--eps", eps, "--out", str(out)])
+        assert rc == 2
+        assert "--eps" in capsys.readouterr().err
+        assert not any(out.glob("*"))
+
     def test_missing_config_exits_two(self, tmp_path):
         rc = main(["solve", "--config", str(tmp_path / "nope.ini"),
                    "--mode", "transport", "--out", str(tmp_path)])

@@ -34,6 +34,19 @@ class TestGrid:
         with pytest.raises(ValidationError):
             Grid1D(1.0, 0)
 
+    @pytest.mark.parametrize("n_cells", [64.9, 0.5, np.float64(2.5), np.nan, np.inf,
+                                         np.float64(np.inf)])
+    def test_non_integral_n_cells_rejected(self, n_cells):
+        # int() used to truncate: Grid1D(1.0, 64.9) had 64 cells
+        with pytest.raises(ValidationError, match="integer"):
+            Grid1D(1.0, n_cells)
+
+    @pytest.mark.parametrize("n_cells", [64, np.int64(64), np.int32(64), 64.0,
+                                         np.float64(64.0)])
+    def test_integral_n_cells_accepted(self, n_cells):
+        grid = Grid1D(1.0, n_cells)
+        assert grid.n_cells == 64 and type(grid.n_cells) is int
+
     @pytest.mark.parametrize("length", [np.inf, np.nan])
     def test_non_finite_length_rejected(self, length):
         with pytest.raises(ValidationError, match="finite"):

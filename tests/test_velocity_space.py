@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from translimit import (
+    AngularQuadrature,
     CertificationError,
     CoefficientField,
     Grid1D,
@@ -104,6 +105,36 @@ class TestAngularQuadrature:
     def test_invalid_sizes(self, n):
         with pytest.raises(ValidationError):
             build_angular_quadrature(n)
+
+    def test_negative_ordinates_come_first(self):
+        for n in (2, 8, 16):
+            q = build_angular_quadrature(n)
+            assert np.all(np.diff(q.nodes) > 0.0)
+            assert q.n_negative == n // 2
+            assert np.all(q.nodes[:q.n_negative] < 0.0)
+            assert np.all(q.nodes[q.n_negative:] > 0.0)
+
+    @pytest.mark.parametrize("nodes, n_negative", [
+        ([0.5, 1.0], 0), ([-1.0, -0.5], 2), ([-0.5, -0.5, 0.25], 2)])
+    def test_split_and_boundary_measure(self, nodes, n_negative):
+        weights = np.full(len(nodes), 1.0 / len(nodes))
+        q = AngularQuadrature(nodes, weights)
+        assert q.n_negative == n_negative
+        np.testing.assert_array_equal(q.boundary_measure,
+                                      weights * np.abs(nodes))
+        assert not q.boundary_measure.flags.writeable
+
+    @pytest.mark.parametrize("nodes, weights, match", [
+        ([0.5, -0.5], [0.5, 0.5], "ascending"),
+        ([-0.5, 0.0, 0.5], [0.25, 0.5, 0.25], "zero"),
+        ([-0.5, np.nan, 0.5], [0.25, 0.5, 0.25], "nan"),
+        ([np.nan], [1.0], "nan"),
+        ([-0.5, 0.5], [0.5, 0.5, 0.1], "weights"),
+        ([[-0.5, 0.5]], [[0.5, 0.5]], "1-D"),
+    ], ids=["descending", "zero", "nan", "single-nan", "weights-length", "2d"])
+    def test_rejects_malformed_rules(self, nodes, weights, match):
+        with pytest.raises(ValidationError, match=match):
+            AngularQuadrature(nodes, weights)
 
 
 class TestAssembleScattering:
