@@ -19,8 +19,12 @@ system in that ordinate's edge values.  Taken in the order the ordinate
 crosses the cells (from x = 0 for mu > 0, from x = L for mu < 0) it is
 lower-bidiagonal, so all ordinates stack into one block-diagonal lower band.
 That band depends on sigma_t, the ordinates, the mesh and the scheme, not on
-the iterate, so a SweepPlan builds it once per solve; a sweep is then one
-LAPACK triangular banded solve (dtbtrs) and no Python loop over cells.  The
+the iterate, so a SweepPlan builds it once per solve and scales it there to
+a unit diagonal, keeping the reciprocals of the diagonal in the band's
+diagonal row, which a unit-diagonal solve never reads.  A sweep then
+copies the emission into march order, multiplies it by the reciprocals and
+makes one LAPACK triangular banded solve (dtbtrs with diag="U"), which
+never divides; there is no Python loop over cells.  The
 slab quadrature keeps its ordinates ascending, so the negative ones are a
 leading slice, and the inflow, the outflow and the balance read the split
 from it.
@@ -67,7 +71,8 @@ class SolverOptions:
         iterates of the finishing loop; with "dsa" the Krylov stage runs to
         a relative residual of 0.1 * tolerance first.  Below about 1e-13 it
         can use up max_iterations: the change stalls at a roundoff floor
-        (3-4e-14 on the 512-cell 1|4 slab with the linear kernel)
+        (median 5-7e-14, quartiles 2e-14 to 1e-13, on the 512-cell 1|4 slab
+        with the linear kernel, where tolerance 1e-14 takes 53-329 sweeps)
     max_iterations : budget of transport sweeps, Krylov sweeps included
     acceleration : "dsa" (GMRES on the DSA-preconditioned step) or "none"
         (plain source iteration, the unaccelerated control)
@@ -161,13 +166,20 @@ class SweepPlan:
     each step's incoming edge is the previous step's outgoing one.  Taken
     in march order (cells from x = 0 for mu > 0, from x = L for mu < 0),
     ordinate j's march is therefore a lower-bidiagonal system in its
-    n_cells outgoing edges: diagonal a_j + s_out, and -(a_j - s_in)
-    coupling each step to the one before.  The plan stacks every
-    ordinate's system block-diagonally, in the quadrature's order, in the
-    (2, ordinates * n_cells) Fortran-order band storage dtbtrs reads, and
-    keeps the coefficients a_j - s_in that carry each ordinate's inflow
-    into the first cell it enters.  The diagonal is positive, so no
-    pivoting is needed.
+    n_cells outgoing edges.  The plan divides each row by its diagonal
+    a_j + s_out once, so the system has a unit diagonal and the coupling
+    -(a_j - s_in)/(a_j + s_out) of each step to the one before; a sweep
+    then multiplies its right-hand side by the reciprocals 1/(a_j + s_out)
+    and never divides.  The plan stacks every ordinate's system
+    block-diagonally, in the quadrature's order, in the
+    (2, ordinates * n_cells) Fortran-order band storage dtbtrs reads.  The
+    diagonal row, which dtbtrs(diag="U") does not read, holds the
+    reciprocals in march order (plan.reciprocal).  The plan also keeps the
+    scaled coefficients (a_j - s_in)/(a_j + s_out) that carry each
+    ordinate's inflow into the first cell it enters.  A unit-diagonal
+    solve needs no pivoting and cannot report a zero pivot, so the plan
+    raises ValidationError unless every reciprocal is positive and finite
+    (an infinite sigma_t fails here).
     """
 
     def __init__(self, sigma_t, grid, quad, scheme="diamond"):
@@ -190,13 +202,23 @@ class SweepPlan:
         # interleaved, so that band.reshape(-1, 2).T is the (2, N) Fortran-order
         # band storage dtbtrs reads without a copy
         band = np.empty((quad.n, n, 2))
+        self.reciprocal = band[:, :, 0]
         self.inflow = np.empty(quad.n)
-        for rows, march in ((slice(None, k), slice(None, None, -1)),
-                            (slice(k, None), slice(None))):
-            np.add(a[rows], s_out[march], out=band[rows, :, 0])
-            # band storage puts a step's coupling in the column of the step before
-            np.subtract(s_in[march][1:], a[rows], out=band[rows, :-1, 1])
-            self.inflow[rows] = a[rows, 0] - s_in[march][0]
+        # an infinite sigma_t makes inf * 0 here; the check below rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows, march in ((slice(None, k), slice(None, None, -1)),
+                                (slice(k, None), slice(None))):
+                recip = self.reciprocal[rows]
+                np.divide(1.0, a[rows] + s_out[march], out=recip)
+                # band storage puts a step's coupling in the column of the
+                # step before
+                np.multiply(s_in[march][1:] - a[rows], recip[:, 1:],
+                            out=band[rows, :-1, 1])
+                self.inflow[rows] = (a[rows, 0] - s_in[march][0]) * recip[:, 0]
+        if not np.all((self.reciprocal > 0.0) & np.isfinite(self.reciprocal)):
+            raise ValidationError(
+                "sweep reciprocals 1/(|mu|/h + s_out) must be positive and "
+                "finite; sigma_t must be finite")
         band[:, -1, 1] = 0.0
         self.band = band.reshape(-1, 2).T
 
@@ -207,8 +229,10 @@ def sweep(plan, emission, g_left, g_right):
     Positive ordinates march from x = 0 with inflow g_left, negative ones
     from x = L with inflow g_right.  The diamond closure takes the cell value
     as the edge average; upwind takes the downstream edge.  The band comes
-    from the SweepPlan, built once per solve, so a sweep lays the emission
-    out in march order, adds the inflow and makes one dtbtrs call.
+    from the SweepPlan, built once per solve and scaled there to a unit
+    diagonal, so a sweep lays the emission out in march order, scales it by
+    the plan's reciprocals, adds the scaled inflow and makes one
+    dtbtrs(diag="U") call.
 
     Parameters
     ----------
@@ -238,10 +262,14 @@ def sweep(plan, emission, g_left, g_right):
     rhs = np.empty((m, n))
     rhs[:k] = emission[::-1, :k].T
     rhs[k:] = emission[:, k:].T
+    # a separate pass: multiplying during the transposing copy measured
+    # slower on the 64-cell floor mesh
+    rhs *= plan.reciprocal
     rhs[:, 0] += plan.inflow * incoming
-    out, info = dtbtrs(plan.band, rhs.reshape(-1, 1), uplo="L", overwrite_b=1)
+    out, info = dtbtrs(plan.band, rhs.reshape(-1, 1), uplo="L", diag="U",
+                       overwrite_b=1)
     if info != 0:
-        raise ValidationError(f"transport sweep system is singular (dtbtrs info {info})")
+        raise ValidationError(f"transport sweep solve failed (dtbtrs info {info})")
     out = out.reshape(m, n)
     edges = np.empty((n + 1, m))
     edges[n, :k] = incoming[:k]

