@@ -21,13 +21,15 @@ lower-bidiagonal, so all ordinates stack into one block-diagonal lower band.
 That band depends on sigma_t, the ordinates, the mesh and the scheme, not on
 the iterate, so a SweepPlan builds it once per solve and scales it there to
 a unit diagonal, keeping the reciprocals of the diagonal in the band's
-diagonal row, which a unit-diagonal solve never reads.  A sweep then
-copies the emission into march order, multiplies it by the reciprocals and
-makes one LAPACK triangular banded solve (dtbtrs with diag="U"), which
-never divides; there is no Python loop over cells.  The
-slab quadrature keeps its ordinates ascending, so the negative ones are a
-leading slice, and the inflow, the outflow and the balance read the split
-from it.
+diagonal row, which a unit-diagonal solve never reads.  The iteration runs
+in that march order, an (ordinates, cells) array: a step forms its emission
+there with one product, a sweep multiplies it by the reciprocals and makes
+one LAPACK triangular banded solve (dtbtrs with diag="U") in place, which
+never divides, and the next moments are read from the solution with one
+product.  Cells and edges in (cells, ordinates) layout are unpacked only in
+full steps.  There is no Python loop over cells.  The slab quadrature keeps
+its ordinates ascending, so the negative ones are a leading slice, and the
+inflow, the outflow and the balance read the split from it.
 
 The convergence test combines the relative change of the velocity average
 with the discrete particle-balance residual of the current sweep, so every
@@ -37,14 +39,14 @@ even when the scattering ratio sigma_eps/eps amplifies iteration error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs, dtrtrs
+from scipy.linalg.lapack import dtbtrs
 
 from .diffusion import face_fluxes, factor_operator, interface_diffusivity, solve_cells
 from .errors import ConvergenceError, ValidationError
+from .krylov import _gmres
 from .problem import scaled_fields
 from .velocity_space import _require_slab, certify_assumptions, diffusion_moment
 
@@ -71,8 +73,9 @@ class SolverOptions:
         iterates of the finishing loop; with "dsa" the Krylov stage runs to
         a relative residual of 0.1 * tolerance first.  Below about 1e-13 it
         can use up max_iterations: the change stalls at a roundoff floor
-        (median 5-7e-14, quartiles 2e-14 to 1e-13, on the 512-cell 1|4 slab
-        with the linear kernel, where tolerance 1e-14 takes 53-329 sweeps)
+        (median 3-9e-14, quartiles 2e-14 to 1.3e-13, on the 512-cell 1|4
+        slab with the linear kernel, where tolerance 1e-14 takes 41-405
+        sweeps)
     max_iterations : budget of transport sweeps, Krylov sweeps included
     acceleration : "dsa" (GMRES on the DSA-preconditioned step) or "none"
         (plain source iteration, the unaccelerated control)
@@ -110,7 +113,9 @@ class IterationLog:
     iterations : number of transport sweeps, Krylov sweeps included; equal
         to len(residuals) unless a non-finite sweep stopped the solve
     spectral_radius_estimate : per-sweep reduction factor,
-        (last residual / first) ** (1 / (sweeps - 1)); 0 when undefined
+        (last residual / first) ** (1 / (sweeps - 1)); 0 when undefined.
+        It is taken from the last residual, which sits at the tolerance, so
+        a change of rounding moves it by percents
     balance_residual : particle-balance residual of the last full sweep
     negative_fraction : share of negative cell values in that sweep
     max_optical_thickness : largest cell optical thickness sigma_t * h at
@@ -179,7 +184,10 @@ class SweepPlan:
     ordinate's inflow into the first cell it enters.  A unit-diagonal
     solve needs no pivoting and cannot report a zero pivot, so the plan
     raises ValidationError unless every reciprocal is positive and finite
-    (an infinite sigma_t fails here).
+    (an infinite sigma_t fails here).  march() lays an (n_cells,
+    n_ordinates) field out in march order, (n_ordinates, n_cells);
+    incoming() gathers the inflow of all ordinates; unpack() turns a
+    sweep's output back into cells and edges.
     """
 
     def __init__(self, sigma_t, grid, quad, scheme="diamond"):
@@ -222,65 +230,143 @@ class SweepPlan:
         band[:, -1, 1] = 0.0
         self.band = band.reshape(-1, 2).T
 
+    def march(self, field):
+        """The field in a new array, cells reversed for mu < 0."""
+        n, k = self.n_cells, self.n_negative
+        m = self.inflow.size
+        field = np.asarray(field, dtype=float)
+        if field.shape != (n, m):
+            raise ValidationError(
+                f"field has shape {field.shape}, expected {(n, m)}")
+        out = np.empty((m, n))
+        out[:k] = field[::-1, :k].T
+        out[k:] = field[:, k:].T
+        return out
 
-def sweep(plan, emission, g_left, g_right):
-    """One transport sweep: invert mu d/dx + sigma_t per ordinate.
+    def incoming(self, g_left, g_right):
+        """The (n_ordinates,) inflow from g_left and g_right, each a scalar
+        or an array over the positive or the negative ordinates."""
+        k = self.n_negative
+        incoming = np.empty(self.inflow.size)
+        for rows, g, name in ((slice(k, None), g_left, "g_left"),
+                              (slice(None, k), g_right, "g_right")):
+            g = np.asarray(g, dtype=float)
+            if g.shape not in ((), incoming[rows].shape):
+                raise ValidationError(
+                    f"{name} has shape {g.shape}, expected () or {incoming[rows].shape}")
+            incoming[rows] = g
+        return incoming
 
-    Positive ordinates march from x = 0 with inflow g_left, negative ones
-    from x = L with inflow g_right.  The diamond closure takes the cell value
-    as the edge average; upwind takes the downstream edge.  The band comes
-    from the SweepPlan, built once per solve and scaled there to a unit
-    diagonal, so a sweep lays the emission out in march order, scales it by
-    the plan's reciprocals, adds the scaled inflow and makes one
-    dtbtrs(diag="U") call.
+    def unpack(self, swept, incoming):
+        """(n_cells, n_ordinates) cells and (n_cells + 1, n_ordinates) edges
+        of a sweep's output and its inflow.  The diamond closure takes the
+        cell value as the edge average; upwind takes the downstream edge."""
+        n, k = self.n_cells, self.n_negative
+        edges = np.empty((n + 1, swept.shape[0]))
+        edges[n, :k] = incoming[:k]
+        edges[:-1, :k] = swept[:k, ::-1].T
+        edges[0, k:] = incoming[k:]
+        edges[1:, k:] = swept[k:].T
+        if self.diamond:
+            cells = edges[:-1] + edges[1:]
+            cells *= 0.5
+        else:
+            cells = np.concatenate([edges[:-1, :k], edges[1:, k:]], axis=1)
+        return cells, edges
+
+
+def sweep(plan, emission, incoming=None):
+    """One transport sweep: invert mu d/dx + sigma_t per ordinate, in place.
+
+    Positive ordinates march from x = 0, negative ones from x = L.  The
+    sweep multiplies the emission by the plan's reciprocals, adds the scaled
+    inflow and makes one dtbtrs(diag="U") call, which overwrites it.
 
     Parameters
     ----------
     plan : SweepPlan of sigma_t (the total removal gamma_eps + sigma_eps),
         the grid, the ordinates and the scheme
-    emission : (n_cells, n_ordinates) emission sigma_eps K u + f_eps; it is
-        not written
-    g_left : scalar or array over the positive ordinates
-    g_right : scalar or array over the negative ordinates
+    emission : (n_ordinates, n_cells) C-order float array in march order
+        (plan.march), the emission sigma_eps K u + f_eps
+    incoming : (n_ordinates,) inflow (plan.incoming), or None for zero
 
-    Returns (cells, edges).
+    Returns the outgoing edges in march order, in the emission's memory;
+    plan.unpack turns them into cells and edges.
     """
-    n, k = plan.n_cells, plan.n_negative
-    m = plan.inflow.size
-    emission = np.asarray(emission, dtype=float)
-    if emission.shape != (n, m):
+    shape = (plan.inflow.size, plan.n_cells)
+    if not (isinstance(emission, np.ndarray) and emission.shape == shape
+            and emission.dtype == float and emission.flags.c_contiguous):
         raise ValidationError(
-            f"emission has shape {emission.shape}, expected {(n, m)}")
-    incoming = np.empty(m)
-    for rows, g, name in ((slice(k, None), g_left, "g_left"),
-                          (slice(None, k), g_right, "g_right")):
-        g = np.asarray(g, dtype=float)
-        if g.shape not in ((), incoming[rows].shape):
-            raise ValidationError(
-                f"{name} has shape {g.shape}, expected () or {incoming[rows].shape}")
-        incoming[rows] = g
-    rhs = np.empty((m, n))
-    rhs[:k] = emission[::-1, :k].T
-    rhs[k:] = emission[:, k:].T
-    # a separate pass: multiplying during the transposing copy measured
-    # slower on the 64-cell floor mesh
-    rhs *= plan.reciprocal
-    rhs[:, 0] += plan.inflow * incoming
-    out, info = dtbtrs(plan.band, rhs.reshape(-1, 1), uplo="L", diag="U",
+            f"emission must be a C-order float array of shape {shape}, got "
+            f"{type(emission).__name__} {np.shape(emission)}")
+    emission *= plan.reciprocal
+    if incoming is not None:
+        emission[:, 0] += plan.inflow * incoming
+    out, info = dtbtrs(plan.band, emission.reshape(-1, 1), uplo="L", diag="U",
                        overwrite_b=1)
     if info != 0:
         raise ValidationError(f"transport sweep solve failed (dtbtrs info {info})")
-    out = out.reshape(m, n)
-    edges = np.empty((n + 1, m))
-    edges[n, :k] = incoming[:k]
-    edges[:-1, :k] = out[:k, ::-1].T
-    edges[0, k:] = incoming[k:]
-    edges[1:, k:] = out[k:].T
-    if plan.diamond:
-        cells = 0.5 * (edges[:-1] + edges[1:])
-    else:
-        cells = np.concatenate([edges[:-1, :k], edges[1:, k:]], axis=1)
-    return cells, edges
+    return out.reshape(shape)
+
+
+class _MarchMoments:
+    """A solve's maps between (r, n_cells) moments and march order.
+
+    emission() scatters sigma * moments into march order with one product
+    of the block map spread (n_ordinates, 2r): the negative ordinates see
+    the moments with the cells reversed.  read() takes a sweep's output
+    back to cell moments with one product of gather (4 * 2r, n_ordinates),
+    the two directions apart, in four partial sums (lanes) over the
+    ordinates j with j % 4 = 0, 1, 2, 3, as a blocked dot product sums.
+    Upwind cells are their outgoing edges.  A diamond cell adds, lane by
+    lane, the moments of its two edges (gather holds the factor 1/2), the
+    inflow's at the first cell; the lanes are then summed in pairs.  So a
+    cell's last roundings are its own.  Averaging edge moments summed over
+    all ordinates would share each edge's rounding between two neighbouring
+    cells, a smooth error that the synthetic diffusion amplifies: it raised
+    the finishing loop's roundoff floor by a third.
+    """
+
+    def __init__(self, op, plan, incoming):
+        k, r, n, m = plan.n_negative, op.rank, plan.n_cells, op.n
+        self.r, self.diamond = r, plan.diamond
+        self.spread = np.zeros((m, 2 * r))
+        self.spread[:k, :r] = op.scatter[:, :k].T
+        self.spread[k:, r:] = op.scatter[:, k:].T
+        to_moments = 0.5 * op.to_moments if plan.diamond else op.to_moments
+        in_lane = np.arange(m) % 4 == np.arange(4)[:, None, None]
+        gather = np.zeros((4, 2 * r, m))
+        for rows, cols in ((slice(None, r), slice(None, k)),
+                           (slice(r, None), slice(k, None))):
+            gather[:, rows, cols] = np.where(in_lane[..., cols], to_moments[cols].T, 0.0)
+        self.gather = gather.reshape(-1, m)
+        self.inflow = np.dot(self.gather, incoming)
+        self.weighted = np.empty((2 * r, n))
+        self.lanes = np.empty((4 * 2 * r, n))
+        self.sums = np.empty_like(self.lanes)
+
+    def emission(self, moments, sigma, out):
+        r, weighted = self.r, self.weighted
+        np.multiply(moments, sigma, out=weighted[r:])
+        weighted[:r] = weighted[r:, ::-1]
+        return np.dot(self.spread, weighted, out=out)
+
+    def read(self, swept, full):
+        """The cell moments of a sweep's output; full: it had the inflow."""
+        lanes = np.dot(self.gather, swept, out=self.lanes)
+        if self.diamond:
+            # one flat pass; each row's first entry, which read the row
+            # before, is set after it
+            flat = lanes.reshape(-1)
+            np.add(flat[1:], flat[:-1], out=self.sums.reshape(-1)[1:])
+            np.add(lanes[:, 0], self.inflow if full else 0.0, out=self.sums[:, 0])
+            lanes = self.sums
+        # lanes 0 + 2 and 1 + 3, then those two
+        quarters = lanes.reshape(2, 2, -1, lanes.shape[1])
+        halves = quarters[0] + quarters[1]
+        both = halves[0] + halves[1]
+        r = self.r
+        return both[r:] + both[:r, ::-1]
 
 
 def particle_balance(cells, edges, gamma_e, f_e, gl, gr, grid, quad):
@@ -317,83 +403,6 @@ def _reduction_per_sweep(history):
     return float(ratio ** (1.0 / (len(history) - 1)))
 
 
-def _gmres(matvec, b, rtol, max_steps, residuals):
-    """Unrestarted GMRES from zero for matvec(x) = b; returns the iterate.
-
-    Arnoldi with modified Gram-Schmidt builds an orthonormal Krylov basis;
-    Givens rotations keep the Hessenberg matrix triangular, so the relative
-    residual |b - matvec(x_k)| / |b| of step k's minimizer is known without
-    forming x_k.  That residual is appended to residuals after each step,
-    one entry per matvec.
-    The basis (flat vectors) and the triangular columns (Python floats) grow
-    with the steps taken.  The iteration stops once the residual is <= rtol
-    or not finite, after max_steps steps, or on a breakdown, where the
-    Krylov space is invariant and the iterate exact.  b is any array;
-    matvec maps that shape to it.
-    """
-    # solve for b / max|b|, whose norm neither underflows nor overflows
-    scale = float(np.max(np.abs(b), initial=0.0))
-    if not (scale > 0.0 and np.isfinite(scale)) or max_steps < 1:
-        return np.zeros_like(b)
-    flat = b.reshape(-1) / scale
-    beta = math.sqrt(flat.dot(flat))
-    basis = [b.reshape(-1) / (scale * beta)]
-    columns = []
-    rotations = []
-    g = [beta]
-    for k in range(max_steps):
-        v = matvec(basis[k].reshape(b.shape)).reshape(-1)
-        col = []
-        for q in basis:
-            coef = float(q.dot(v))
-            v -= coef * q
-            col.append(coef)
-        h_next = math.sqrt(v.dot(v))
-        col.append(h_next)
-        for i, (c, s) in enumerate(rotations):
-            col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
-                                  c * col[i + 1] - s * col[i])
-        rho = float(np.hypot(col[k], col[k + 1]))
-        if not (rho > 0.0 and np.isfinite(rho)):
-            # matvec singular on the Krylov space, or not finite: no progress
-            residuals.append(abs(g[k]) / beta)
-            break
-        c, s = col[k] / rho, col[k + 1] / rho
-        rotations.append((c, s))
-        col[k] = rho
-        columns.append(col[:k + 1])
-        g.append(-s * g[k])
-        g[k] *= c
-        residuals.append(abs(g[k + 1]) / beta)
-        if not residuals[-1] > rtol or h_next == 0.0:
-            break
-        basis.append(v / h_next)
-    steps = len(columns)
-    if steps == 0:
-        return np.zeros_like(b)
-    r = np.zeros((steps, steps))
-    for j, col in enumerate(columns):
-        r[:j + 1, j] = col
-    y = _solve_upper(r, np.array(g[:steps]))
-    x = y[0] * basis[0]
-    for coef, q in zip(y[1:], basis[1:steps]):
-        x += coef * q
-    return (scale * x).reshape(b.shape)
-
-
-def _solve_upper(r, rhs):
-    """Solve r y = rhs for a C-order upper-triangular r.
-
-    One dtrtrs on r.T, the Fortran-order lower triangle, with trans set:
-    the LAPACK call scipy.linalg.solve_triangular(r, rhs) makes, so y has
-    the same bits, without that function's checks and dispatch.
-    """
-    y, info = dtrtrs(r.T, rhs, lower=1, trans=1)
-    if info != 0:
-        raise ValidationError(f"GMRES triangular solve failed (dtrtrs info {info})")
-    return y
-
-
 def solve_transport(problem, eps, op, options=None, source_override=None):
     """Discrete-ordinates solve, Krylov-accelerated with synthetic diffusion.
 
@@ -408,9 +417,9 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
 
     The operator K = D^-1 Phi C Phi^T W sees a flux u only through its r
     kernel moments Phi^T W u per cell, so the iteration runs on those
-    (n_cells, r) moments M.  One step maps M to the next moments: emission
-    sigma_e (M C Phi^T / D) + f, one sweep, then (with acceleration "dsa")
-    the diffusion correction of the sweep average against ubar(M) = M z,
+    (r, n_cells) moments M.  One step maps M to the next moments: emission
+    sigma_e (C Phi^T / D)^T M + f, one sweep, then (with acceleration "dsa")
+    the diffusion correction of the sweep average against ubar(M) = z M,
     Phi z = 1 (K 1 = 1 puts the constants in the range of Phi).  The
     correction delta adds delta times the moments of the constant 1 and,
     for an operator of rank r > 1 under the diamond scheme, the P1 angular
@@ -467,11 +476,17 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
                 f"expected {(grid.n_cells, quad.n)}"
             )
     else:
-        f_e = np.repeat(fields["source"][:, None], quad.n, axis=1)
+        f_e = np.broadcast_to(fields["source"][:, None], (grid.n_cells, quad.n))
 
     phi = op.features
     mean_moments = w @ phi  # the moments of the constant 1
-    z = op.mean_weights  # M @ z = u @ w
+    z = op.mean_weights  # z @ M = u @ w
+
+    source = plan.march(f_e)
+    incoming = plan.incoming(gl, gr)
+    maps = _MarchMoments(op, plan, incoming)
+    # every sweep's right-hand side, overwritten by its solution
+    emission = np.empty((quad.n, grid.n_cells))
 
     dsa_factor = current_moments = None
     if options.acceleration == "dsa":
@@ -504,42 +519,47 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
                 f"{iterations} sweeps", log=log(),
             )
 
-    def step(moments, source, g_left, g_right):
-        """One sweep from the moments and its correction: the next moments,
-        the sweep's cells and edges, and the accelerated average."""
+    def step(moments, full):
+        """One sweep from the (r, n_cells) moments and its correction: the
+        next moments, the sweep's march-order output and the accelerated
+        average.  A full step has the source and the inflow; a Krylov step
+        has neither."""
         nonlocal iterations
-        # np.dot, not @: matmul takes a slow path for the rank-1 product
-        emission = np.dot(sigma_e[:, None] * moments, op.scatter) + source
-        swept, swept_edges = sweep(plan, emission, g_left, g_right)
+        maps.emission(moments, sigma_e, emission)
+        if full:
+            np.add(emission, source, out=emission)
+        swept = sweep(plan, emission, incoming if full else None)
         iterations += 1
-        next_moments = np.dot(swept, op.to_moments)
-        sbar = np.dot(next_moments, z)
+        next_moments = maps.read(swept, full)
+        sbar = np.dot(z, next_moments)
         require_finite(sbar, "sweep average")
         if dsa_factor is None:
-            return next_moments, swept, swept_edges, sbar
-        delta = solve_cells(dsa_factor, sigma_e * (sbar - np.dot(moments, z)))
+            return next_moments, swept, sbar
+        delta = solve_cells(dsa_factor, sigma_e * (sbar - np.dot(z, moments)))
         ubar = sbar + delta
         require_finite(ubar, "accelerated average")
-        next_moments += delta[:, None] * mean_moments
+        next_moments += mean_moments[:, None] * delta
         if current_moments is not None:
             flux = face_fluxes(delta, dsa_a, dsa_ah, grid.h)
-            next_moments += (0.5 * (flux[:-1] + flux[1:]))[:, None] * current_moments
-        return next_moments, swept, swept_edges, ubar
+            next_moments += current_moments[:, None] * (0.5 * (flux[:-1] + flux[1:]))
+        return next_moments, swept, ubar
 
     # a diverging iterate overflows before require_finite reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        moments = np.zeros((grid.n_cells, op.rank))
+        moments = np.zeros((op.rank, grid.n_cells))
         # one sweep for b and at least one left for the finishing loop
         krylov_steps = options.max_iterations - 2
         if dsa_factor is not None and krylov_steps >= 1:
-            b, cells, edges, _ = step(moments, f_e, gl, gr)
+            b, swept, _ = step(moments, True)
+            cells, edges = plan.unpack(swept, incoming)
             history.append(1.0 if np.any(b) else 0.0)
-            moments = _gmres(lambda v: v - step(v, 0.0, 0.0, 0.0)[0], b,
+            moments = _gmres(lambda v: v - step(v, False)[0], b,
                              0.1 * options.tolerance, krylov_steps, history)
         smallest_change = np.inf
         while iterations < options.max_iterations:
-            ubar_curr = np.dot(moments, z)
-            moments, cells, edges, ubar_next = step(moments, f_e, gl, gr)
+            ubar_curr = np.dot(z, moments)
+            moments, swept, ubar_next = step(moments, True)
+            cells, edges = plan.unpack(swept, incoming)
             change = float(
                 np.linalg.norm(ubar_next - ubar_curr)
                 / max(np.linalg.norm(ubar_next), 1e-300)

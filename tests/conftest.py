@@ -140,7 +140,7 @@ def cell_equation_residual(solution, problem, eps, kernel):
 
 
 def poison_sweep(monkeypatch, bad_call):
-    """Make the transport sweep return NaN cell values on its bad_call-th call,
+    """Make the transport sweep return NaN edge values on its bad_call-th call,
     so a solve meets a non-finite iterate whatever its input; returns the
     list that records the calls."""
     import translimit.transport as transport
@@ -150,10 +150,10 @@ def poison_sweep(monkeypatch, bad_call):
 
     def poisoned(*args, **kwargs):
         calls.append(1)
-        cells, edges = original(*args, **kwargs)
+        swept = original(*args, **kwargs)
         if len(calls) == bad_call:
-            cells = np.full_like(cells, np.nan)
-        return cells, edges
+            swept[...] = np.nan
+        return swept
 
     monkeypatch.setattr(transport, "sweep", poisoned)
     return calls

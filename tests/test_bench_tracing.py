@@ -57,18 +57,22 @@ def test_wrapped_name_resolves(module, attribute, span):
 def test_sweep_called_once_per_iteration_with_emission_second(monkeypatch, quad8, iso8):
     # transport.sweep.calls and .cell_updates assume that solve_transport
     # calls transport.sweep through the module once per iteration, with the
-    # (n_cells, n_ordinates) emission as its second positional argument
+    # (n_ordinates, n_cells) march-order emission as its second positional
+    # argument
     original = translimit.transport.sweep
     shapes = []
+    updates = []
 
     def counting(*args, **kwargs):
         shapes.append(np.shape(args[1]))
+        updates.append(tracing._cell_updates(args, kwargs))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(translimit.transport, "sweep", counting)
     sol = translimit.solve_transport(make_problem(n_cells=12), 0.5, iso8)
     assert len(shapes) == sol.log.iterations > 1
-    assert set(shapes) == {(12, quad8.n)}
+    assert set(shapes) == {(quad8.n, 12)}
+    assert updates == [12 * quad8.n] * len(shapes)
 
 
 def test_every_wrapped_name_is_called(monkeypatch, tmp_path):
