@@ -73,9 +73,10 @@ class SolverOptions:
         iterates of the finishing loop; with "dsa" the Krylov stage runs to
         a relative residual of 0.1 * tolerance first.  Below about 1e-13 it
         can use up max_iterations: the change stalls at a roundoff floor
-        (median 3-9e-14, quartiles 2e-14 to 1.3e-13, on the 512-cell 1|4
-        slab with the linear kernel, where tolerance 1e-14 takes 41-405
-        sweeps)
+        (on the 512-cell 1|4 slab with 16 ordinates and the linear kernel,
+        finishing changes have medians 3.7-8.5e-14, quartiles 1.6e-14 to
+        1.4e-13, and tolerance 1e-14 takes 45, 704 and 22 sweeps for
+        g = 0.25, 0.5 and 0.75)
     max_iterations : budget of transport sweeps, Krylov sweeps included
     acceleration : "dsa" (GMRES on the DSA-preconditioned step) or "none"
         (plain source iteration, the unaccelerated control)
@@ -418,18 +419,33 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
     The operator K = D^-1 Phi C Phi^T W sees a flux u only through its r
     kernel moments Phi^T W u per cell, so the iteration runs on those
     (r, n_cells) moments M.  One step maps M to the next moments: emission
-    sigma_e (C Phi^T / D)^T M + f, one sweep, then (with acceleration "dsa")
-    the diffusion correction of the sweep average against ubar(M) = z M,
-    Phi z = 1 (K 1 = 1 puts the constants in the range of Phi).  The
-    correction delta adds delta times the moments of the constant 1 and,
-    for an operator of rank r > 1 under the diamond scheme, the P1 angular
-    term 3 mu dJ, where dJ is the cell mean of the face fluxes -a delta' of
-    the same finite-volume operator the DSA solves (diffusion.face_fluxes).
-    A linear kernel scatters the current, whose error the scalar correction
-    alone leaves to the sweeps: on the 1|4 slab with g = 0.5 a solve takes
-    17-20 sweeps instead of 20-32.  At the fixed point delta = 0, so dJ = 0
-    and the solution is unchanged.  A rank-1 operator is the isotropic
-    average, which scatters no current, so it skips the work.  Upwind skips
+    sigma_e (C Phi^T / D)^T M + f, one sweep to the moments M', then (with
+    acceleration "dsa") a diffusion correction delta of the sweep average
+    z M', Phi z = 1 (K 1 = 1 puts the constants in the range of Phi).  Its
+    right-hand side is the scattering residual sigma_e z dM of the change
+    dM = M' - M, and delta adds delta times the moments of the constant 1.
+    For an operator of rank r > 1 under the diamond scheme the step is P1
+    synthetic acceleration: it also adds the angular term 3 mu dJ of a
+    current correction dJ.  The sweep leaves the residual R1 = sigma_e c1 dM,
+    c1 = scatter @ (w mu), in the current's equation too, so the error's P1
+    equations read
+        dJ' + gamma_e delta = sigma_e z dM,
+        delta' / 3 + (sigma_e / (3 m_K)) dJ = R1,
+    with m_K = diffusion_moment(op)[0, 0].  The second gives
+    dJ = -a delta' + q, with the DSA's diffusivity a = m_K / sigma_e and
+    q = 3 m_K c1 dM.  So the DSA solves
+    -(a delta')' + gamma_e delta = sigma_e z dM - q' in the finite-volume
+    form of diffusion.face_fluxes, with q at a face the mean of its two cells
+    and at x = 0 and x = L the boundary cell's value (the half-cell closure
+    of the diffusion operator), and dJ is the cell mean of the face fluxes
+    -a delta' plus the face values of q.  One (2, r) product gives z dM and
+    q.  Without q the current's error falls only by about g per sweep: on
+    the 128-cell 1|4 slab at eps 2^-5 with 16 ordinates a solve takes 16,
+    15, 14 and 14 sweeps for g = 0.25, 0.5, 0.75 and 0.9, against 17, 20,
+    27 and 40 with the Fick current -a delta' alone and 31 at g = 0.5 with
+    no current correction.  At the fixed point dM = 0, so delta = q = 0 and
+    the solution is unchanged.  A rank-1 operator is the isotropic average,
+    which scatters no current (c1 = 0), so it skips the work.  Upwind skips
     it too: that scheme is not asymptotic-preserving, so in thick cells its
     current is not the Fick current of the diffusion correction, and adding
     that current slowed its thick solves (g = 0.99: 52 and 75 sweeps became
@@ -490,11 +506,16 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
 
     dsa_factor = current_moments = None
     if options.acceleration == "dsa":
-        dsa_a = diffusion_moment(op)[0, 0] / sigma_e
+        m_k = diffusion_moment(op)[0, 0]
+        dsa_a = m_k / sigma_e
         dsa_factor = factor_operator(dsa_a, gamma_e, grid.h)
         if op.rank > 1 and options.scheme == "diamond":
             dsa_ah = interface_diffusivity(dsa_a)
             current_moments = (3.0 * quad.nodes * w) @ phi  # moments of 3 mu
+            # rows z and 3 m_K c1, c1 = scatter @ (w mu): applied to the
+            # change of the moments, the scalar residual and the current q
+            residual_map = np.stack([z, 3.0 * m_k * (op.scatter @ (w * quad.nodes))])
+            q_face = np.empty(grid.n_cells + 1)
 
     history = []
     cells = np.zeros((grid.n_cells, quad.n))
@@ -535,12 +556,23 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
         require_finite(sbar, "sweep average")
         if dsa_factor is None:
             return next_moments, swept, sbar
-        delta = solve_cells(dsa_factor, sigma_e * (sbar - np.dot(z, moments)))
+        if current_moments is None:
+            delta = solve_cells(dsa_factor, sigma_e * (sbar - np.dot(z, moments)))
+        else:
+            residual = np.dot(residual_map, next_moments - moments)
+            q = residual[1]
+            # the mean of the two cells at an interior face, the boundary
+            # cell's value at x = 0 and x = L
+            q_face[1:-1] = 0.5 * (q[1:] + q[:-1])
+            q_face[0], q_face[-1] = q[0], q[-1]
+            delta = solve_cells(dsa_factor, sigma_e * residual[0]
+                                - (q_face[1:] - q_face[:-1]) / grid.h)
         ubar = sbar + delta
         require_finite(ubar, "accelerated average")
         next_moments += mean_moments[:, None] * delta
         if current_moments is not None:
             flux = face_fluxes(delta, dsa_a, dsa_ah, grid.h)
+            flux += q_face
             next_moments += current_moments[:, None] * (0.5 * (flux[:-1] + flux[1:]))
         return next_moments, swept, ubar
 

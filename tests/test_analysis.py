@@ -345,7 +345,7 @@ class TestConvergenceStudy:
         (CoefficientField.sinusoid(1.0, 0.5, 1.0, phase=0.8442354444173306),
          kernel_isotropic(), 16, 9, 112),
         (CoefficientField.piecewise([0.5], [1.0, 4.0]), kernel_linear(0.5), 64,
-         7, 130),
+         7, 100),
     ], ids=["smooth-deep", "jump-aniso"])
     def test_sweeps_per_study_stay_within_budget(
             self, monkeypatch, sigma, kernel, n_ordinates, deepest, sweeps):
