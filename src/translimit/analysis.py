@@ -62,13 +62,25 @@ def _check_ps(ps):
 
 
 def space_velocity_norm(field, grid, quad, p=2):
-    """L^p norm over the slab-velocity phase space, 1 <= p <= inf."""
+    """L^p norm over the slab-velocity phase space, 1 <= p <= inf.
+
+    The power sum h sum |f|^p w can underflow to 0 or overflow to inf for a
+    large p while max |f| = m is positive and finite; the norm is then
+    m (h sum (|f|/m)^p w)^(1/p), whose terms lie in [0, 1].
+    """
     _check_ps((p,))
-    field = np.asarray(field, dtype=float)
+    field = np.abs(np.asarray(field, dtype=float))
     if p == np.inf:
-        return float(np.max(np.abs(field)))
+        return float(np.max(field))
     p = float(p)
-    return float((grid.h * np.sum(np.abs(field) ** p @ quad.weights)) ** (1.0 / p))
+    w = quad.weights
+    with np.errstate(over="ignore"):
+        power_sum = grid.h * np.sum(field ** p @ w)
+    if power_sum == 0.0 or power_sum == np.inf:
+        m = np.max(field)
+        if 0.0 < m < np.inf:
+            return float(m * (grid.h * np.sum((field / m) ** p @ w)) ** (1.0 / p))
+    return float(power_sum ** (1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -255,20 +267,32 @@ def _validate_eps_list(eps_list):
     return eps
 
 
-def _study_row(problem, eps, op, options, ps, floor_cells):
-    n = cells_for_eps(eps, problem.grid.length, floor=floor_cells)
-    grid = Grid1D(problem.grid.length, n)
-    local = dc_replace(problem, grid=grid)
-    quad = op.quadrature
-    diffusion = solve_diffusion(local, op)
-    transport = solve_transport(local, eps, op, options)
+class _MeshRecord:
+    """What every study row on one mesh shares: the row problem, the limit
+    u0 at the cell centers and the corrector u1.  None of it depends on eps;
+    u0 and u1 stay None until the mesh's first transport solve has run."""
 
-    u0c = diffusion.at_centers()
+    def __init__(self, problem):
+        self.problem = problem
+        self.u0_centers = self.u1 = None
+
+
+def _study_row(mesh, eps, op, options, ps):
+    local = mesh.problem
+    grid = local.grid
+    quad = op.quadrature
+    transport = solve_transport(local, eps, op, options)
+    if mesh.u1 is None:
+        # filled after the solve, so that the solve's peak memory does not
+        # carry it
+        diffusion = solve_diffusion(local, op)
+        mesh.u0_centers = diffusion.at_centers()
+        mesh.u1 = first_order_corrector(diffusion, local.cell_fields["sigma"], op)
+
+    u0c = mesh.u0_centers
     diff = transport.u - u0c[:, None]
     mean, fluct = split_mean_fluctuation(transport.u, quad)
-    sigma_cells = local.sigma(grid.centers)
-    u1 = first_order_corrector(diffusion, sigma_cells, op)
-    psi = expansion_remainder(transport.u, u0c, u1, eps)
+    psi = expansion_remainder(transport.u, u0c, mesh.u1, eps)
 
     fluct_norm = space_velocity_norm(fluct, grid, quad, 2)
     trace_norm = outflow_trace(transport).norm()
@@ -285,7 +309,7 @@ def _study_row(problem, eps, op, options, ps, floor_cells):
     # energy identity: the solution side |u|_bdry^2 + |u - ubar|^2/eps
     # + eps|ubar|^2 over the data side |g|_bdry^2 + |fbar|^2/eps bounding it,
     # with the data scaled at eps; the source is isotropic, so fbar = f
-    data = scaled_fields(local, eps, grid, quad)
+    data = scaled_fields(local, eps, quad)
     k, m = quad.n_negative, quad.boundary_measure
     g_sq = float(np.sum(m[k:] * data["g_left"]**2)
                  + np.sum(m[:k] * data["g_right"]**2))
@@ -293,7 +317,7 @@ def _study_row(problem, eps, op, options, ps, floor_cells):
     lhs = trace_norm**2 + fluct_norm**2 / eps + eps * grid.h * float(np.sum(mean**2))
     row["energy_ratio"] = lhs / max(g_sq + f_sq / eps, 1e-300)
     row["max_abs"] = float(np.max(np.abs(transport.u)))
-    return row, n, transport.log
+    return row, transport.log
 
 
 def _growth_notes(eps, columns):
@@ -326,9 +350,14 @@ def convergence_study(problem, eps_list, op, options=None,
     fails certification raises CertificationError.
 
     The mesh per eps follows h <= eps/4 with a floor, so the second-order
-    discretization error stays below the first-order asymptotic signal.  The
-    diffusion problem is re-solved on each mesh and compared at cell centers
-    through its nodal interpolant.  Slopes come from a log-log least-squares
+    discretization error stays below the first-order asymptotic signal.
+    Every row's mesh is built before the first solve, so a mesh too large
+    for an array raises ValidationError before any work.  The diffusion
+    limit and the corrector do not depend on eps: they are solved once per
+    distinct mesh, after that mesh's first transport solve, and shared by
+    its rows with the row problem, whose cell_fields are evaluated once.
+    The limit is compared at cell centers through its nodal interpolant.
+    Slopes come from a log-log least-squares
     fit.  Each row also measures the quantities of the paper's a priori
     bounds, and a note names each that grows past twice its largest-eps
     value.  A transport solve that fails to converge aborts the study with
@@ -343,18 +372,26 @@ def convergence_study(problem, eps_list, op, options=None,
     certify_assumptions(op).require()
     eps = _validate_eps_list(eps_list)
 
+    # every row's mesh before any solve, so that an impossible one raises
+    # ValidationError first
+    length = problem.grid.length
+    grids = [Grid1D(length, cells_for_eps(e, length, floor=floor_cells))
+             for e in eps]
+
     rows = []
-    cells = []
     logs = []
     partial_error = None
-    for e in eps:
+    mesh = None
+    for e, grid in zip(eps, grids):
+        if mesh is None or mesh.problem.grid != grid:
+            # drops the previous mesh's record before this mesh's first solve
+            mesh = _MeshRecord(dc_replace(problem, grid=grid))
         try:
-            row, n, log = _study_row(problem, float(e), op, options, ps, floor_cells)
+            row, log = _study_row(mesh, float(e), op, options, ps)
         except ConvergenceError as exc:
             partial_error = exc
             break
         rows.append(row)
-        cells.append(n)
         logs.append(log)
 
     names = (_REPORT_COLUMNS + tuple(f"err_l{p:g}" for p in ps)
@@ -380,7 +417,7 @@ def convergence_study(problem, eps_list, op, options=None,
         eps=eps[:done],
         columns=columns,
         slopes=slopes,
-        n_cells=tuple(cells),
+        n_cells=tuple(grid.n_cells for grid in grids[:done]),
         iterations=tuple(log.iterations for log in logs),
         reduction_per_sweep=tuple(log.spectral_radius_estimate for log in logs),
         lp_reference_rate={p: 2.0 / p for p in ps},

@@ -5,8 +5,9 @@ assumptions, dump the diffusion tensor, run single solves, and run the
 eps-sweep convergence study.  All numeric output files carry full double
 precision; console summaries are rounded.  Each command that writes a file
 also writes one manifest.json, listing exactly the files it wrote.  Exit
-codes: 0 success, 2 validation error (an unreadable config and an
-unwritable --out included), 3 convergence failure, 4 certification failure.
+codes: 0 success, 2 validation error (an unreadable config, an
+unwritable --out and a problem too large for memory included), 3
+convergence failure, 4 certification failure.
 """
 
 from __future__ import annotations
@@ -259,8 +260,9 @@ def _solve_transport_cmd(cfg, ns, written):
                zip(xc, sol.u_bar), written)
     _write_json(log_path, sol.log.as_dict(), written)
 
-    ns_set = norms(sol.u, ns.eps, cfg.problem.sigma(xc), cfg.problem.gamma(xc),
-                   op, grid, ps=cfg.study.p_norms)
+    cells = cfg.problem.cell_fields
+    ns_set = norms(sol.u, ns.eps, cells["sigma"], cells["gamma"], op, grid,
+                   ps=cfg.study.p_norms)
     print(f"transport solve: eps={ns.eps:g}, {sol.log.iterations} iterations, "
           f"balance residual {sol.log.balance_residual:.3e}")
     print(f"  l2={ns_set.l2:.6g}  energy={ns_set.energy:.6g}  "
@@ -376,6 +378,10 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: cannot write the outputs in --out {ns.out}: {exc}",
               file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: out of memory, the problem is too large for this "
+              f"host: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -50,6 +50,11 @@ class StudySpec:
             raise ValidationError(
                 f"[study] meshes = {self.meshes}: a repeated mesh has no order"
             )
+        if len(set(self.p_norms)) != len(self.p_norms):
+            raise ValidationError(
+                f"[study] p_norms = {self.p_norms}: a repeated p would repeat "
+                "its err_l column"
+            )
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import ValidationError
-from .problem import _require_finite_fields
 from .velocity_space import diffusion_moment
 
 __all__ = ["DiffusionSolution", "solve_diffusion"]
@@ -119,20 +118,19 @@ def solve_diffusion(problem, op):
 
     Parameters
     ----------
-    problem : ProblemSpec; uses its grid and its sigma, gamma and source
-        fields as given, which are the eps-independent data.
+    problem : ProblemSpec; uses its grid and its read-only cell_fields,
+        sigma, gamma and source at the cell centers as given, which are the
+        eps-independent data (a field that is not finite raises
+        ValidationError there).
     op : certified ScatteringOperator, on a slab or a sphere quadrature;
         the diffusivity is a = m_K / sigma with
         m_K = diffusion_moment(op)[0, 0].
     """
     grid = problem.grid
-    xc = grid.centers
     h = grid.h
-    sigma = problem.sigma(xc)
-    gamma = problem.gamma(xc)
-    rhs = problem.source(xc)
-    _require_finite_fields(sigma=sigma, gamma=gamma, source=rhs)
-    a = diffusion_moment(op)[0, 0] / sigma
+    cells = problem.cell_fields
+    gamma, rhs = cells["gamma"], cells["source"]
+    a = diffusion_moment(op)[0, 0] / cells["sigma"]
 
     u = solve_cells(factor_operator(a, gamma, h), rhs)
     flux = face_fluxes(u, a, interface_diffusivity(a), h)

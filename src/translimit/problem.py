@@ -2,15 +2,20 @@
 
 The spatial domain is the slab (0, L) on a uniform cell grid.  Coefficients
 are declarative (constant, piecewise constant, or a named smooth profile) so
-that bounds are known exactly.  scaled_fields evaluates them at eps in the
-diffusive scaling: absorption, source and inflow are multiplied by eps and
-the scattering coefficient is divided by it, so eps = 1 uses every field
-verbatim.
+that bounds are known exactly.  A ProblemSpec evaluates them once at its
+grid's cell centers (cell_fields), and scaled_fields scales them at eps in
+the diffusive scaling: absorption, source and inflow are multiplied by eps
+and the scattering coefficient is divided by it, so eps = 1 uses every
+field verbatim.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
+import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +45,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform cell grid on (0, length)."""
+    """Uniform cell grid on (0, length).
+
+    n_cells must be an integer from 1 to the largest array index
+    (np.iinfo(np.intp).max), else ValidationError is raised, so that a grid
+    exists only when its arrays can.  centers is computed once per grid and
+    is read-only; edges is a new array on each access.
+    """
 
     length: float
     n_cells: int
@@ -49,19 +60,30 @@ class Grid1D:
         if not (0.0 < self.length < math.inf):
             raise ValidationError(
                 f"grid length must be positive and finite, got {self.length}")
-        if not (float(self.n_cells).is_integer() and self.n_cells >= 1):
+        n = self.n_cells
+        # an int too large for a float is still integral
+        integral = isinstance(n, numbers.Integral) or float(n).is_integer()
+        if not (integral and n >= 1):
+            raise ValidationError(f"n_cells must be an integer >= 1, got {n}")
+        if n > np.iinfo(np.intp).max:
+            # an int beyond the float range is shown in full
+            count = f"{n:.4e}" if n <= sys.float_info.max else n
             raise ValidationError(
-                f"n_cells must be an integer >= 1, got {self.n_cells}")
+                f"n_cells = {count} exceeds the largest array size "
+                f"{np.iinfo(np.intp).max}")
         object.__setattr__(self, "length", float(self.length))
-        object.__setattr__(self, "n_cells", int(self.n_cells))
+        object.__setattr__(self, "n_cells", int(n))
 
     @property
     def h(self):
         return self.length / self.n_cells
 
-    @property
+    @functools.cached_property
     def centers(self):
-        return (np.arange(self.n_cells) + 0.5) * self.h
+        """Read-only (n_cells,) cell midpoints."""
+        centers = (np.arange(self.n_cells) + 0.5) * self.h
+        centers.setflags(write=False)
+        return centers
 
     @property
     def edges(self):
@@ -188,6 +210,9 @@ class ProblemSpec:
     constants or callables of mu and default to zero.  At eps the solver
     sees sigma_eps = sigma/eps, gamma_eps = eps*gamma, f_eps = eps*f and
     g_eps = eps*g; the eps-independent problem is the one at eps = 1.
+    The fields at the cell centers are evaluated once per problem, on first
+    use, into the read-only cell_fields; dataclasses.replace gives a new
+    problem, which evaluates its own.
     """
 
     grid: Grid1D
@@ -207,6 +232,25 @@ class ProblemSpec:
                 f"gamma must be strictly positive (bounds {self.gamma.bounds})"
             )
 
+    @functools.cached_property
+    def cell_fields(self):
+        """sigma, gamma and source at grid.centers, the data at eps = 1.
+
+        A read-only mapping of read-only (n_cells,) arrays, evaluated and
+        checked once per problem: ValidationError names the first field
+        that is not finite on the grid (see _require_finite_fields), and
+        every access until then raises it again.
+        """
+        xc = self.grid.centers
+        fields = {}
+        for name in ("sigma", "gamma", "source"):
+            # a view, so that a callable's own array stays writeable
+            values = np.asarray(getattr(self, name)(xc), dtype=float).view()
+            values.setflags(write=False)
+            fields[name] = values
+        _require_finite_fields(**fields)
+        return types.MappingProxyType(fields)
+
 
 def _eval_inflow(g, mu):
     mu = np.asarray(mu, dtype=float)
@@ -219,32 +263,34 @@ def _require_finite_fields(**fields):
     """Raise ValidationError unless every named cell array is finite.
 
     Finite field parameters can still evaluate to inf or nan: a sinusoid
-    of frequency 1e308 takes the sine of inf.  The solvers' LAPACK calls
-    check nothing per right-hand side, so the fields are checked here,
-    once per solve.
+    of frequency 1e308 takes the sine of inf, and finite values can
+    overflow when scaled.  The solvers' LAPACK calls check nothing per
+    right-hand side, so ProblemSpec.cell_fields checks the fields once per
+    problem, and scaled_fields checks them as scaled at eps.
     """
     for name, values in fields.items():
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValidationError(f"{name} is not finite on the grid")
 
 
-def scaled_fields(problem, eps, grid, quad):
+def scaled_fields(problem, eps, quad):
     """The problem's fields as the solver sees them at eps.
 
-    Returns a dict of arrays: sigma / eps, eps * gamma and eps * source at
-    grid.centers, and eps * g_left / eps * g_right on the positive/negative
-    ordinates of quad.  Raises ValidationError when a cell array is not
-    finite.
+    Returns a dict of new arrays: sigma / eps, eps * gamma and eps * source
+    from problem.cell_fields, so on problem.grid, and eps * g_left /
+    eps * g_right on the positive/negative ordinates of quad.  Raises
+    ValidationError when a cell field is not finite, as given or as scaled.
+    To scale on another grid, pass dataclasses.replace(problem, grid=grid).
     """
     if not (0.0 < eps < math.inf):
         raise ValidationError(f"eps must be positive and finite, got {eps}")
     eps = float(eps)
-    xc = grid.centers
+    cells = problem.cell_fields
     k = quad.n_negative
     fields = {
-        "sigma": problem.sigma(xc) / eps,
-        "gamma": eps * problem.gamma(xc),
-        "source": eps * problem.source(xc),
+        "sigma": cells["sigma"] / eps,
+        "gamma": eps * cells["gamma"],
+        "source": eps * cells["source"],
         "g_left": eps * _eval_inflow(problem.g_left, quad.nodes[k:]),
         "g_right": eps * _eval_inflow(problem.g_right, quad.nodes[:k]),
     }
@@ -370,5 +416,8 @@ def cells_for_eps(eps, length, floor=FLOOR_CELLS):
     """
     if not (eps > 0.0):
         raise ValidationError(f"eps must be positive, got {eps}")
-    n = max(int(floor), 2 * math.ceil(2.0 * length / eps))
+    half = 2.0 * length / eps
+    if not math.isfinite(half):
+        raise ValidationError(f"eps = {eps!r} needs more cells than a float holds")
+    n = max(int(floor), 2 * math.ceil(half))
     return n + (n % 2)

@@ -126,7 +126,7 @@ def cell_equation_residual(solution, problem, eps, kernel):
     """
     quad = solution.quad
     grid = problem.grid
-    data = scaled_fields(problem, eps, grid, quad)
+    data = scaled_fields(problem, eps, quad)
     u, edges = solution.u, solution.edges
     mu = quad.nodes
     pos = mu > 0.0
@@ -159,7 +159,7 @@ def direct_solve(problem, eps, kernel, quad):
     the cells u and the edges, as cell_equation_residual reads them.
     """
     grid = problem.grid
-    data = scaled_fields(problem, eps, grid, quad)
+    data = scaled_fields(problem, eps, quad)
     n, m, k = grid.n_cells, quad.n, quad.n_negative
     p = m - k  # positive ordinates, one left inflow row each
     half = 3 * m // 2 - 1

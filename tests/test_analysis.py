@@ -6,6 +6,7 @@ from translimit import (
     CoefficientField,
     DiffusionSolution,
     Grid1D,
+    SolverOptions,
     ValidationError,
     apply_K,
     assemble_scattering,
@@ -129,6 +130,48 @@ class TestNorms:
         assert ns.l2 == space_velocity_norm(sol.u, p.grid, quad8, 2)
         assert set(ns.lp) == {1, 4}
         assert ns.lp[4] == space_velocity_norm(sol.u, p.grid, quad8, 4)
+
+    @pytest.mark.parametrize("value", [0.1, 10.0, 1e-200, 1e200])
+    @pytest.mark.parametrize("p", [1000.0, 5000.0, 2.0])
+    def test_large_p_of_a_constant_field(self, quad8, value, p):
+        # |f|^p underflows or overflows (0.1^1000, 10^1000, 1e-200^2,
+        # 1e200^2), which made the norm 0 or inf; the exact norm of a
+        # constant c on a slab of length L is c L^(1/p)
+        grid = Grid1D(2.0, 16)
+        field = np.full((16, quad8.n), value)
+        got = space_velocity_norm(field, grid, quad8, p)
+        assert got == pytest.approx(value * 2.0 ** (1.0 / p), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("m", [3.0, 0.3, 1e-300])
+    def test_large_p_of_a_spike(self, quad8, m):
+        # one nonzero entry m in cell i, ordinate j: m (h w_j)^(1/p)
+        grid = Grid1D(1.0, 8)
+        field = np.zeros((8, quad8.n))
+        field[5, 2] = -m
+        for p in (700.0, 1000.0, 1e4):
+            want = m * (grid.h * quad8.weights[2]) ** (1.0 / p)
+            assert space_velocity_norm(field, grid, quad8, p) == pytest.approx(
+                want, rel=1e-13, abs=0.0)
+
+    def test_large_p_keeps_zero_and_non_finite_fields(self, quad8):
+        grid = Grid1D(1.0, 4)
+        assert space_velocity_norm(np.zeros((4, 8)), grid, quad8, 1000) == 0.0
+        field = np.ones((4, 8))
+        field[1, 1] = np.inf
+        assert space_velocity_norm(field, grid, quad8, 1000) == np.inf
+        field[1, 1] = np.nan
+        assert np.isnan(space_velocity_norm(field, grid, quad8, 1000))
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_moderate_p_keeps_its_bits(self, quad16, p):
+        # the power sum is neither 0 nor inf here, so the norm is the
+        # plain formula, bit for bit
+        grid = Grid1D(1.0, 24)
+        rng = np.random.default_rng(p)
+        for scale in (1.0, 1e-3, 1e3):
+            field = scale * rng.standard_normal((24, quad16.n))
+            want = (grid.h * np.sum(np.abs(field) ** float(p) @ quad16.weights)) ** (1.0 / p)
+            assert space_velocity_norm(field, grid, quad16, p) == float(want)
 
     @pytest.mark.parametrize("bad", [0, -1, 0.5, float("nan")])
     def test_exponent_below_one_rejected(self, quad8, iso8, bad):
@@ -385,6 +428,46 @@ class TestConvergenceStudy:
         certify_assumptions(op)
         pinv_apply(op, quad8.nodes)
         assert len(decomposed) == 1
+
+    def test_limit_and_corrector_solved_once_per_mesh(self, iso8, monkeypatch):
+        # eps 2^-1..2^-3 share the 32-cell floor mesh; the limit and the
+        # corrector do not depend on eps, so its rows share one of each
+        import translimit.analysis as analysis
+
+        calls = {"solve_diffusion": [], "first_order_corrector": []}
+        for name, record in calls.items():
+            original = getattr(analysis, name)
+            monkeypatch.setattr(
+                analysis, name,
+                lambda *a, _f=original, _r=record, **k: _r.append(a) or _f(*a, **k))
+        eps = [2.0**-k for k in range(1, 5)]
+        rep = convergence_study(smooth_benchmark(), eps, iso8, floor_cells=32)
+        assert rep.n_cells == (32, 32, 32, 64)
+        assert [a[0].grid.n_cells for a in calls["solve_diffusion"]] == [32, 64]
+        assert len(calls["first_order_corrector"]) == 2
+
+        # every row alone, on a fresh ProblemSpec, gives the same bits
+        for i, (e, n) in enumerate(zip(eps, rep.n_cells)):
+            row, log = analysis._study_row(
+                analysis._MeshRecord(smooth_benchmark(n)), e, iso8,
+                SolverOptions(), (1.0, 4.0))
+            assert list(row) == list(rep.columns)
+            for name, column in rep.columns.items():
+                assert row[name] == column[i], (name, e)
+            assert log.iterations == rep.iterations[i]
+
+    def test_each_field_evaluated_once_per_mesh(self, iso8, monkeypatch):
+        evaluated = []
+        call = CoefficientField.__call__
+        monkeypatch.setattr(
+            CoefficientField, "__call__",
+            lambda self, x: evaluated.append((id(self), np.size(x))) or call(self, x))
+        p = make_problem(sigma=CoefficientField.sinusoid(1.0, 0.5, 1.0),
+                         gamma=CoefficientField.piecewise([0.5], [1.0, 2.0]),
+                         source=3.0)
+        convergence_study(p, [2.0**-k for k in range(1, 5)], iso8, floor_cells=32)
+        assert sorted(evaluated) == sorted(
+            (id(field), n) for field in (p.sigma, p.gamma, p.source) for n in (32, 64))
 
     def test_sphere_operator_rejected_before_any_decomposition(
             self, quad8, sphere48, monkeypatch):

@@ -608,6 +608,28 @@ floor_cells = 32
                                                                  "err_linf"]
         assert all(float(r["err_linf"]) >= float(r["err_l1"]) for r in rows)
 
+    def test_overflowing_inflow_exits_three_with_its_log(self, tmp_path, capsys):
+        # np.linalg.norm overflows on the 5e307 inflow, so every finishing
+        # change was nan, neither above nor below a bound, until a 0.0
+        # change reported the solve converged with energy nan
+        cfg = write(tmp_path, """
+[grid]
+n_cells = 16
+[scattering]
+n_ordinates = 4
+[boundary]
+g_left = 1e308
+""")
+        rc = main(["solve", "--mode", "transport", "--eps", "0.5",
+                   "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert "non-finite change" in capsys.readouterr().err
+        log = json.loads((tmp_path / "out" / "iteration_log.json").read_text())
+        assert log["converged"] is False
+        assert not math.isfinite(log["residuals"][-1])
+        assert all(math.isfinite(r) for r in log["residuals"][:-1])
+        assert len(log["residuals"]) == log["iterations"]
+
     def test_convergence_failure_exits_three_with_partial(self, tmp_path):
         cfg = write(tmp_path, SMOOTH_STUDY + """
 [solver]
@@ -629,6 +651,42 @@ max_iterations = 30
                          "err_l1,err_l4,energy_ratio,max_abs"]
         slopes = json.loads((tmp_path / "slopes.json").read_text())
         assert slopes["slopes"] == {} and slopes["notes"] == []
+
+    def test_mesh_too_large_for_an_array_exits_two_before_any_solve(
+            self, tmp_path, capsys, monkeypatch):
+        # eps = 1e-300 asks for 4e300 cells: numpy raised "Maximum allowed
+        # size exceeded" from the first row's cell centers, a traceback
+        import translimit.analysis as analysis
+
+        solved = []
+        monkeypatch.setattr(analysis, "solve_transport",
+                            lambda *a, **k: solved.append(a))
+        monkeypatch.setattr(analysis, "solve_diffusion",
+                            lambda *a, **k: solved.append(a))
+        cfg = write(tmp_path, "[study]\neps = 1e-300 5e-301 2.5e-301 1.25e-301\n")
+        out = tmp_path / "out"
+        assert main(["study", "--config", cfg, "--out", str(out)]) == 2
+        assert "n_cells = 4.0000e+300 exceeds the largest array size" in (
+            capsys.readouterr().err)
+        assert solved == []
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        ["study"], ["solve", "--mode", "transport", "--eps", "0.5"]])
+    def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch,
+                                     command):
+        import translimit.transport as transport
+
+        def allocation(*args, **kwargs):
+            raise MemoryError("Unable to allocate 3.2 EiB for an array")
+
+        monkeypatch.setattr(transport, "SweepPlan", allocation)
+        cfg = write(tmp_path, SMOOTH_STUDY)
+        rc = main([*command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "out of memory" in err and "Unable to allocate" in err
+        assert "Traceback" not in err
 
     def test_builds_the_operator_once(self, tmp_path, monkeypatch):
         # every eps row shares the operator the command builds

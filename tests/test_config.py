@@ -142,6 +142,19 @@ values = 1.0 4.0
             load_config(write(tmp_path, "[study]\nmeshes = 32 64 32\n"))
         assert load_config(write(tmp_path, "[study]\nmeshes = 64 32\n")).study.meshes == (64, 32)
 
+    def test_repeated_p_norm_rejected(self, tmp_path, capsys):
+        # p_norms = 4 4 ran one err_l4 column and exited 0
+        with pytest.raises(ValidationError, match=r"p_norms = \(4.0, 4.0\)"):
+            load_config(write(tmp_path, "[study]\np_norms = 4 4\n"))
+        with pytest.raises(ValidationError, match="repeated p"):
+            load_config(write(tmp_path, "[study]\np_norms = 1 4 4.0\n"))
+        assert load_config(write(tmp_path, "[study]\np_norms = 4 1\n")).study.p_norms == (4.0, 1.0)
+        cfg = write(tmp_path, "[study]\neps = 0.5 0.25 0.125 0.0625\np_norms = 4 4\n")
+        out = tmp_path / "out"
+        assert main(["study", "--config", cfg, "--out", str(out)]) == 2
+        assert "p_norms" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_number(self, tmp_path):
         with pytest.raises(ValidationError, match="not a number"):
             load_config(write(tmp_path, "[grid]\nlength = tall\n"))
@@ -239,7 +252,8 @@ class TestDefaults:
         ({"p_norms": (1.0, math.nan)}, "p_norms"),
         ({"reference": "sinh"}, "reference"),
         ({"meshes": (32, 64, 32)}, "repeated mesh"),
-    ], ids=["p-below-one", "p-nan", "reference", "repeated-mesh"])
+        ({"p_norms": (1.0, math.inf, math.inf)}, "repeated p"),
+    ], ids=["p-below-one", "p-nan", "reference", "repeated-mesh", "repeated-p"])
     def test_study_spec_checks(self, kwargs, match):
         with pytest.raises(ValidationError, match=match):
             StudySpec(**kwargs)

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace as dc_replace
+
 import numpy as np
 import pytest
 
@@ -51,6 +54,27 @@ class TestGrid:
     def test_non_finite_length_rejected(self, length):
         with pytest.raises(ValidationError, match="finite"):
             Grid1D(length, 8)
+
+    @pytest.mark.parametrize("n_cells, shown", [
+        (np.iinfo(np.intp).max + 1, "9.2234e+18"), (4e300, "4.0000e+300"),
+        (10**400, "1" + "0" * 400)], ids=["intp-max-plus-one", "float", "huge-int"])
+    def test_more_cells_than_an_array_can_hold_rejected(self, n_cells, shown):
+        # building a grid allocates nothing, so no huge array is asked for
+        with pytest.raises(ValidationError, match=re.escape(
+                f"n_cells = {shown} exceeds the largest array size")):
+            Grid1D(1.0, n_cells)
+        assert Grid1D(1.0, np.iinfo(np.intp).max).n_cells == np.iinfo(np.intp).max
+
+    def test_centers_are_read_only_and_computed_once(self):
+        grid = Grid1D(2.0, 8)
+        centers = grid.centers
+        assert grid.centers is centers
+        assert not centers.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            centers[0] = 1.0
+        np.testing.assert_array_equal(centers, (np.arange(8) + 0.5) * 0.25)
+        # the cache is no field: equality and hashing ignore it
+        assert grid == Grid1D(2.0, 8) and hash(grid) == hash(Grid1D(2.0, 8))
 
 
 class TestCoefficientField:
@@ -131,7 +155,7 @@ class TestProblemValidation:
 class TestScale:
     def test_diffusive_values(self, quad8):
         p = make_problem(sigma=1.0)
-        fields = scaled_fields(p, 0.1, p.grid, quad8)
+        fields = scaled_fields(p, 0.1, quad8)
         np.testing.assert_allclose(fields["sigma"], 10.0)
         np.testing.assert_allclose(fields["gamma"], 0.1)
         np.testing.assert_allclose(fields["source"], 0.1)
@@ -140,7 +164,7 @@ class TestScale:
         # eps = 1 is the eps-independent problem: every field verbatim
         p = make_problem(sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0),
                          g_left=0.7, g_right=lambda mu: mu**2)
-        fields = scaled_fields(p, 1.0, p.grid, quad8)
+        fields = scaled_fields(p, 1.0, quad8)
         xc = p.grid.centers
         mu = quad8.nodes
         np.testing.assert_array_equal(fields["sigma"], p.sigma(xc))
@@ -152,8 +176,8 @@ class TestScale:
     def test_multiplicative_composition(self, quad8):
         p = make_problem(sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0))
         e1, e2 = 0.5, 0.25
-        once = scaled_fields(p, e1 * e2, p.grid, quad8)
-        twice = scaled_fields(p, e1, p.grid, quad8)
+        once = scaled_fields(p, e1 * e2, quad8)
+        twice = scaled_fields(p, e1, quad8)
         np.testing.assert_allclose(once["sigma"], twice["sigma"] / e2, rtol=1e-14)
         np.testing.assert_allclose(once["gamma"], twice["gamma"] * e2, rtol=1e-14)
 
@@ -162,7 +186,7 @@ class TestScale:
         p = make_problem(sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0),
                          g_left=0.7, g_right=1.3)
         eps = 0.3
-        fields = scaled_fields(p, eps, p.grid, quad8)
+        fields = scaled_fields(p, eps, quad8)
         xc = p.grid.centers
         pos = quad8.nodes > 0
         np.testing.assert_array_equal(fields["sigma"], p.sigma(xc) / eps)
@@ -176,7 +200,7 @@ class TestScale:
         # closed form: int_0^1 mu dmu / 2 = 1/4 per face, so |g|^2 = 1/2
         p = make_problem(g_left=1.0, g_right=1.0)
         eps = 0.25
-        fields = scaled_fields(p, eps, p.grid, quad8)
+        fields = scaled_fields(p, eps, quad8)
         mu, w = quad8.nodes, quad8.weights
         pos = mu > 0
         gl = fields["g_left"]
@@ -194,19 +218,19 @@ class TestScale:
 
     def test_callable_inflow_on_incoming_ordinates(self, quad8):
         p = make_problem(g_left=lambda mu: mu, g_right=lambda mu: mu**2)
-        fields = scaled_fields(p, 0.5, p.grid, quad8)
+        fields = scaled_fields(p, 0.5, quad8)
         mu = quad8.nodes
         np.testing.assert_array_equal(fields["g_left"], 0.5 * mu[mu > 0])
         np.testing.assert_array_equal(fields["g_right"], 0.5 * mu[mu < 0] ** 2)
 
     def test_invalid_eps(self, quad8):
         with pytest.raises(ValidationError):
-            scaled_fields(make_problem(), 0.0, make_problem().grid, quad8)
+            scaled_fields(make_problem(), 0.0, quad8)
 
     @pytest.mark.parametrize("eps", [np.inf, np.nan])
     def test_non_finite_eps_rejected(self, quad8, eps):
         with pytest.raises(ValidationError):
-            scaled_fields(make_problem(), eps, make_problem().grid, quad8)
+            scaled_fields(make_problem(), eps, quad8)
 
     @pytest.mark.parametrize("field", ["sigma", "gamma", "source"])
     def test_non_finite_field_values_rejected(self, quad8, field):
@@ -214,12 +238,43 @@ class TestScale:
         bad = CoefficientField.sinusoid(1.0, 0.0, frequency=1e308)
         problem = make_problem(**{field: bad})
         with pytest.raises(ValidationError, match=f"{field} is not finite"):
-            scaled_fields(problem, 0.5, problem.grid, quad8)
+            scaled_fields(problem, 0.5, quad8)
+
+    def test_cell_fields_are_read_only_and_evaluated_once(self):
+        p = make_problem(n_cells=8, sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0),
+                         source=CoefficientField.piecewise([0.5], [1.0, 3.0]))
+        fields = p.cell_fields
+        assert p.cell_fields is fields
+        assert list(fields) == ["sigma", "gamma", "source"]
+        for name, values in fields.items():
+            assert p.cell_fields[name] is values
+            assert not values.flags.writeable
+            np.testing.assert_array_equal(values, getattr(p, name)(p.grid.centers))
+        with pytest.raises(TypeError):
+            fields["sigma"] = np.ones(8)
+        with pytest.raises(ValueError, match="read-only"):
+            fields["gamma"][0] = 2.0
+
+    def test_cell_fields_leave_a_callables_array_writeable(self):
+        # the cached array is a read-only view of the callable's result
+        own = np.linspace(1.0, 2.0, 8)
+        p = make_problem(n_cells=8, source=CoefficientField.constant(1.0))
+        p = dc_replace(p, source=lambda x: own)
+        assert not p.cell_fields["source"].flags.writeable
+        assert own.flags.writeable
+        np.testing.assert_array_equal(p.cell_fields["source"], own)
+
+    def test_non_finite_cell_field_raises_on_every_access(self):
+        bad = CoefficientField.sinusoid(1.0, 0.0, frequency=1e308)
+        p = make_problem(n_cells=8, gamma=bad)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="gamma is not finite"):
+                p.cell_fields
 
     def test_fields_on_the_given_grid(self, quad8):
         p = make_problem(n_cells=100, sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0))
         grid = Grid1D(1.0, 12)
-        fields = scaled_fields(p, 0.5, grid, quad8)
+        fields = scaled_fields(dc_replace(p, grid=grid), 0.5, quad8)
         np.testing.assert_array_equal(fields["sigma"], p.sigma(grid.centers) / 0.5)
 
 
@@ -374,3 +429,8 @@ class TestMeshRule:
     def test_invalid_eps(self):
         with pytest.raises(ValidationError):
             cells_for_eps(0.0, 1.0)
+
+    def test_eps_too_small_for_a_float_cell_count_rejected(self):
+        # 2 / 5e-324 is inf, and math.ceil(inf) raised OverflowError
+        with pytest.raises(ValidationError, match="more cells than a float"):
+            cells_for_eps(5e-324, 1.0)

@@ -313,6 +313,30 @@ class TestSweepPlan:
             for got, want in zip(reused, fresh):
                 np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("scheme", ["diamond", "upwind"])
+    def test_band_entries_match_a_per_entry_loop(self, quad8, scheme):
+        # the reciprocals are contiguous, so a sweep multiplies with unit
+        # stride, and the band interleaves them with the couplings; each
+        # entry is the one divide or multiply of a per-ordinate loop, bit
+        # for bit
+        n = 12
+        grid = Grid1D(1.0, n)
+        sigma_t = np.linspace(0.5, 40.0, n)
+        plan = SweepPlan(sigma_t, grid, quad8, scheme)
+        assert plan.reciprocal.shape == (quad8.n, n)
+        assert plan.reciprocal.flags.c_contiguous
+        s_out, s_in = ((0.5 * sigma_t, 0.5 * sigma_t) if scheme == "diamond"
+                       else (sigma_t, np.zeros(n)))
+        band = plan.band.T.reshape(quad8.n, n, 2)
+        for j, mu in enumerate(quad8.nodes):
+            a = abs(float(mu)) / grid.h
+            march = slice(None, None, -1) if mu < 0 else slice(None)
+            recip = [1.0 / (a + float(s)) for s in s_out[march]]
+            coupling = [(float(s) - a) * r for s, r in zip(s_in[march][1:], recip[1:])]
+            assert plan.reciprocal[j].tolist() == recip
+            assert band[j, :, 0].tolist() == recip
+            assert band[j, :, 1].tolist() == coupling + [0.0]
+
     @pytest.mark.parametrize("acceleration", ["dsa", "none"])
     @pytest.mark.parametrize("scheme", ["diamond", "upwind"])
     def test_one_plan_per_solve(self, monkeypatch, iso8, acceleration, scheme):
