@@ -69,14 +69,17 @@ def space_velocity_norm(field, grid, quad, p=2):
     m (h sum (|f|/m)^p w)^(1/p), whose terms lie in [0, 1].
     """
     _check_ps((p,))
-    field = np.abs(np.asarray(field, dtype=float))
+    field = np.asarray(field, dtype=float)
     if p == np.inf:
-        return float(np.max(field))
+        return float(np.max(np.abs(field)))
     p = float(p)
     w = quad.weights
     with np.errstate(over="ignore"):
-        power_sum = grid.h * np.sum(field ** p @ w)
+        # f * f is |f| ** 2 bit for bit, without the |f| temporary
+        power = field * field if p == 2.0 else np.abs(field) ** p
+        power_sum = grid.h * np.sum(power @ w)
     if power_sum == 0.0 or power_sum == np.inf:
+        field = np.abs(field)
         m = np.max(field)
         if 0.0 < m < np.inf:
             return float(m * (grid.h * np.sum((field / m) ** p @ w)) ** (1.0 / p))

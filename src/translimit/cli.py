@@ -66,12 +66,20 @@ def _write_csv(path, header, rows, written):
     table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows),
                        dtype=float)
     table = table.reshape(len(table), len(header))
+    _write_csv_blocks(path, header, (table[start:start + CSV_BLOCK_ROWS]
+                                     for start in range(0, len(table), CSV_BLOCK_ROWS)),
+                      written)
+
+
+def _write_csv_blocks(path, header, blocks, written):
+    """Write the 2-D arrays blocks, in order, as the rows of one table, as
+    _write_csv does, and append path to the list written.  A block is
+    formed only when the one before it has been written."""
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         written.append(path)
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            block = table[start:start + CSV_BLOCK_ROWS]
+        for block in blocks:
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
@@ -126,6 +134,12 @@ def cmd_certify(cfg, ns, written):
 
 
 def cmd_tensor(cfg, ns, written):
+    """Write tensor.csv, one row per cell, and tensor_summary.json.
+
+    The sphere operator is assembled without an n x n table (see
+    assemble_scattering), and the rows are formed and written one block of
+    CSV_BLOCK_ROWS cells at a time, so no (n_cells, 8) table is held.
+    """
     op = _sphere_operator(cfg)
     xc = cfg.problem.grid.centers
     tensor = diffusion_tensor(op, cfg.problem.sigma(xc))
@@ -134,11 +148,17 @@ def cmd_tensor(cfg, ns, written):
     # row, is a11 a12 a13 a22 a23 a33 and its least eigenvalue is
     # eigenvalues[0] / sigma[c]
     upper = tensor.moment[np.triu_indices(3)]
-    rows = np.column_stack([xc, upper / tensor.sigma[:, None],
-                            tensor.eigenvalues[0] / tensor.sigma])
+    least = tensor.eigenvalues[0]
+
+    def blocks():
+        for start in range(0, tensor.n_cells, CSV_BLOCK_ROWS):
+            cells = slice(start, start + CSV_BLOCK_ROWS)
+            sigma = tensor.sigma[cells]
+            yield np.column_stack([xc[cells], upper / sigma[:, None], least / sigma])
+
     path = os.path.join(ns.out, "tensor.csv")
-    _write_csv(path, ["x", "a11", "a12", "a13", "a22", "a23", "a33", "min_eig"],
-               rows, written)
+    _write_csv_blocks(path, ["x", "a11", "a12", "a13", "a22", "a23", "a33", "min_eig"],
+                      blocks(), written)
     _write_json(os.path.join(ns.out, "tensor_summary.json"), {
         "coercivity_lb": tensor.coercivity_lb,
         "c_K": certify_assumptions(op).c_K,

@@ -18,6 +18,8 @@ from .errors import ValidationError
 # rows by which the GMRES basis grows; a DSA-preconditioned solve takes
 # 10-25 Krylov steps
 _BASIS_ROWS = 8
+# the smallest normal double; scale * y rounds below it
+_TINY = float(np.finfo(float).tiny)
 
 
 def _gmres(matvec, b, rtol, max_steps, residuals):
@@ -36,10 +38,16 @@ def _gmres(matvec, b, rtol, max_steps, residuals):
     or not finite, after max_steps steps, or on a breakdown, where the
     Krylov space is invariant and the iterate exact.  The iterate is one
     product of the triangular solve's coefficients with the basis.  b is
-    any array; matvec maps that shape to it.
+    any array; matvec maps that shape to it.  A zero b gives zeros without a
+    matvec; a nonzero b whose largest magnitude is subnormal raises
+    ValidationError, since the iterate scaled back to it would round away.
     """
     # solve for b / max|b|, whose norm neither underflows nor overflows
     scale = float(np.max(np.abs(b), initial=0.0))
+    if 0.0 < scale < _TINY:
+        raise ValidationError(
+            f"GMRES right-hand side max |b| = {scale:.3e} is below the "
+            f"smallest normal double {_TINY:.3e}")
     if not (scale > 0.0 and np.isfinite(scale)) or max_steps < 1:
         return np.zeros_like(b)
     flat = b.reshape(-1) / scale

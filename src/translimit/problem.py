@@ -263,10 +263,10 @@ def _require_finite_fields(**fields):
     """Raise ValidationError unless every named cell array is finite.
 
     Finite field parameters can still evaluate to inf or nan: a sinusoid
-    of frequency 1e308 takes the sine of inf, and finite values can
-    overflow when scaled.  The solvers' LAPACK calls check nothing per
-    right-hand side, so ProblemSpec.cell_fields checks the fields once per
-    problem, and scaled_fields checks them as scaled at eps.
+    of frequency 1e308 takes the sine of inf.  The solvers' LAPACK calls
+    check nothing per right-hand side, so ProblemSpec.cell_fields checks
+    the fields once per problem; scaled_fields reports a finite field that
+    overflows when scaled at eps as that scaling's overflow.
     """
     for name, values in fields.items():
         if not np.isfinite(values).all():
@@ -279,7 +279,9 @@ def scaled_fields(problem, eps, quad):
     Returns a dict of new arrays: sigma / eps, eps * gamma and eps * source
     from problem.cell_fields, so on problem.grid, and eps * g_left /
     eps * g_right on the positive/negative ordinates of quad.  Raises
-    ValidationError when a cell field is not finite, as given or as scaled.
+    ValidationError when a cell field is not finite as given, or when it
+    overflows as scaled; that message names the scaling and eps, and numpy
+    warns nothing.
     To scale on another grid, pass dataclasses.replace(problem, grid=grid).
     """
     if not (0.0 < eps < math.inf):
@@ -287,15 +289,19 @@ def scaled_fields(problem, eps, quad):
     eps = float(eps)
     cells = problem.cell_fields
     k = quad.n_negative
-    fields = {
-        "sigma": cells["sigma"] / eps,
-        "gamma": eps * cells["gamma"],
-        "source": eps * cells["source"],
-        "g_left": eps * _eval_inflow(problem.g_left, quad.nodes[k:]),
-        "g_right": eps * _eval_inflow(problem.g_right, quad.nodes[:k]),
-    }
-    _require_finite_fields(sigma=fields["sigma"], gamma=fields["gamma"],
-                           source=fields["source"])
+    # the cell fields are finite, so a scaled one that is not has overflowed
+    with np.errstate(over="ignore"):
+        fields = {
+            "sigma": cells["sigma"] / eps,
+            "gamma": eps * cells["gamma"],
+            "source": eps * cells["source"],
+        }
+    for name, scaled in (("sigma", "sigma / eps"), ("gamma", "eps * gamma"),
+                         ("source", "eps * source")):
+        if not np.isfinite(fields[name]).all():
+            raise ValidationError(f"{scaled} is not finite at eps = {eps!r}")
+    fields["g_left"] = eps * _eval_inflow(problem.g_left, quad.nodes[k:])
+    fields["g_right"] = eps * _eval_inflow(problem.g_right, quad.nodes[:k])
     return fields
 
 

@@ -231,7 +231,8 @@ class ScatteringOperator:
     M C Phi^T / D maps them back to u K^T.  assemble_scattering, the one
     constructor, records the tabulated kernel's normalization defect, its
     weighted self-adjointness defect max |w_i K_ij - w_j K_ji| and its
-    sup-norm row sum max_i sum_j |K_ij|.
+    sup-norm row sum max_i sum_j |K_ij|; for a kernel with a factor it
+    takes them tile by tile, so no n x n array is built at any point.
 
     The operator is immutable and owns what is derived from it, each
     computed once, on first use: its spectrum, its CertReport (certificate),
@@ -371,12 +372,22 @@ class ScatteringOperator:
         )
 
 
+# quadrature points on a side of a tile: assemble_scattering evaluates a
+# factored kernel on tiles of _TILE x _TILE and holds at most a row block of
+# _TILE x n, never the whole n x n table.  A multiple of 64, so that BLAS
+# groups the rows of a row block as it groups those of the whole table, and
+# every record keeps the whole table's bits
+_TILE = 128
+
+
 def assemble_scattering(kernel, quad):
     """Assemble the scattering operator K_ij = k(v_i, v_j) w_j / D_i.
 
     Parameters
     ----------
-    kernel : callable k(v, v') acting on (..., d) coordinate arrays
+    kernel : callable k(v, v') acting entrywise on (..., d) coordinate
+        arrays, so that its values on a block of rows and columns are the
+        whole table's entries there
     quad : SphereQuadrature or AngularQuadrature
 
     Row sums D of the raw kernel are rescaled to one so the constant vector
@@ -386,63 +397,89 @@ def assemble_scattering(kernel, quad):
     A kernel with a finite-rank factor carries it as kernel.factor(coords),
     returning features Phi (n, r) and a symmetric core C (r, r) with
     k(v_i, v_j) = (Phi C Phi^T)_ij; the factor must reproduce the tabulated
-    kernel to 1e-10 relative.  For a kernel without one, the tabulated
-    kernel is its own core: Phi = I, C = k, r = n.  The table is not kept.
+    kernel to 1e-10 relative.  Such a kernel is never tabulated whole, and
+    no n x n array is built.  It is evaluated on tiles of _TILE x _TILE
+    points in two passes.  Pass 1 fills one row block of _TILE x n at a
+    time, for the kernel's minimum, scale, row sums, factor defect and
+    sup-norm row sum, and the symmetry of its diagonal tile; pass 2 reads
+    the tile pairs I < J, for the asymmetry and the weighted self-adjointness
+    defect off the diagonal.  Each record equals the whole table's bit for
+    bit.  For a kernel without a factor, the tabulated kernel is its own
+    core, Phi = I, C = k, r = n, and the tiles are read from it.
+
+    Raises ValidationError, in this order, for kernel values of the wrong
+    shape (for a kernel with a factor, found on the first tile and named
+    with that tile's shape), an asymmetric kernel, a row integral that is
+    not positive, a factor of the wrong shapes and a factor that does not
+    reproduce the kernel.  Nothing divides by a row integral that is not
+    positive.
     """
     coords = quad.coords
     n = quad.n
     w = quad.weights
-    kmat = np.asarray(kernel(coords[:, None, :], coords[None, :, :]), dtype=float)
-    if kmat.shape != (n, n):
-        raise ValidationError(f"kernel values have shape {kmat.shape}, expected {(n, n)}")
-    buf = np.empty_like(kmat)
-    asym = float(np.max(np.abs(np.subtract(kmat, kmat.T, out=buf), out=buf)))
-    scale = max(1.0, float(np.max(np.abs(kmat, out=buf))))
+    factor = getattr(kernel, "factor", None)
+    if factor is None:
+        table = _kernel_values(kernel, coords, coords)
+        features, core, gram = np.eye(n), table, None
+
+        def block(rows, cols):
+            return table[rows, cols]
+    else:
+        features, core = (np.asarray(a, dtype=float) for a in factor(coords))
+        r = features.shape[-1]
+        shaped = features.shape == (n, r) and core.shape == (r, r)
+        gram = core @ features.T if shaped else None
+
+        def block(rows, cols):
+            return _kernel_values(kernel, coords[rows], coords[cols])
+
+    tiles = _tiles(n)
+    rows = np.empty(n)
+    abs_row_sums = np.empty(n)
+    # pass 1, row blocks: every entry once, the diagonal tiles' symmetry too
+    kmins, kmaxs, defects, asyms, weighted = (list(records) for records in zip(*(
+        _row_block_records(block, b, tiles, w, rows, abs_row_sums, features, gram)
+        for b in tiles)))
+    normalizable = not np.any(rows <= 0.0)
+    # pass 2, tile pairs I < J: k_IJ against k_JI, once every D is known
+    for i, bi in enumerate(tiles):
+        for bj in tiles[i + 1:]:
+            pair_asym, pair_weighted = _tile_pair_records(block, bi, bj, w, rows,
+                                                          normalizable)
+            asyms.append(pair_asym)
+            weighted.append(pair_weighted)
+
+    asym = float(np.max(asyms))
+    scale = max(1.0, float(np.max(kmaxs)))
     if asym > 1e-10 * scale:
         raise ValidationError(f"kernel is not symmetric: max asymmetry {asym:.3e}")
 
     warnings = []
-    kmin = float(kmat.min())
+    kmin = float(np.min(kmins))
     if kmin < 0.0:
         # pointwise negativity does not by itself break operator positivity
         # (certification checks the spectrum); record it instead of rejecting
         warnings.append(f"kernel takes negative values (min {kmin:.6g})")
 
-    rows = kmat @ w
-    if np.any(rows <= 0.0):
+    if not normalizable:
         raise ValidationError("kernel row integral is not positive; cannot normalize")
     deviation = float(np.max(np.abs(rows - 1.0)))
     if deviation > 1e-6:
         warnings.append(f"row normalization factor deviates from 1 by {deviation:.3e}")
 
-    factor = getattr(kernel, "factor", None)
-    if factor is None:
-        features, core = np.eye(n), kmat
-    else:
-        features, core = (np.asarray(a, dtype=float) for a in factor(coords))
-        r = features.shape[-1]
-        if features.shape != (n, r) or core.shape != (r, r):
+    if factor is not None:
+        if gram is None:
             raise ValidationError(
                 f"kernel factor has shapes {features.shape} and {core.shape}, "
                 f"expected ({n}, r) and (r, r)"
             )
-        np.matmul(features, core @ features.T, out=buf)
-        buf -= kmat
-        defect = float(np.max(np.abs(buf, out=buf)))
+        defect = float(np.max(defects))
         if defect > 1e-10 * scale:
             raise ValidationError(
                 f"kernel factor does not reproduce the kernel: max defect {defect:.3e}"
             )
     # eigh reads one triangle: symmetrize (a no-op on a symmetric core)
     core = 0.5 * (core + core.T)
-
-    # the row-normalized kernel overwrites the table: K = (k w) / D, then
-    # w_i K_ij, the weighted form whose asymmetry is the certificate's defect
-    kmat *= w
-    kmat /= rows[:, None]
-    row_sum_max = float(np.max(np.abs(kmat, out=buf).sum(axis=1)))
-    kmat *= w[:, None]
-    symmetry_defect = float(np.max(np.abs(np.subtract(kmat, kmat.T, out=buf), out=buf)))
     return ScatteringOperator(
         quadrature=quad,
         features=features,
@@ -450,10 +487,99 @@ def assemble_scattering(kernel, quad):
         row_sums=rows,
         normalization_deviation=deviation,
         kernel_min=kmin,
-        symmetry_defect=symmetry_defect,
-        row_sum_max=row_sum_max,
+        symmetry_defect=float(np.max(weighted)),
+        row_sum_max=float(np.max(abs_row_sums)),
         warnings=tuple(warnings),
     )
+
+
+def _tiles(n):
+    """Slices of _TILE points that cover range(n), the last one taking a
+    single point left over: numpy forms a one-row matrix product with a dot
+    product, not with the BLAS routine that the whole table's rows use, and
+    the records would lose their bits."""
+    starts = list(range(0, n, _TILE))
+    if n > 1 and n % _TILE == 1:
+        starts.pop()
+    return [slice(start, start + _TILE) for start in starts[:-1]] + [slice(starts[-1], n)]
+
+
+def _kernel_values(kernel, rows, cols):
+    """The kernel on rows x cols of coordinates, as a float array of that
+    shape; ValidationError for values of any other shape."""
+    values = np.asarray(kernel(rows[:, None, :], cols[None, :, :]), dtype=float)
+    if values.shape != (len(rows), len(cols)):
+        raise ValidationError(f"kernel values have shape {values.shape}, "
+                              f"expected {(len(rows), len(cols))}")
+    return values
+
+
+def _row_block_records(block, b, tiles, w, rows, abs_row_sums, features, gram):
+    """Pass 1 of assemble_scattering on the rows b of the kernel table.
+
+    Fills rows[b] with the row integrals D and, unless one of them is not
+    positive, abs_row_sums[b] with sum_j |K_ij|.  Returns the block's least
+    value, its largest magnitude, its factor defect for a factor's
+    gram = C Phi^T (None without one), and the asymmetry and the weighted
+    self-adjointness defect of the diagonal tile (b, b) (None for the
+    latter when a row integral is not positive).  The row block is filled
+    tile by tile, where the kernel's temporaries stay small; it and one
+    scratch array of its size are all this holds at once.
+    """
+    kb = np.empty((len(rows[b]), rows.size))
+    for cols in tiles:
+        kb[:, cols] = block(b, cols)
+    kmin = kb.min()
+    # max |k| without an |k| pass
+    kmax = np.maximum(kb.max(), -kmin)
+    rows[b] = kb @ w
+    diag = kb[:, b]
+    asym = _max_asymmetry(diag, diag)
+    positive = not (rows[b] <= 0.0).any()
+    weighted = None
+    if positive:
+        diag = _weighted(diag, b, b, w, rows)
+        weighted = _max_asymmetry(diag, diag)
+    buf = np.empty_like(kb)
+    defect = None
+    if gram is not None:
+        np.matmul(features[b], gram, out=buf)
+        buf -= kb
+        defect = np.abs(buf, out=buf).max()
+    if positive:
+        # K = (k w) / D
+        np.multiply(kb, w, out=buf)
+        buf /= rows[b, None]
+        abs_row_sums[b] = np.abs(buf, out=buf).sum(axis=1)
+    return kmin, kmax, defect, asym, weighted
+
+
+def _tile_pair_records(block, bi, bj, w, rows, normalizable):
+    """Pass 2 of assemble_scattering on the tiles (bi, bj) and (bj, bi) off
+    the diagonal: max |k_ij - k_ji| and, if every row integral is positive,
+    max |w_i K_ij - w_j K_ji| (else None)."""
+    kij = block(bi, bj)
+    kji = block(bj, bi)
+    asym = _max_asymmetry(kij, kji)
+    if not normalizable:
+        return asym, None
+    return asym, _max_asymmetry(_weighted(kij, bi, bj, w, rows),
+                                _weighted(kji, bj, bi, w, rows))
+
+
+def _weighted(k, bi, bj, w, rows):
+    """w_i K_ij on the kernel's tile (bi, bj), rounded as the dense table
+    rounds it: (k_ij w_j / D_i) w_i."""
+    a = k * w[bj]
+    a /= rows[bi, None]
+    a *= w[bi, None]
+    return a
+
+
+def _max_asymmetry(a, b):
+    """max |a - b^T| of a tile a and its mirror tile b."""
+    d = a - b.T
+    return np.abs(d, out=d).max()
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from translimit import (
     CoefficientField,
     Grid1D,
     ProblemSpec,
+    ValidationError,
     assemble_scattering,
     build_angular_quadrature,
     build_sphere_quadrature,
@@ -107,6 +108,67 @@ def dense_certificate_values(matrix, weights):
     row sum max_i sum_j |K_ij| of a dense scattering matrix."""
     wk = weights[:, None] * matrix
     return float(np.max(np.abs(wk - wk.T))), float(np.max(np.abs(matrix).sum(axis=1)))
+
+
+def dense_assembly(kernel, quad):
+    """The records assemble_scattering keeps, taken from the whole n x n table.
+
+    The dense algorithm the tiled assembly replaced, kept as its oracle: it
+    tabulates the kernel once and rounds every record as the tiles must,
+    and raises ValidationError with the same messages in the same order.
+    Returns a dict of features, core, row_sums, normalization_deviation,
+    kernel_min, symmetry_defect, row_sum_max and warnings.
+    """
+    coords = quad.coords
+    n = quad.n
+    w = quad.weights
+    kmat = np.asarray(kernel(coords[:, None, :], coords[None, :, :]), dtype=float)
+    if kmat.shape != (n, n):
+        raise ValidationError(f"kernel values have shape {kmat.shape}, expected {(n, n)}")
+    asym = float(np.max(np.abs(kmat - kmat.T)))
+    scale = max(1.0, float(np.max(np.abs(kmat))))
+    if asym > 1e-10 * scale:
+        raise ValidationError(f"kernel is not symmetric: max asymmetry {asym:.3e}")
+
+    warnings = []
+    kmin = float(kmat.min())
+    if kmin < 0.0:
+        warnings.append(f"kernel takes negative values (min {kmin:.6g})")
+    rows = kmat @ w
+    if np.any(rows <= 0.0):
+        raise ValidationError("kernel row integral is not positive; cannot normalize")
+    deviation = float(np.max(np.abs(rows - 1.0)))
+    if deviation > 1e-6:
+        warnings.append(f"row normalization factor deviates from 1 by {deviation:.3e}")
+
+    factor = getattr(kernel, "factor", None)
+    if factor is None:
+        features, core = np.eye(n), kmat
+    else:
+        features, core = (np.asarray(a, dtype=float) for a in factor(coords))
+        r = features.shape[-1]
+        if features.shape != (n, r) or core.shape != (r, r):
+            raise ValidationError(
+                f"kernel factor has shapes {features.shape} and {core.shape}, "
+                f"expected ({n}, r) and (r, r)"
+            )
+        defect = float(np.max(np.abs(features @ (core @ features.T) - kmat)))
+        if defect > 1e-10 * scale:
+            raise ValidationError(
+                f"kernel factor does not reproduce the kernel: max defect {defect:.3e}"
+            )
+    matrix = kmat * w / rows[:, None]
+    weighted = matrix * w[:, None]
+    return {
+        "features": features,
+        "core": 0.5 * (core + core.T),
+        "row_sums": rows,
+        "normalization_deviation": deviation,
+        "kernel_min": kmin,
+        "symmetry_defect": float(np.max(np.abs(weighted - weighted.T))),
+        "row_sum_max": float(np.max(np.abs(matrix).sum(axis=1))),
+        "warnings": tuple(warnings),
+    }
 
 
 def spec_kernel(spec):

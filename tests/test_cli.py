@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from translimit import (
     ConvergenceError,
     KernelSpec,
     build_angular_quadrature,
+    build_sphere_quadrature,
+    diffusion_tensor,
     solve_transport,
 )
 from translimit.cli import CSV_BLOCK_ROWS, _write_csv, main
@@ -241,6 +244,59 @@ amplitude = 0.5"""))
         cfg = write(tmp_path, LINEAR_ONE)
         assert main(["tensor", "--config", cfg, "--out", str(tmp_path)]) == 4
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
+
+    def test_rows_written_block_by_block_keep_every_byte(self, tmp_path):
+        # 600 cells: two whole blocks of CSV_BLOCK_ROWS and a partial one,
+        # against the per-value writer on the whole (n_cells, 8) table
+        n_cells = 2 * CSV_BLOCK_ROWS + 88
+        cfg = write(tmp_path, LINEAR_HALF.replace("n_cells = 16", f"""n_cells = {n_cells}
+[coefficients.sigma]
+kind = sinusoid
+offset = 1.0
+amplitude = 0.5"""))
+        assert main(["tensor", "--config", cfg, "--out", str(tmp_path)]) == 0
+        c = load_config(cfg)
+        xc = c.problem.grid.centers
+        tensor = diffusion_tensor(c.kernel.build(
+            build_sphere_quadrature(c.n_polar, c.n_azimuth)), c.problem.sigma(xc))
+        table = np.column_stack([
+            xc, tensor.moment[np.triu_indices(3)] / tensor.sigma[:, None],
+            tensor.eigenvalues[0] / tensor.sigma])
+        reference_write_csv(tmp_path / "reference.csv",
+                            ["x", "a11", "a12", "a13", "a22", "a23", "a33", "min_eig"],
+                            table.tolist())
+        assert ((tmp_path / "tensor.csv").read_bytes()
+                == (tmp_path / "reference.csv").read_bytes())
+
+    def test_tracemalloc_peak_of_the_65536_cell_tensor(self, tmp_path):
+        # the benchmark's limit-tensor config: a 1152-direction sphere rule
+        # and 65536 cells.  A whole 1152^2 kernel table is 10.1 MiB and the
+        # (65536, 8) row table 4 MiB; the tiled assembly's row blocks are
+        # 1.1 MiB each, and this command peaks at 2.6 MiB
+        cfg = write(tmp_path, """
+[grid]
+length = 1.0
+n_cells = 65536
+[coefficients.sigma]
+kind = sinusoid
+offset = 1.0
+amplitude = 0.5
+frequency = 1.0
+phase = 0.8
+[scattering]
+kernel = linear
+g_factor = 0.6
+n_ordinates = 16
+n_polar = 24
+n_azimuth = 48
+""")
+        tracemalloc.start()
+        try:
+            assert main(["tensor", "--config", cfg, "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestSolve:
@@ -529,6 +585,28 @@ meshes = {meshes}
         assert rc == 2
         assert "finite" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not any(out.glob("*"))
+
+    def test_sigma_overflowing_at_eps_names_the_scaling(self, tmp_path, capsys):
+        # sigma = 1e10 is finite; sigma / eps overflows at eps = 1e-300, which
+        # used to print numpy's overflow warning and blame the data
+        cfg = write(tmp_path, """
+[grid]
+n_cells = 16
+[coefficients.sigma]
+kind = constant
+value = 1e10
+""")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["solve", "--mode", "transport", "--eps", "1e-300",
+                       "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "error: sigma / eps is not finite at eps = 1e-300"
+        assert [line for line in err[1:] if not line.startswith("usage:")] == []
+        assert caught == []
         assert not any(out.glob("*"))
 
 

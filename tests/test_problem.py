@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -239,6 +240,18 @@ class TestScale:
         problem = make_problem(**{field: bad})
         with pytest.raises(ValidationError, match=f"{field} is not finite"):
             scaled_fields(problem, 0.5, quad8)
+
+    @pytest.mark.parametrize("field, eps, scaled", [
+        ("sigma", 1e-300, "sigma / eps"), ("gamma", 1e300, "eps * gamma"),
+        ("source", 1e300, "eps * source")])
+    def test_overflow_when_scaled_names_the_scaling(self, quad8, field, eps, scaled):
+        # 1e10 is finite as given; scaled at eps it overflows
+        problem = make_problem(n_cells=16, **{field: 1e10})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as info:
+                scaled_fields(problem, eps, quad8)
+        assert str(info.value) == f"{scaled} is not finite at eps = {eps!r}"
 
     def test_cell_fields_are_read_only_and_evaluated_once(self):
         p = make_problem(n_cells=8, sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0),

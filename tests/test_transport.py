@@ -674,6 +674,12 @@ class TestGmres:
             return a @ x
 
         residuals = []
+        if 0.0 < np.max(np.abs(b)) < np.finfo(float).tiny:
+            # no iterate scaled back to a subnormal b meets a relative tolerance
+            with pytest.raises(ValidationError, match="smallest normal double"):
+                _gmres(matvec, b, 1e-13, n, residuals)
+            assert calls == [] and residuals == []
+            return
         x = _gmres(matvec, b, 1e-13, n, residuals)
         want = np.linalg.solve(a, b)
         if not np.any(b):
@@ -687,6 +693,17 @@ class TestGmres:
         s = np.max(np.abs(b))
         true = np.linalg.norm((b - a @ x) / s) / np.linalg.norm(b / s)
         assert abs(true - residuals[-1]) <= 1e-10
+
+    def test_subnormal_right_hand_side_rejected(self):
+        # scale * y rounds in the subnormal range: this b once came back as
+        # [0, 0, -5e-324], reported at residual 6e-33 against a true 1.41
+        a = np.array([[1.0, -1.0, -1.0], [-1.0, 0.0, -1.0], [-1.0, -1.0, -1.0]])
+        b = np.array([5e-324, 0.0, 0.0])
+        residuals = []
+        with pytest.raises(ValidationError, match="below the smallest normal double"):
+            _gmres(lambda v: a @ v, b, 1e-13, 3, residuals)
+        assert residuals == []
+        assert not np.any(_gmres(lambda v: a @ v, np.zeros(3), 1e-13, 3, residuals))
 
     def test_ill_conditioned_non_normal_system(self):
         # a graded diagonal from 1 to 1e-8 plus a random strictly upper part

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from translimit import (
     CoefficientField,
     Grid1D,
     SolvabilityError,
+    SphereQuadrature,
     ValidationError,
     apply_K,
     assemble_scattering,
@@ -29,7 +32,8 @@ from translimit import (
 )
 import translimit.velocity_space as velocity_space
 from translimit.velocity_space import NULL_CUTOFF, SPECTRUM_TOL
-from conftest import dense_certificate_values, dense_scattering, make_problem
+from conftest import (dense_assembly, dense_certificate_values, dense_scattering,
+                      make_problem)
 
 
 def identity_kernel(quad):
@@ -617,6 +621,192 @@ class TestFactoredApplyAgainstDenseReference:
         report = certify_assumptions(op)
         assert ((report.symmetry_defect, report.row_sum_max)
                 == dense_certificate_values(matrix, quad.weights))
+
+
+TILE = velocity_space._TILE
+
+
+def slab_rule(n):
+    """An ascending slab rule of n nonzero nodes: Gauss-Legendre for an even
+    n, and for an odd n the (n + 1)-point rule without its last node,
+    reweighted to sum to one."""
+    if n % 2 == 0:
+        return build_angular_quadrature(n)
+    x, w = np.polynomial.legendre.leggauss(n + 1)
+    return AngularQuadrature(x[:-1], w[:-1] / np.sum(w[:-1]))
+
+
+def sphere_rule(n):
+    """The first n points of a 320-point product rule, reweighted to sum to
+    one."""
+    full = build_sphere_quadrature(16, 20)
+    return SphereQuadrature(full.points[:n], full.weights[:n] / np.sum(full.weights[:n]))
+
+
+def scaled_linear_kernel(s, g):
+    """s (1 + 3 g v . v') with its factor: rows integrate to about s, so an
+    s away from 1 records the normalization warning."""
+    base = kernel_linear(g)
+
+    def k(v, vp):
+        return s * base(v, vp)
+
+    def factor(coords):
+        features, core = base.factor(coords)
+        return features, s * core
+
+    k.factor = factor
+    return k
+
+
+def make_kernel(kind, g, s):
+    """A kernel of the kind named, for the tiled assembly's tests."""
+    if kind == "isotropic":
+        return kernel_isotropic()
+    if kind == "no factor":
+        linear = kernel_linear(g)
+        return lambda v, vp: linear(v, vp)
+    return kernel_linear(g) if kind == "linear" else scaled_linear_kernel(s, g)
+
+
+def assemble_without_warnings(kernel, quad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return assemble_scattering(kernel, quad)
+
+
+def assert_same_error(kernel, quad):
+    """The tiled assembly raises the dense oracle's ValidationError, with
+    its message, and no warning."""
+    with pytest.raises(ValidationError) as want:
+        dense_assembly(kernel, quad)
+    with pytest.raises(ValidationError) as got:
+        assemble_without_warnings(kernel, quad)
+    assert str(got.value) == str(want.value)
+    return str(got.value)
+
+
+class TestTiledAssembly:
+    """assemble_scattering against the dense n x n algorithm it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, TILE - 1, TILE, TILE + 1, 2 * TILE + 3]),
+           st.sampled_from([slab_rule, sphere_rule]),
+           st.sampled_from(["isotropic", "linear", "no factor", "scaled"]),
+           st.floats(0.0, 1.2), st.floats(0.5, 2.0))
+    @example(2 * TILE + 3, sphere_rule, "linear", 1.2, 1.0)
+    @example(TILE + 1, slab_rule, "no factor", 0.9, 1.0)
+    @example(TILE, slab_rule, "scaled", 0.3, 1.5)
+    @example(1, sphere_rule, "isotropic", 0.0, 1.0)
+    def test_records_match_the_dense_oracle_bit_for_bit(self, n, rule, kind, g, s):
+        quad = rule(n)
+        kernel = make_kernel(kind, g, s)
+        try:
+            want = dense_assembly(kernel, quad)
+        except ValidationError:
+            # a truncated sphere rule can leave a row integral <= 0
+            assert_same_error(kernel, quad)
+            return
+        op = assemble_without_warnings(kernel, quad)
+        for name, value in want.items():
+            got = getattr(op, name)
+            if isinstance(value, np.ndarray):
+                assert got.shape == value.shape and got.tobytes() == value.tobytes(), name
+            elif isinstance(value, float):
+                assert got.hex() == value.hex(), name
+            else:
+                assert got == value, name
+        if kind == "scaled" and abs(s - 1.0) > 1e-3:
+            assert any("normalization" in w for w in op.warnings)
+        if g > 1.0 / 3.0 and kind != "isotropic" and rule is slab_rule and n > 1:
+            assert op.kernel_min < 0.0
+
+    @pytest.mark.parametrize("n", [8, TILE + 1, 2 * TILE + 3])
+    def test_rejections_in_the_dense_order_with_its_messages(self, n):
+        quad = slab_rule(n)
+        linear = kernel_linear(0.5)
+
+        def with_factor(values, factor):
+            def k(v, vp):
+                return values(v, vp)
+
+            k.factor = factor
+            return k
+
+        def wrong_shapes(coords):
+            return np.ones((coords.shape[0], 2)), np.eye(3)
+
+        def skewed(v, vp):
+            return -2.0 + v[..., 0] * vp[..., 0] ** 2
+
+        def zero(v, vp):
+            return 0.0 * linear(v, vp)
+
+        # asymmetry comes before a non-positive row and a bad factor
+        assert "not symmetric" in assert_same_error(with_factor(skewed, wrong_shapes), quad)
+        assert "not symmetric" in assert_same_error(skewed, quad)
+        # a zero row integral is reported before anything divides by it
+        assert "row integral" in assert_same_error(zero, quad)
+        assert "row integral" in assert_same_error(with_factor(zero, wrong_shapes), quad)
+        assert "row integral" in assert_same_error(
+            with_factor(zero, kernel_isotropic().factor), quad)
+        # factor shapes come before the factor's defect
+        assert "factor has shapes" in assert_same_error(
+            with_factor(linear, wrong_shapes), quad)
+        assert "does not reproduce" in assert_same_error(
+            with_factor(linear, kernel_linear(0.4).factor), quad)
+
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_wrong_kernel_shape_is_reported_first(self, factored):
+        def k(v, vp):
+            return np.ones((4, 4))
+
+        if factored:
+            k.factor = kernel_isotropic().factor
+        for n in (8, TILE):
+            assert "kernel values have shape (4, 4)" in assert_same_error(k, slab_rule(n))
+        # past one tile, a factored kernel names the tile it was evaluated
+        # on, not the whole table
+        quad = slab_rule(2 * TILE + 3)
+        with pytest.raises(ValidationError) as got:
+            assemble_without_warnings(k, quad)
+        side = TILE if factored else quad.n
+        assert str(got.value) == (f"kernel values have shape (4, 4), "
+                                  f"expected {(side, side)}")
+
+    def test_factored_kernel_never_tabulated_whole(self):
+        quad = sphere_rule(2 * TILE + 3)
+        shapes = []
+        base = kernel_linear(0.5)
+
+        def k(v, vp):
+            values = base(v, vp)
+            shapes.append(values.shape)
+            return values
+
+        k.factor = base.factor
+        assemble_scattering(k, quad)
+        # pass 1 fills each row block tile by tile; pass 2 reads each tile
+        # pair I < J both ways
+        tiles = [TILE, TILE, 3]
+        row_blocks = [(a, b) for a in tiles for b in tiles]
+        pairs = [shape for i, a in enumerate(tiles) for b in tiles[i + 1:]
+                 for shape in ((a, b), (b, a))]
+        assert shapes == row_blocks + pairs
+
+    def test_tracemalloc_peak_below_an_eighth_of_the_table(self):
+        # n = 2304: the whole table is 40.5 MiB, and the dense assembly held
+        # about two of them; two row blocks of TILE x n are 4.5 MiB
+        quad = build_sphere_quadrature(24, 96)
+        kernel = kernel_linear(0.5)
+        tracemalloc.start()
+        try:
+            op = assemble_scattering(kernel, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.n == 2304
+        assert peak < quad.n**2 * 8 / 8
 
 
 class TestFactorOnly:
