@@ -50,9 +50,7 @@ def main():
     print()
     print("err_total, err_fluct and remainder sit near slope 1; the outflow")
     print("trace also decays at first order here because the inflow is zero,")
-    print("below its square-root upper bound; deriv stays bounded (slope ~0);")
-    print(f"the L4 reference exponent is {report.lp_reference_rate[4]:.2f} "
-          "and the measured slope exceeds it.")
+    print("below its square-root upper bound; deriv stays bounded (slope ~0).")
     print("energy_ratio and max_abs, which the paper bounds uniformly in eps,")
     print("shrink along the sweep.")
 

@@ -2,8 +2,8 @@
 
 Plain source iteration contracts like the scattering ratio, which approaches
 one as eps shrinks.  The default solve runs GMRES on the fixed point of one
-sweep plus the synthetic-diffusion correction, then a short finishing loop,
-and keeps the sweep count flat.  This script tabulates both sweep counts
+sweep plus the synthetic-diffusion correction, checks the result with a
+full step, and keeps the sweep count flat.  This script tabulates both sweep counts
 across eps, and the accelerated count for the linear kernel with g = 0.5
 and g = 0.9.  For that kernel the correction also carries the current: the
 Fick current of the scalar correction plus the sweep's own first-moment

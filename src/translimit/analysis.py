@@ -198,13 +198,12 @@ class ConvergenceReport:
     columns holds one array per measured quantity (err_total, err_fluct,
     bdry, deriv, remainder, err_l{p} for each requested p, then the a priori
     quantities energy_ratio and max_abs); slopes holds a FitResult per
-    quantity.  lp_reference_rate records the interpolation exponent 2/p next
-    to each measured L^p slope.  rate_asserted is False when the diffusivity
-    is discontinuous and only plain convergence (no rate) is claimed.  notes
-    also names each a priori quantity that grew past twice its largest-eps
-    value.  iterations and reduction_per_sweep hold each row's transport
-    sweep count and IterationLog.spectral_radius_estimate, so a row records
-    how fast its solve converged as well as how long it took.
+    quantity.  rate_asserted is False when the diffusivity is discontinuous
+    and only plain convergence (no rate) is claimed.  notes also names each
+    a priori quantity that grew past twice its largest-eps value.
+    iterations and reduction_per_sweep hold each row's transport sweep count
+    and IterationLog.spectral_radius_estimate, so a row records how fast its
+    solve converged as well as how long it took.
     """
 
     eps: np.ndarray
@@ -213,7 +212,6 @@ class ConvergenceReport:
     n_cells: tuple
     iterations: tuple
     reduction_per_sweep: tuple
-    lp_reference_rate: dict
     rate_asserted: bool
     notes: tuple
     protocol: dict
@@ -228,7 +226,6 @@ class ConvergenceReport:
                 }
                 for name, fit in self.slopes.items()
             },
-            "lp_reference_rate": {str(k): v for k, v in self.lp_reference_rate.items()},
             "rate_asserted": self.rate_asserted,
             "notes": list(self.notes),
             "protocol": self.protocol,
@@ -423,7 +420,6 @@ def convergence_study(problem, eps_list, op, options=None,
         n_cells=tuple(grid.n_cells for grid in grids[:done]),
         iterations=tuple(log.iterations for log in logs),
         reduction_per_sweep=tuple(log.spectral_radius_estimate for log in logs),
-        lp_reference_rate={p: 2.0 / p for p in ps},
         rate_asserted=rate_asserted,
         notes=tuple(notes),
         protocol={

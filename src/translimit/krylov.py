@@ -1,4 +1,4 @@
-"""Unrestarted GMRES for the transport iteration's Krylov stage.
+"""Unrestarted GMRES for the Krylov steps of the transport iteration.
 
 The transport solve runs GMRES on its DSA-preconditioned step; nothing here
 depends on transport, so any affine fixed point on an array of unknowns can

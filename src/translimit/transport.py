@@ -7,12 +7,13 @@ velocity_space), so the iteration's unknowns are those moments.  One step
 maps them to the next: the emission they give, one transport sweep, and a
 synthetic-diffusion (DSA) correction of the velocity average and, for a
 kernel that also scatters the current, of the current.  The step is
-affine, and GMRES solves its fixed point with one sweep per Krylov step,
-preconditioned by the DSA; a finishing loop of full steps then checks the
-tolerance and the balance target on the swept solution.  Plain source
-iteration (the same step, without the correction and without GMRES) is
-kept as a deliberately non-robust control: its spectral radius approaches
-one in the diffusive regime.
+affine.  One loop makes full steps and checks the tolerance and the balance
+target on each swept solution; while the change is above the tolerance,
+GMRES, preconditioned by the DSA, solves for the correction to the fixed
+point with one sweep per Krylov step.  Plain source iteration (the same
+step, without the correction and without GMRES) is kept as a deliberately
+non-robust control: its spectral radius approaches one in the diffusive
+regime.
 
 A sweep's diamond (or upwind) march along one ordinate is a bidiagonal
 system in that ordinate's edge values.  Taken in the order the ordinate
@@ -31,10 +32,15 @@ full steps.  There is no Python loop over cells.  The slab quadrature keeps
 its ordinates ascending, so the negative ones are a leading slice, and the
 inflow, the outflow and the balance read the split from it.
 
-The convergence test combines the relative change of the velocity average
-with the discrete particle-balance residual of the current sweep, so every
-returned solution satisfies the balance identity at the requested target
-even when the scattering ratio sigma_eps/eps amplifies iteration error.
+The convergence test combines the sweep's relative change of the velocity
+average, read before the DSA correction, with the discrete particle-balance
+residual of the same sweep, gated at the larger of the target and its
+rounding floor.  So every returned solution satisfies the balance identity
+at the requested target, or at rounding level where the target lies below
+that, even when the scattering ratio sigma_eps/eps amplifies iteration
+error.  The change after the correction would not do: in cells with
+sigma_t h in the tens the finite-volume DSA amplifies a rounding-level
+residual above any useful tolerance.
 """
 
 from __future__ import annotations
@@ -69,19 +75,19 @@ class SolverOptions:
 
     scheme : "diamond" (second order) or "upwind" (first order, non
         asymptotic-preserving control)
-    tolerance : relative l2 change of the velocity average between
-        iterates of the finishing loop; with "dsa" the Krylov stage runs to
-        a relative residual of 0.1 * tolerance first.  Below about 1e-13 it
-        can use up max_iterations: the change stalls at a roundoff floor
+    tolerance : relative l2 change of the velocity average over one sweep,
+        read before the DSA correction; with "dsa", a full step whose change
+        is above it starts GMRES, which runs to a relative residual of
+        0.1 * tolerance.  The change stalls at a roundoff floor of 1-2e-16
         (on the 512-cell 1|4 slab with 16 ordinates and the linear kernel,
-        finishing changes have medians 3.7-8.5e-14, quartiles 1.6e-14 to
-        1.4e-13, and tolerance 1e-14 takes 45, 704 and 22 sweeps for
-        g = 0.25, 0.5 and 0.75)
+        tolerance 1e-14 takes 20, 19 and 17 sweeps for g = 0.25, 0.5 and
+        0.75), so a tolerance below about 2e-16 uses up max_iterations
     max_iterations : budget of transport sweeps, Krylov sweeps included
     acceleration : "dsa" (GMRES on the DSA-preconditioned step) or "none"
         (plain source iteration, the unaccelerated control)
     balance_target : positive particle-balance residual every returned
-        solution must meet
+        solution must meet, or the balance's rounding floor where that is
+        larger (particle_balance)
     """
 
     scheme: str = "diamond"
@@ -107,10 +113,11 @@ class SolverOptions:
 class IterationLog:
     """What a transport solve did, one entry per sweep.
 
-    residuals : with "dsa", the Krylov stage's relative residuals
-        |step(M) - M| / |b| (1 for the sweep that makes b, then one per
-        Krylov step), followed by the finishing loop's relative changes of
-        the velocity average; with "none", the changes alone
+    residuals : per full step, the relative change |sbar - z M| / |sbar|
+        of the velocity average over its sweep, before the DSA correction
+        (1 for the first step, from zero moments, unless the right-hand side
+        is zero); with "dsa", after each full step whose change is above the
+        tolerance, GMRES's relative residuals, one per Krylov step
     iterations : number of transport sweeps, Krylov sweeps included; equal
         to len(residuals) unless a non-finite sweep stopped the solve
     spectral_radius_estimate : per-sweep reduction factor,
@@ -332,7 +339,7 @@ class _MarchMoments:
     cell's last roundings are its own.  Averaging edge moments summed over
     all ordinates would share each edge's rounding between two neighbouring
     cells, a smooth error that the synthetic diffusion amplifies: it raised
-    the finishing loop's roundoff floor by a third.
+    the roundoff floor of the change read after the correction by a third.
     """
 
     def __init__(self, op, plan, incoming):
@@ -377,27 +384,37 @@ class _MarchMoments:
         return both[r:] + both[:r, ::-1]
 
 
-def particle_balance(cells, edges, gamma_e, f_e, gl, gr, grid, quad):
-    """Relative defect of outflow - inflow + absorption - source.
+# the balance floor in units of u S / scale: converged thick solves whose
+# balance exceeds 1e-10 measured 0.07-1.71 u S / scale, so 16 leaves a
+# margin of about 10
+_BALANCE_FLOOR = 16.0 * np.finfo(float).eps
+
+
+def particle_balance(cells, edges, sigma_t, gamma_e, f_e, gl, gr, grid, quad):
+    """Relative defect of outflow - inflow + absorption - source, and the
+    floor that rounding sets under it.
 
     The identity holds for a converged solve because the row-normalized,
-    weighted-self-adjoint scattering operator is conservative.
+    weighted-self-adjoint scattering operator is conservative.  Both are
+    relative to scale, the largest of the four terms.  In each cell the
+    removal sigma_t u and the scattering cancel, so the defect of a
+    converged solve is rounding of order u S, with S = sum_j h sigma_t,j
+    |ubar_j| and u the double-precision epsilon.  The floor is 16 u S /
+    scale; in thick cells S outgrows scale and the floor exceeds a fixed
+    target.
     """
     w = quad.weights
     h = grid.h
     k = quad.n_negative
     m = quad.boundary_measure
+    u_bar = cells @ w
     out = float(np.sum(m[k:] * edges[-1, k:]) + np.sum(m[:k] * edges[0, :k]))
     inflow = float(np.sum(m[k:] * gl) + np.sum(m[:k] * gr))
-    absorption = float(np.sum(h * gamma_e * (cells @ w)))
+    absorption = float(np.sum(h * gamma_e * u_bar))
     source = float(np.sum(h * (f_e @ w)))
     scale = max(abs(out), abs(inflow), abs(absorption), abs(source), 1e-300)
-    return abs(out - inflow + absorption - source) / scale
-
-
-# a finishing change this many times the smallest one before it means the
-# stationary iteration is amplifying its error, not reducing it
-_DIVERGENCE_GROWTH = 1e3
+    floor = _BALANCE_FLOOR * h * float(np.dot(sigma_t, np.abs(u_bar))) / scale
+    return abs(out - inflow + absorption - source) / scale, floor
 
 
 def _reduction_per_sweep(history):
@@ -457,27 +474,34 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
     it too: that scheme is not asymptotic-preserving, so in thick cells its
     current is not the Fick current of the diffusion correction, and adding
     that current slowed its thick solves (g = 0.99: 52 and 75 sweeps became
-    69 and 104).  The step is affine, M -> A M + b.  With "dsa", GMRES from
-    zero first solves (I - A) M = b to 0.1 * tolerance relative residual; b
-    is the step from zero moments, and each Krylov step is one step with
-    zero source and inflow.  The finishing loop then repeats the full step
-    from that iterate until both the tolerance and the balance target hold;
-    a change above the tolerance and above 1e3 times the smallest finishing
-    change before it stops the solve, since the stationary DSA iteration
-    then amplifies its error rather than reducing it.  With "none" the
-    finishing loop alone, without the correction, is plain source
-    iteration.  Every sweep counts against max_iterations.
+    69 and 104).  The step is affine, M -> A M + b.
+
+    One loop makes a full step from M, with the source and the inflow, and
+    reads two things.  The change |sbar - z M| / |sbar|, with sbar the
+    sweep average before the correction, is the residual of the
+    unaccelerated fixed point; after the correction a rounding-level
+    residual would come back amplified by about (3/4) (sigma_e h)^2 for a
+    grid-scale mode, and more for smoother ones.  The balance must meet the
+    larger of balance_target and its rounding floor (particle_balance).  If
+    both pass, the solve has converged.  Otherwise, with "dsa" and a change
+    above the tolerance, GMRES solves
+    (I - A) D = step(M) - M to 0.1 * tolerance relative residual with the
+    sweeps left, one step with zero source and inflow per Krylov step, and
+    M becomes M + D; from M = 0 that solves (I - A) M = b.  In any other case
+    M becomes the step's next moments, the stationary iteration: with
+    "none" that is plain source iteration.  Every sweep counts against
+    max_iterations, so a GMRES that uses up the budget ends the solve
+    unconverged.
 
     Raises ValidationError for an operator on any other quadrature, and
     CertificationError for one that fails certification, before any sweep.
     Raises ConvergenceError (carrying the residual history) when the
-    iteration does not meet both the tolerance and the balance target within
+    iteration does not meet both the tolerance and the balance within
     max_iterations, which is the expected signature of running without
-    acceleration deep in the diffusive regime, at once when a finishing
-    change grows as above or is not finite, and at once when an average
-    stops being finite: with "dsa" the accelerated average, which a
-    non-finite sweep average makes non-finite, with "none" the sweep
-    average.
+    acceleration deep in the diffusive regime, and at once when a change
+    or an average stops being finite: with "dsa" the accelerated average,
+    which a non-finite sweep average makes non-finite, with "none" the
+    sweep average.
     """
     quad = _require_slab(op, "solve_transport")
     options = options if options is not None else SolverOptions()
@@ -551,9 +575,9 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
 
     def step(moments, full):
         """One sweep from the (r, n_cells) moments and its correction: the
-        next moments, the sweep's march-order output and the accelerated
-        average.  A full step has the source and the inflow; a Krylov step
-        has neither."""
+        next moments, the sweep's march-order output and the sweep average
+        before the correction.  A full step has the source and the inflow; a
+        Krylov step has neither."""
         nonlocal iterations
         maps.emission(moments, sigma_e, emission)
         if full:
@@ -578,60 +602,47 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
             q_face[0], q_face[-1] = q[0], q[-1]
             delta = solve_cells(dsa_factor, sigma_e * residual[0]
                                 - (q_face[1:] - q_face[:-1]) / grid.h)
-        ubar = sbar + delta
-        require_finite(ubar, "accelerated average")
+        require_finite(sbar + delta, "accelerated average")
         next_moments += mean_moments[:, None] * delta
         if current_moments is not None:
             flux = face_fluxes(delta, dsa_a, dsa_ah, grid.h)
             flux += q_face
             next_moments += current_moments[:, None] * (0.5 * (flux[:-1] + flux[1:]))
-        return next_moments, swept, ubar
+        return next_moments, swept, sbar
 
     # a diverging iterate overflows before require_finite reports it
     with np.errstate(over="ignore", invalid="ignore"):
         moments = np.zeros((op.rank, grid.n_cells))
-        # one sweep for b and at least one left for the finishing loop
-        krylov_steps = options.max_iterations - 2
-        if dsa_factor is not None and krylov_steps >= 1:
-            b, swept, _ = step(moments, True)
-            # the log of a failed Krylov step reads these cells; the edges
-            # are first needed by the finishing loop's balance
-            cells = plan.unpack(swept, incoming)[0]
-            history.append(1.0 if np.any(b) else 0.0)
-            moments = _gmres(lambda v: v - step(v, False)[0], b,
-                             0.1 * options.tolerance, krylov_steps, history)
-        smallest_change = np.inf
         while iterations < options.max_iterations:
-            ubar_curr = np.dot(z, moments)
-            moments, swept, ubar_next = step(moments, True)
+            next_moments, swept, sbar = step(moments, True)
             # the last step's cells and edges go before this step's are
             # made, so that the solve never holds two sets
             cells = edges = None
             cells, edges = plan.unpack(swept, incoming)
             change = float(
-                np.linalg.norm(ubar_next - ubar_curr)
-                / max(np.linalg.norm(ubar_next), 1e-300)
+                np.linalg.norm(sbar - np.dot(z, moments))
+                / max(np.linalg.norm(sbar), 1e-300)
             )
             history.append(change)
             # np.linalg.norm overflows to a nan change before the average
             # itself stops being finite
             require_finite(change, "change")
-            balance = particle_balance(cells, edges, gamma_e, f_e, gl, gr, grid, quad)
-            if change <= options.tolerance and balance <= options.balance_target:
+            balance, floor = particle_balance(cells, edges, sigma_t, gamma_e, f_e,
+                                              gl, gr, grid, quad)
+            if change <= options.tolerance and balance <= max(options.balance_target, floor):
                 converged = True
                 break
-            if change > max(options.tolerance, _DIVERGENCE_GROWTH * smallest_change):
-                raise ConvergenceError(
-                    f"transport iteration diverged: change {change:.3e} after "
-                    f"{iterations} sweeps exceeds {_DIVERGENCE_GROWTH:g} x the "
-                    f"smallest change so far ({smallest_change:.3e})", log=log(),
-                )
-            smallest_change = min(smallest_change, change)
+            if change > options.tolerance and dsa_factor is not None:
+                moments = moments + _gmres(lambda v: v - step(v, False)[0],
+                                           next_moments - moments, 0.1 * options.tolerance,
+                                           options.max_iterations - iterations, history)
+            else:
+                moments = next_moments
 
     if not converged:
         raise ConvergenceError(
             f"transport iteration did not converge in {iterations} sweeps "
-            f"(last change {history[-1]:.3e}, balance {balance:.3e})",
+            f"(last residual {history[-1]:.3e}, balance {balance:.3e})",
             log=log(),
         )
     return TransportSolution(

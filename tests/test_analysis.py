@@ -358,7 +358,6 @@ class TestConvergenceStudy:
         ]
         assert all(len(v) == 4 for v in rep.columns.values())
         assert rep.rate_asserted
-        assert rep.lp_reference_rate[4] == 0.5
         for n, e in zip(rep.n_cells, eps):
             assert 1.0 / n <= e / 4.0 or n == 32
 
@@ -405,6 +404,19 @@ class TestConvergenceStudy:
                                 [2.0**-k for k in range(1, deepest + 1)], op)
         assert sum(rep.iterations) == len(calls)
         assert len(calls) <= sweeps
+
+    @pytest.mark.parametrize("sigma", [
+        CoefficientField.piecewise([0.5], [1.0, 100.0]),
+        CoefficientField.piecewise([0.5], [1.0, 1000.0]),
+        CoefficientField.constant(1e3),
+    ], ids=["1|100", "1|1000", "constant-1e3"])
+    def test_high_contrast_studies_complete(self, iso16, sigma):
+        # the last rows have cells with sigma_t h in the tens and hundreds,
+        # where the finite-volume DSA amplifies a rounding-level residual
+        eps = [2.0**-k for k in range(1, 8)]
+        rep = convergence_study(make_problem(n_cells=64, sigma=sigma), eps, iso16)
+        assert len(rep.eps) == len(eps)
+        assert np.all(np.diff(rep.columns["err_total"]) < 0.0)
 
     def test_builds_no_operator_and_decomposes_the_given_one_once(
             self, quad8, monkeypatch):
