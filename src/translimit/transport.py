@@ -81,7 +81,8 @@ class SolverOptions:
         0.1 * tolerance.  The change stalls at a roundoff floor of 1-2e-16
         (on the 512-cell 1|4 slab with 16 ordinates and the linear kernel,
         tolerance 1e-14 takes 20, 19 and 17 sweeps for g = 0.25, 0.5 and
-        0.75), so a tolerance below about 2e-16 uses up max_iterations
+        0.75), so a tolerance below about 2e-16 uses up max_iterations,
+        and the ConvergenceError says so
     max_iterations : budget of transport sweeps, Krylov sweeps included
     acceleration : "dsa" (GMRES on the DSA-preconditioned step) or "none"
         (plain source iteration, the unaccelerated control)
@@ -125,6 +126,9 @@ class IterationLog:
         It is taken from the last residual, which sits at the tolerance, so
         a change of rounding moves it by percents
     balance_residual : particle-balance residual of the last full sweep
+        that passed its finiteness checks (inf before the first)
+    balance_floor : the rounding floor particle_balance gave with it, below
+        which the residual does not fall (0 before the first full sweep)
     negative_fraction : share of negative cell values in that sweep
     max_optical_thickness : largest cell optical thickness sigma_t * h at
         eps, gamma_eps + sigma_eps times the cell width
@@ -135,6 +139,7 @@ class IterationLog:
     converged: bool
     spectral_radius_estimate: float
     balance_residual: float
+    balance_floor: float
     negative_fraction: float
     max_optical_thickness: float
 
@@ -145,6 +150,7 @@ class IterationLog:
             "converged": bool(self.converged),
             "spectral_radius_estimate": float(self.spectral_radius_estimate),
             "balance_residual": float(self.balance_residual),
+            "balance_floor": float(self.balance_floor),
             "negative_fraction": float(self.negative_fraction),
             "max_optical_thickness": float(self.max_optical_thickness),
         }
@@ -390,6 +396,11 @@ class _MarchMoments:
 _BALANCE_FLOOR = 16.0 * np.finfo(float).eps
 
 
+# the sweep's relative change stalls at 1-2e-16 (SolverOptions.tolerance);
+# a full step that ends at or below this has reached rounding
+_CHANGE_FLOOR = 16.0 * np.finfo(float).eps
+
+
 def particle_balance(cells, edges, sigma_t, gamma_e, f_e, gl, gr, grid, quad):
     """Relative defect of outflow - inflow + absorption - source, and the
     floor that rounding sets under it.
@@ -553,15 +564,27 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
 
     history = []
     cells = np.zeros((grid.n_cells, quad.n))
-    balance = np.inf
+    edges = None
+    # the balance and its floor of the last full sweep's cells and edges,
+    # None until asked for: only a change within the tolerance, or a log,
+    # needs them
+    balance = None
     converged = False
     iterations = 0
 
+    def full_balance():
+        nonlocal balance
+        if balance is None:
+            balance = (np.inf, 0.0) if edges is None else particle_balance(
+                cells, edges, sigma_t, gamma_e, f_e, gl, gr, grid, quad)
+        return balance
+
     def log():
+        residual, floor = full_balance()
         return IterationLog(
             residuals=tuple(history), iterations=iterations, converged=converged,
             spectral_radius_estimate=_reduction_per_sweep(history),
-            balance_residual=float(balance),
+            balance_residual=float(residual), balance_floor=float(floor),
             negative_fraction=float(np.mean(cells < 0.0)),
             max_optical_thickness=thickness,
         )
@@ -615,10 +638,6 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
         moments = np.zeros((op.rank, grid.n_cells))
         while iterations < options.max_iterations:
             next_moments, swept, sbar = step(moments, True)
-            # the last step's cells and edges go before this step's are
-            # made, so that the solve never holds two sets
-            cells = edges = None
-            cells, edges = plan.unpack(swept, incoming)
             change = float(
                 np.linalg.norm(sbar - np.dot(z, moments))
                 / max(np.linalg.norm(sbar), 1e-300)
@@ -627,11 +646,16 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
             # np.linalg.norm overflows to a nan change before the average
             # itself stops being finite
             require_finite(change, "change")
-            balance, floor = particle_balance(cells, edges, sigma_t, gamma_e, f_e,
-                                              gl, gr, grid, quad)
-            if change <= options.tolerance and balance <= max(options.balance_target, floor):
-                converged = True
-                break
+            # the last step's cells and edges go before this step's are
+            # made, so that the solve never holds two sets
+            cells = edges = None
+            cells, edges = plan.unpack(swept, incoming)
+            balance = None
+            if change <= options.tolerance:
+                residual, floor = full_balance()
+                if residual <= max(options.balance_target, floor):
+                    converged = True
+                    break
             if change > options.tolerance and dsa_factor is not None:
                 moments = moments + _gmres(lambda v: v - step(v, False)[0],
                                            next_moments - moments, 0.1 * options.tolerance,
@@ -640,11 +664,13 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
                 moments = next_moments
 
     if not converged:
-        raise ConvergenceError(
-            f"transport iteration did not converge in {iterations} sweeps "
-            f"(last residual {history[-1]:.3e}, balance {balance:.3e})",
-            log=log(),
-        )
+        message = (f"transport iteration did not converge in {iterations} sweeps "
+                   f"(last residual {history[-1]:.3e}, balance {full_balance()[0]:.3e})")
+        if options.tolerance < change <= _CHANGE_FLOOR:
+            message += (f"; the full-step change stalled at {change:.1e}, and the "
+                        f"tolerance {options.tolerance:.1e} lies below the sweep "
+                        f"change's rounding floor")
+        raise ConvergenceError(message, log=log())
     return TransportSolution(
         grid=grid, quad=quad, eps=float(eps),
         u=cells, edges=edges, u_bar=cells @ w, log=log(),

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from translimit import (
 )
 from translimit.cli import CSV_BLOCK_ROWS, _write_csv, main
 from translimit.config import load_config
+from translimit.csvtext import MIN_VALUES
 from conftest import cell_equation_residual, poison_sweep, spec_kernel
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -102,15 +104,19 @@ SPECIAL_FLOATS = st.sampled_from([
     1e16, 1e17, -1e17, 9007199254740993.0, 1.7976931348623157e308,
     0.1, 1.0 / 3.0,
 ])
-ROW_COUNTS = st.sampled_from([0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
-                              CSV_BLOCK_ROWS + 1]) | st.integers(0, 40)
 
 
 @st.composite
 def float_tables(draw):
-    """A float table of random bit patterns with drawn special values."""
-    n_rows = draw(ROW_COUNTS)
+    """A float table of random bit patterns with drawn special values.  Its
+    row count is drawn on both sides of the fewest rows that the writer
+    formats as arrays (csvtext.MIN_VALUES values) and up to three blocks."""
     n_cols = draw(st.integers(1, 8))
+    fewest = -(-MIN_VALUES // n_cols)
+    n_rows = draw(st.sampled_from([0, 1, fewest - 1, fewest, CSV_BLOCK_ROWS - 1,
+                                   CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                   2 * CSV_BLOCK_ROWS + fewest])
+                  | st.integers(0, 40) | st.integers(0, 3 * CSV_BLOCK_ROWS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     table = rng.integers(0, 2**64, size=(n_rows, n_cols), dtype=np.uint64,
                          endpoint=False).view(np.float64)
@@ -119,6 +125,54 @@ def float_tables(draw):
                                    | SPECIAL_FLOATS, max_size=30)):
             table.flat[draw(st.integers(0, table.size - 1))] = value
     return table
+
+
+def powers_of_ten():
+    """10^k for k in [-200, 200], as the nearest doubles."""
+    return np.array([float(f"1e{k}") for k in range(-200, 201)])
+
+
+def largest_below_powers_of_ten():
+    """The largest double below each 10^k, k in [-200, 200]; the 11 within
+    half a unit of the 17th digit of 10^k carry to 10^17."""
+    below = []
+    for k, near in zip(range(-200, 201), powers_of_ten()):
+        below.append(near if Fraction(near) < Fraction(10) ** k
+                     else np.nextafter(near, 0.0))
+    return np.array(below)
+
+
+def dyadic_ties():
+    """m 2^-k, odd m < 2^53, whose exact decimal has 18 significant digits
+    ending in 5: each lies half-way between two 17-digit decimals."""
+    rng = np.random.default_rng(7)
+    ties = []
+    for k in range(2, 26):
+        low, high = -(-10**17 // 5**k), min(10**18 // 5**k, 2**53)
+        for m in rng.integers(low, high, size=40):
+            m = int(m) | 1
+            if len(str(m * 5**k)) == 18:
+                ties.append(math.ldexp(m, -k))
+    return np.array(ties)
+
+
+def edge_values():
+    """+-1e-200, +-1e200 and their neighbours, subnormals, +-0, nan, +-inf."""
+    edges = np.array([1e-200, 1e200])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                            [5e-324, 2.2250738585072009e-308, 1e-310, 0.0,
+                             math.nan, math.inf]])
+    return np.concatenate([edges, -edges])
+
+
+FAMILIES = {
+    "dyadic_ties": dyadic_ties,
+    "powers_of_ten": powers_of_ten,
+    "power_neighbours": lambda: np.concatenate([
+        np.nextafter(powers_of_ten(), 0.0), np.nextafter(powers_of_ten(), np.inf)]),
+    "largest_below_powers": largest_below_powers_of_ten,
+    "range_edges": edge_values,
+}
 
 
 class TestWriteCsv:
@@ -155,6 +209,18 @@ class TestWriteCsv:
         header = [f"c{j}" for j in range(table.shape[1])]
         self.assert_same_bytes(tmp_path_factory.mktemp("csv"), header,
                                zip(*table.T), zip(*table.T))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_value_family(self, tmp_path, family):
+        # both signs, in blocks of whole and of partial width at and above
+        # the fewest values formatted as arrays
+        values = FAMILIES[family]()
+        values = np.concatenate([values, -values])
+        for n_cols in (8, 3):
+            table = np.resize(values, (max(-(-values.size // n_cols),
+                                           3 * MIN_VALUES // n_cols), n_cols))
+            header = [f"c{j}" for j in range(n_cols)]
+            self.assert_same_bytes(tmp_path, header, table, table.tolist())
 
     def test_row_width_must_match_header(self, tmp_path):
         with pytest.raises(ValueError):
@@ -245,8 +311,8 @@ amplitude = 0.5"""))
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
 
     def test_rows_written_block_by_block_keep_every_byte(self, tmp_path):
-        # 600 cells: two whole blocks of CSV_BLOCK_ROWS and a partial one,
-        # against the per-value writer on the whole (n_cells, 8) table
+        # two whole blocks of CSV_BLOCK_ROWS and a partial one, against the
+        # per-value writer on the whole (n_cells, 8) table
         n_cells = 2 * CSV_BLOCK_ROWS + 88
         cfg = write(tmp_path, LINEAR_HALF.replace("n_cells = 16", f"""n_cells = {n_cells}
 [coefficients.sigma]
