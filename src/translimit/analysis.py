@@ -148,16 +148,14 @@ def first_order_corrector(diffusion, sigma_cells, op):
     return -(diffusion.grad / sigma_cells)[:, None] * phi[None, :]
 
 
-def expansion_remainder(u_eps, u0_centers, u1, eps):
-    """Remainder u_eps - ubar_0 - eps u_1 of the two-term expansion."""
-    u_eps = np.asarray(u_eps, dtype=float)
-    u0 = np.asarray(u0_centers, dtype=float)
+def expansion_remainder(diff, u1, eps):
+    """Remainder (u_eps - ubar_0) - eps u_1 of the two-term expansion, from
+    diff = u_eps - ubar_0 per cell and ordinate."""
+    diff = np.asarray(diff, dtype=float)
     u1 = np.asarray(u1, dtype=float)
-    if u_eps.shape != u1.shape or u0.shape != u_eps.shape[:-1]:
-        raise ValidationError(
-            f"shape mismatch: u_eps {u_eps.shape}, u0 {u0.shape}, u1 {u1.shape}"
-        )
-    return u_eps - u0[:, None] - eps * u1
+    if diff.shape != u1.shape:
+        raise ValidationError(f"shape mismatch: diff {diff.shape}, u1 {u1.shape}")
+    return diff - eps * u1
 
 
 @dataclass(frozen=True)
@@ -289,10 +287,9 @@ def _study_row(mesh, eps, op, options, ps):
         mesh.u0_centers = diffusion.at_centers()
         mesh.u1 = first_order_corrector(diffusion, local.cell_fields["sigma"], op)
 
-    u0c = mesh.u0_centers
-    diff = transport.u - u0c[:, None]
+    diff = transport.u - mesh.u0_centers[:, None]
     mean, fluct = split_mean_fluctuation(transport.u, quad)
-    psi = expansion_remainder(transport.u, u0c, mesh.u1, eps)
+    psi = expansion_remainder(diff, mesh.u1, eps)
 
     fluct_norm = space_velocity_norm(fluct, grid, quad, 2)
     trace_norm = outflow_trace(transport).norm()

@@ -93,10 +93,25 @@ def _write_csv_blocks(path, header, blocks, written):
             fh.write(rows_text(block))
 
 
+def _finite_or_null(value):
+    """value with each non-finite float in its dicts, lists and tuples
+    replaced by None: strict JSON has no NaN or Infinity."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def _write_json(path, payload, written):
+    """Write payload as strict JSON, a non-finite float as null, and append
+    path to the list written."""
     with open(path, "w", encoding="utf-8") as fh:
         written.append(path)
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 

@@ -122,7 +122,7 @@ _TABLE = {
         "linear": {**_QUADRATURE, "g_factor": _float},
     }),
     "solver": {"scheme": _text, "tolerance": _float, "max_iterations": _int,
-               "acceleration": _text, "balance_target": _float},
+               "acceleration": _text},
     "study": {"eps": _list(_float), "p_norms": _list(_number), "mms": _text,
               "meshes": _list(_int), "reference": _text, "floor_cells": _int},
 }

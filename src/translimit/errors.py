@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "TranslimitError",
+    "ValidationError",
+    "SolvabilityError",
+    "CertificationError",
+    "ConvergenceError",
+]
+
 
 class TranslimitError(Exception):
     """Base class for all package errors."""

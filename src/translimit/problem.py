@@ -36,6 +36,7 @@ __all__ = [
     "KernelSpec",
     "ProblemSpec",
     "scaled_fields",
+    "cells_for_eps",
     "ManufacturedCase",
     "manufactured_case",
     "mms_transport_source",

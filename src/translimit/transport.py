@@ -7,8 +7,8 @@ velocity_space), so the iteration's unknowns are those moments.  One step
 maps them to the next: the emission they give, one transport sweep, and a
 synthetic-diffusion (DSA) correction of the velocity average and, for a
 kernel that also scatters the current, of the current.  The step is
-affine.  One loop makes full steps and checks the tolerance and the balance
-target on each swept solution; while the change is above the tolerance,
+affine.  One loop makes full steps and checks the change and the balance
+of each swept solution against the tolerance; while the change is above it,
 GMRES, preconditioned by the DSA, solves for the correction to the fixed
 point with one sweep per Krylov step.  Plain source iteration (the same
 step, without the correction and without GMRES) is kept as a deliberately
@@ -34,13 +34,13 @@ inflow, the outflow and the balance read the split from it.
 
 The convergence test combines the sweep's relative change of the velocity
 average, read before the DSA correction, with the discrete particle-balance
-residual of the same sweep, gated at the larger of the target and its
-rounding floor.  So every returned solution satisfies the balance identity
-at the requested target, or at rounding level where the target lies below
-that, even when the scattering ratio sigma_eps/eps amplifies iteration
-error.  The change after the correction would not do: in cells with
-sigma_t h in the tens the finite-volume DSA amplifies a rounding-level
-residual above any useful tolerance.
+residual of the same sweep; one tolerance gates both, the balance at the
+larger of the tolerance and its rounding floor.  So every returned solution
+satisfies the balance identity at the tolerance, or at rounding level where
+the tolerance lies below that, even when the scattering ratio sigma_eps/eps
+amplifies iteration error.  The change after the correction would not do:
+in cells with sigma_t h in the tens the finite-volume DSA amplifies a
+rounding-level residual above any useful tolerance.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ __all__ = [
     "solve_transport",
     "directional_derivative",
     "outflow_trace",
+    "particle_balance",
 ]
 
 
@@ -75,27 +76,26 @@ class SolverOptions:
 
     scheme : "diamond" (second order) or "upwind" (first order, non
         asymptotic-preserving control)
-    tolerance : relative l2 change of the velocity average over one sweep,
-        read before the DSA correction; with "dsa", a full step whose change
-        is above it starts GMRES, which runs to a relative residual of
-        0.1 * tolerance.  The change stalls at a roundoff floor of 1-2e-16
-        (on the 512-cell 1|4 slab with 16 ordinates and the linear kernel,
-        tolerance 1e-14 takes 20, 19 and 17 sweeps for g = 0.25, 0.5 and
-        0.75), so a tolerance below about 2e-16 uses up max_iterations,
-        and the ConvergenceError says so
+    tolerance : the one threshold of the solve.  A full step converges
+        when the relative l2 change of the velocity average over its sweep,
+        read before the DSA correction, is at most tolerance and its
+        particle-balance residual is at most the larger of tolerance and
+        the balance's rounding floor (particle_balance).  With "dsa", a full
+        step whose change is above it starts GMRES, which runs to a relative
+        residual of 0.1 * tolerance.  The change stalls at a roundoff floor
+        of 1-2e-16 (on the 512-cell 1|4 slab with 16 ordinates and the
+        linear kernel, tolerance 1e-14 takes 20, 19 and 17 sweeps for
+        g = 0.25, 0.5 and 0.75), so a tolerance below about 2e-16 uses up
+        max_iterations, and the ConvergenceError says so
     max_iterations : budget of transport sweeps, Krylov sweeps included
     acceleration : "dsa" (GMRES on the DSA-preconditioned step) or "none"
         (plain source iteration, the unaccelerated control)
-    balance_target : positive particle-balance residual every returned
-        solution must meet, or the balance's rounding floor where that is
-        larger (particle_balance)
     """
 
     scheme: str = "diamond"
     tolerance: float = 1e-10
     max_iterations: int = 200
     acceleration: str = "dsa"
-    balance_target: float = 1e-10
 
     def __post_init__(self):
         if self.scheme not in ("diamond", "upwind"):
@@ -104,8 +104,6 @@ class SolverOptions:
             raise ValidationError(f"unknown acceleration {self.acceleration!r}")
         if not (self.tolerance > 0.0):
             raise ValidationError("tolerance must be positive")
-        if not (self.balance_target > 0.0):
-            raise ValidationError("balance_target must be positive")
         if int(self.max_iterations) < 1:
             raise ValidationError("max_iterations must be >= 1")
 
@@ -411,8 +409,8 @@ def particle_balance(cells, edges, sigma_t, gamma_e, f_e, gl, gr, grid, quad):
     removal sigma_t u and the scattering cancel, so the defect of a
     converged solve is rounding of order u S, with S = sum_j h sigma_t,j
     |ubar_j| and u the double-precision epsilon.  The floor is 16 u S /
-    scale; in thick cells S outgrows scale and the floor exceeds a fixed
-    target.
+    scale; in thick cells S outgrows scale and the floor exceeds the
+    tolerance.
     """
     w = quad.weights
     h = grid.h
@@ -492,10 +490,10 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
     sweep average before the correction, is the residual of the
     unaccelerated fixed point; after the correction a rounding-level
     residual would come back amplified by about (3/4) (sigma_e h)^2 for a
-    grid-scale mode, and more for smoother ones.  The balance must meet the
-    larger of balance_target and its rounding floor (particle_balance).  If
-    both pass, the solve has converged.  Otherwise, with "dsa" and a change
-    above the tolerance, GMRES solves
+    grid-scale mode, and more for smoother ones.  The change must meet the
+    tolerance, and the balance the larger of the tolerance and its rounding
+    floor (particle_balance).  If both pass, the solve has converged.
+    Otherwise, with "dsa" and a change above the tolerance, GMRES solves
     (I - A) D = step(M) - M to 0.1 * tolerance relative residual with the
     sweeps left, one step with zero source and inflow per Krylov step, and
     M becomes M + D; from M = 0 that solves (I - A) M = b.  In any other case
@@ -507,7 +505,7 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
     Raises ValidationError for an operator on any other quadrature, and
     CertificationError for one that fails certification, before any sweep.
     Raises ConvergenceError (carrying the residual history) when the
-    iteration does not meet both the tolerance and the balance within
+    change and the balance do not both meet their gates within
     max_iterations, which is the expected signature of running without
     acceleration deep in the diffusive regime, and at once when a change
     or an average stops being finite: with "dsa" the accelerated average,
@@ -653,7 +651,7 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
             balance = None
             if change <= options.tolerance:
                 residual, floor = full_balance()
-                if residual <= max(options.balance_target, floor):
+                if residual <= max(options.tolerance, floor):
                     converged = True
                     break
             if change > options.tolerance and dsa_factor is not None:

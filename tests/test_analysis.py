@@ -223,7 +223,7 @@ class TestRemainder:
         u1 = rng.standard_normal((16, 8))
         eps = 0.125
         u_eps = u0[:, None] + eps * u1
-        psi = expansion_remainder(u_eps, u0, u1, eps)
+        psi = expansion_remainder(u_eps - u0[:, None], u1, eps)
         np.testing.assert_allclose(psi, 0.0, atol=1e-15)
 
     def test_triangle_inequality_sanity(self, quad8, iso8):
@@ -233,7 +233,7 @@ class TestRemainder:
         d = solve_diffusion(p, iso8)
         u1 = first_order_corrector(d, p.sigma(grid.centers), iso8)
         u0c = d.at_centers()
-        psi = expansion_remainder(sol.u, u0c, u1, sol.eps)
+        psi = expansion_remainder(sol.u - u0c[:, None], u1, sol.eps)
         lhs = space_velocity_norm(psi, grid, quad8)
         rhs = space_velocity_norm(sol.u - u0c[:, None], grid, quad8) \
             + sol.eps * space_velocity_norm(u1, grid, quad8)
@@ -241,7 +241,7 @@ class TestRemainder:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            expansion_remainder(np.ones((4, 3)), np.ones(5), np.ones((4, 3)), 0.5)
+            expansion_remainder(np.ones((4, 3)), np.ones((5, 3)), 0.5)
 
 
 class TestSlopeFit:

@@ -49,6 +49,16 @@ n_azimuth = 8
 
 LINEAR_ONE = LINEAR_HALF.replace("g_factor = 0.5", "g_factor = 1.0")
 
+# a 16-cell slab whose 1e308 inflow ends the solve in a non-finite change
+OVERFLOWING_INFLOW = """
+[grid]
+n_cells = 16
+[scattering]
+n_ordinates = 4
+[boundary]
+g_left = 1e308
+"""
+
 SMOOTH_STUDY = """
 [grid]
 n_cells = 64
@@ -755,23 +765,35 @@ floor_cells = 32
         # np.linalg.norm overflows on the 5e307 inflow, so every change was
         # nan, neither above nor below a bound, until a 0.0 change reported
         # the solve converged with energy nan
-        cfg = write(tmp_path, """
-[grid]
-n_cells = 16
-[scattering]
-n_ordinates = 4
-[boundary]
-g_left = 1e308
-""")
+        cfg = write(tmp_path, OVERFLOWING_INFLOW)
         rc = main(["solve", "--mode", "transport", "--eps", "0.5",
                    "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 3
         assert "non-finite change" in capsys.readouterr().err
         log = json.loads((tmp_path / "out" / "iteration_log.json").read_text())
         assert log["converged"] is False
-        assert not math.isfinite(log["residuals"][-1])
+        # strict JSON writes the non-finite residual as null
+        assert log["residuals"][-1] is None
         assert all(math.isfinite(r) for r in log["residuals"][:-1])
         assert len(log["residuals"]) == log["iterations"]
+
+    def test_overflowing_inflow_writes_strict_json(self, tmp_path):
+        # the log of the overflowing solve held Infinity and NaN, which
+        # strict JSON readers reject
+        cfg = write(tmp_path, OVERFLOWING_INFLOW)
+        out = tmp_path / "out"
+        assert main(["solve", "--mode", "transport", "--eps", "0.5",
+                     "--config", cfg, "--out", str(out)]) == 3
+
+        def reject(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        paths = sorted(out.glob("*.json"))
+        assert [p.name for p in paths] == ["iteration_log.json", "manifest.json"]
+        for path in paths:
+            json.loads(path.read_text(), parse_constant=reject)
+        log = json.loads((out / "iteration_log.json").read_text())
+        assert log["balance_residual"] is None
 
     def test_convergence_failure_exits_three_with_partial(self, tmp_path):
         cfg = write(tmp_path, SMOOTH_STUDY + """

@@ -182,13 +182,13 @@ values = 1.0 4.0
         with pytest.raises(ValidationError):
             load_config(write(tmp_path, text))
 
-    def test_balance_target_none_rejected(self, tmp_path):
-        with pytest.raises(ValidationError, match="balance_target"):
-            load_config(write(tmp_path, "[solver]\nbalance_target = none\n"))
-
-    def test_balance_target_must_be_positive(self, tmp_path):
-        with pytest.raises(ValidationError, match="balance_target"):
-            load_config(write(tmp_path, "[solver]\nbalance_target = 0\n"))
+    def test_balance_target_is_an_unknown_key(self, tmp_path, capsys):
+        # the tolerance gates the balance too, so the solver has no
+        # separate balance threshold
+        path = write(tmp_path, "[solver]\nbalance_target = 1e-10\n")
+        assert main(["certify", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "unknown keys ['balance_target']" in capsys.readouterr().err
 
     def test_table_kernel_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="table_path"):
@@ -232,8 +232,7 @@ WRITTEN_DEFAULTS = {
     "linear": ("[scattering]\nkernel = linear\ng_factor = 0\n",
                "[scattering]\nkernel = linear\n"),
     "solver": ("[solver]\nscheme = diamond\ntolerance = 1e-10\n"
-               "max_iterations = 200\nacceleration = dsa\n"
-               "balance_target = 1e-10\n", ""),
+               "max_iterations = 200\nacceleration = dsa\n", ""),
     "study": ("[study]\np_norms = 1 4\nmeshes = 32 64 128 256\n"
               "floor_cells = 64\n", ""),
 }

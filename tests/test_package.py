@@ -4,23 +4,61 @@ import sys
 from pathlib import Path
 
 import translimit
+from translimit import (
+    analysis,
+    config,
+    diffusion,
+    errors,
+    problem,
+    transport,
+    velocity_space,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(*args):
+    """The completed run of a fresh interpreter, given args, that imports
+    this checkout's translimit."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def cold_import(code):
     """The stdout of code run in a fresh interpreter that imports this
     checkout's translimit."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": path})
+    out = fresh_python("-c", code)
+    out.check_returncode()
     return out.stdout.strip()
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in translimit.__all__ if not hasattr(translimit, name)]
     assert missing == []
+
+
+def test_exports_are_the_modules_public_names():
+    modules = (errors, velocity_space, problem, diffusion, transport, analysis,
+               config)
+    names = [name for module in modules for name in module.__all__]
+    assert len(set(names)) == len(names)
+    assert sorted(translimit.__all__) == sorted(["__version__", *names])
+
+
+def test_module_entry_point_help_names_every_command():
+    out = fresh_python("-m", "translimit", "--help")
+    assert out.returncode == 0
+    assert all(command in out.stdout
+               for command in ("certify", "tensor", "solve", "study"))
+
+
+def test_module_entry_point_passes_on_the_exit_code(tmp_path):
+    # sys.exit(main()) turns a validation error into exit 2
+    out = fresh_python("-m", "translimit", "study", "--config",
+                       str(tmp_path / "missing.ini"), "--out", str(tmp_path / "out"))
+    assert out.returncode == 2
+    assert "cannot read config" in out.stderr
 
 
 def test_cli_import_starts_no_process_machinery():
