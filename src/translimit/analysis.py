@@ -5,7 +5,9 @@ in x tensored with the quadrature weights in mu.  Boundary norms carry the
 |mu| weight.  The collision energy norm is evaluated exactly as
 (eps*gamma*u + (sigma/eps)(I - K)u, u) in the weighted inner product.  The
 study measures, row by row, the errors against the diffusion limit and the
-quantities the paper's a priori bounds keep uniform in eps.
+quantities the paper's a priori bounds keep uniform in eps.  It returns a
+ConvergenceReport and writes no file: translimit.cli turns the report into
+report.csv, slopes.json and the plot files.
 """
 
 from __future__ import annotations
@@ -201,7 +203,9 @@ class ConvergenceReport:
     a priori quantity that grew past twice its largest-eps value.
     iterations and reduction_per_sweep hold each row's transport sweep count
     and IterationLog.spectral_radius_estimate, so a row records how fast its
-    solve converged as well as how long it took.
+    solve converged as well as how long it took.  The CLI writes columns to
+    report.csv and the plot files, and every other field, under its name,
+    to slopes.json.
     """
 
     eps: np.ndarray
@@ -213,40 +217,6 @@ class ConvergenceReport:
     rate_asserted: bool
     notes: tuple
     protocol: dict
-
-    def slopes_payload(self):
-        payload = {
-            "slopes": {
-                name: {
-                    "slope": fit.slope,
-                    "intercept": fit.intercept,
-                    "stderr": fit.stderr,
-                }
-                for name, fit in self.slopes.items()
-            },
-            "rate_asserted": self.rate_asserted,
-            "notes": list(self.notes),
-            "protocol": self.protocol,
-            "eps": [float(e) for e in self.eps],
-            "n_cells": list(self.n_cells),
-            "iterations": list(self.iterations),
-            "reduction_per_sweep": list(self.reduction_per_sweep),
-        }
-        return payload
-
-    def write_plot_files(self, directory, prefix="plot"):
-        """Two-column (log10 eps, log10 value) files, one per quantity."""
-        import os
-
-        paths = []
-        for name in self.columns:
-            path = os.path.join(directory, f"{prefix}_{name}.dat")
-            with open(path, "w", encoding="utf-8") as fh:
-                for e, v in zip(self.eps, self.columns[name]):
-                    if v > 0.0:
-                        fh.write(f"{math.log10(e):.17g} {math.log10(v):.17g}\n")
-            paths.append(path)
-        return paths
 
 
 def _validate_eps_list(eps_list):

@@ -2,7 +2,9 @@
 
 Subcommands mirror the verification pipeline: certify the scattering
 assumptions, dump the diffusion tensor, run single solves, and run the
-eps-sweep convergence study.  All numeric output files carry full double
+eps-sweep convergence study.  This is the one module that writes files:
+the library returns records, and each JSON file holds its record's fields
+(see _json_data).  All numeric output files carry full double
 precision: each CSV value is the exact %.17g text of its double, formatted
 a block of rows at a time by whole-array arithmetic (see csvtext).  Console
 summaries are rounded.  Each command that writes a file also writes one
@@ -93,24 +95,31 @@ def _write_csv_blocks(path, header, blocks, written):
             fh.write(rows_text(block))
 
 
-def _finite_or_null(value):
-    """value with each non-finite float in its dicts, lists and tuples
-    replaced by None: strict JSON has no NaN or Infinity."""
+def _json_data(value):
+    """value as strict-JSON data: a dataclass as the dict of its fields, an
+    ndarray, tuple or list as a list, a numpy scalar as the Python number and
+    a non-finite float as None, converting dicts and lists item by item."""
+    # numbers first: they are most of the items (np.float64 is a float)
     if isinstance(value, float):
-        return value if math.isfinite(value) else None
+        return float(value) if math.isfinite(value) else None
+    if isinstance(value, (np.ndarray, np.generic)):
+        return _json_data(value.tolist())
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
-        return {key: _finite_or_null(item) for key, item in value.items()}
+        return {key: _json_data(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_finite_or_null(item) for item in value]
+        return [_json_data(item) for item in value]
     return value
 
 
-def _write_json(path, payload, written):
-    """Write payload as strict JSON, a non-finite float as null, and append
-    path to the list written."""
+def _write_json(path, record, written):
+    """Write record, converted by _json_data, as strict JSON with sorted
+    keys, and append path to the list written.  A record dataclass is
+    written as its fields, so a field added to it reaches the file."""
     with open(path, "w", encoding="utf-8") as fh:
         written.append(path)
-        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True,
+        json.dump(_json_data(record), fh, indent=2, sort_keys=True,
                   allow_nan=False)
         fh.write("\n")
 
@@ -145,14 +154,16 @@ def _sphere_operator(cfg):
 def cmd_certify(cfg, ns, written):
     slab_report = certify_assumptions(_slab_operator(cfg))
     sphere_report = certify_assumptions(_sphere_operator(cfg))
-    payload = slab_report.as_dict()
-    payload["sphere"] = sphere_report.as_dict()
-    _write_json(os.path.join(ns.out, "certification.json"), payload, written)
+
+    def record(report):
+        return dict(_json_data(report), all_passed=report.all_passed)
+
+    _write_json(os.path.join(ns.out, "certification.json"),
+                dict(record(slab_report), sphere=record(sphere_report)), written)
     ok = slab_report.all_passed and sphere_report.all_passed
-    c_k = payload["c_K"]
     print(f"certification: {'pass' if ok else 'FAIL'}  "
-          f"c_K={c_k if c_k is not None else 'inf'}  "
-          f"null_space_dim={payload['null_space_dim']}")
+          f"c_K={slab_report.c_K}  "
+          f"null_space_dim={slab_report.null_space_dim}")
     for msg in slab_report.diagnostics + sphere_report.diagnostics:
         print(f"  diagnostic: {msg}")
     return EXIT_OK if ok else EXIT_CERTIFICATION
@@ -292,7 +303,7 @@ def _solve_transport_cmd(cfg, ns, written):
     try:
         sol = solve_transport(cfg.problem, ns.eps, op, cfg.solver)
     except ConvergenceError as exc:
-        _write_json(log_path, exc.log.as_dict(), written)
+        _write_json(log_path, exc.log, written)
         raise
     grid = sol.grid
     xc = grid.centers
@@ -303,7 +314,7 @@ def _solve_transport_cmd(cfg, ns, written):
                rows, written)
     _write_csv(os.path.join(ns.out, "transport_average.csv"), ["x", "u_bar"],
                zip(xc, sol.u_bar), written)
-    _write_json(log_path, sol.log.as_dict(), written)
+    _write_json(log_path, sol.log, written)
 
     cells = cfg.problem.cell_fields
     ns_set = norms(sol.u, ns.eps, cells["sigma"], cells["gamma"], op, grid,
@@ -343,9 +354,17 @@ def cmd_study(cfg, ns, written):
 
     _write_csv(os.path.join(ns.out, "report.csv"), ["eps", *report.columns],
                zip(report.eps, *report.columns.values()), written)
-    _write_json(os.path.join(ns.out, "slopes.json"), report.slopes_payload(),
-                written)
-    written.extend(report.write_plot_files(ns.out))
+    # report.csv holds the columns; slopes.json holds every other field
+    slopes = _json_data(report)
+    del slopes["columns"]
+    _write_json(os.path.join(ns.out, "slopes.json"), slopes, written)
+    # one (log10 eps, log10 value) file per column, over its positive values
+    for name, values in report.columns.items():
+        path = os.path.join(ns.out, f"plot_{name}.dat")
+        with open(path, "w", encoding="utf-8") as fh:
+            written.append(path)
+            fh.writelines("%.17g %.17g\n" % (math.log10(e), math.log10(v))
+                          for e, v in zip(report.eps, values) if v > 0.0)
 
     for note in report.notes:
         print(f"note: {note}")

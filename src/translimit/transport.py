@@ -141,18 +141,6 @@ class IterationLog:
     negative_fraction: float
     max_optical_thickness: float
 
-    def as_dict(self):
-        return {
-            "residuals": [float(r) for r in self.residuals],
-            "iterations": int(self.iterations),
-            "converged": bool(self.converged),
-            "spectral_radius_estimate": float(self.spectral_radius_estimate),
-            "balance_residual": float(self.balance_residual),
-            "balance_floor": float(self.balance_floor),
-            "negative_fraction": float(self.negative_fraction),
-            "max_optical_thickness": float(self.max_optical_thickness),
-        }
-
 
 @dataclass(frozen=True)
 class TransportSolution:

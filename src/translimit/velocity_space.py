@@ -621,18 +621,6 @@ class CertReport:
             )
         return self
 
-    def as_dict(self):
-        return {
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "c_K": float(self.c_K) if np.isfinite(self.c_K) else None,
-            "null_space_dim": int(self.null_space_dim),
-            "passed": {k: bool(v) for k, v in self.passed.items()},
-            "all_passed": bool(self.all_passed),
-            "diagnostics": list(self.diagnostics),
-            "symmetry_defect": float(self.symmetry_defect),
-            "row_sum_max": float(self.row_sum_max),
-        }
-
 
 def certify_assumptions(op):
     """Certify the structural assumptions on a scattering operator.
@@ -722,7 +710,7 @@ class DiffusionTensor:
     moment : the sigma-independent 3x3 velocity moment; the tensor of cell c
         is moment / sigma[c], and its eigenvalues are eigenvalues / sigma[c]
     eigenvalues : ascending eigenvalues of moment
-    sigma : (n_cells,) strictly positive cross section
+    sigma : (n_cells,) finite, strictly positive cross section
     coercivity_lb : smallest tensor eigenvalue over all cells
     """
 
@@ -762,16 +750,16 @@ def _diffusion_moment(op):
 def diffusion_tensor(op, sigma):
     """The diffusion tensor diffusion_moment(op) / sigma of each cell.
 
-    Requires a certified operator on a sphere quadrature and strictly
-    positive sigma.  Coercivity of each cell tensor against
-    |xi|^2 / (3 sigma) is enforced.
+    Requires a certified operator on a sphere quadrature and finite,
+    strictly positive sigma: NaN and inf raise ValidationError, as 0 does.
+    Coercivity of each cell tensor against |xi|^2 / (3 sigma) is enforced.
     """
     if not isinstance(op.quadrature, SphereQuadrature):
         raise ValidationError("diffusion_tensor requires a sphere quadrature")
     certify_assumptions(op).require()
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if np.any(sigma <= 0.0):
-        raise ValidationError("sigma values must be strictly positive")
+    if not np.all((sigma > 0.0) & (sigma < np.inf)):
+        raise ValidationError("sigma values must be finite and strictly positive")
 
     b = diffusion_moment(op)
     eigs = np.linalg.eigvalsh(b)

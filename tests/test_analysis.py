@@ -348,7 +348,7 @@ class TestConvergenceStudy:
                               iso8, ps=ps)
         assert diffused == []
 
-    def test_small_study_structure(self, iso8, tmp_path):
+    def test_small_study_structure(self, iso8):
         p = smooth_benchmark()
         eps = [2.0**-k for k in range(1, 5)]
         rep = convergence_study(p, eps, iso8, floor_cells=32)
@@ -361,16 +361,13 @@ class TestConvergenceStudy:
         for n, e in zip(rep.n_cells, eps):
             assert 1.0 / n <= e / 4.0 or n == 32
 
-        payload = rep.slopes_payload()
-        assert "err_total" in payload["slopes"]
+        assert "err_total" in rep.slopes
         # each row records its solve's sweeps and its reduction per sweep
         first = solve_transport(smooth_benchmark(rep.n_cells[0]), eps[0], iso8).log
-        assert payload["iterations"][0] == first.iterations
-        assert payload["reduction_per_sweep"][0] == first.spectral_radius_estimate
-        assert len(payload["reduction_per_sweep"]) == 4
-        assert all(0.0 < r < 1.0 for r in payload["reduction_per_sweep"])
-        files = rep.write_plot_files(tmp_path)
-        assert len(files) == 9
+        assert rep.iterations[0] == first.iterations
+        assert rep.reduction_per_sweep[0] == first.spectral_radius_estimate
+        assert len(rep.reduction_per_sweep) == 4
+        assert all(0.0 < r < 1.0 for r in rep.reduction_per_sweep)
 
     def test_determinism(self, iso8):
         p = smooth_benchmark()
@@ -381,7 +378,9 @@ class TestConvergenceStudy:
         assert list(r1.columns) == list(r2.columns)
         for name in r1.columns:
             np.testing.assert_array_equal(r1.columns[name], r2.columns[name])
-        assert r1.slopes_payload() == r2.slopes_payload()
+        for name in ("slopes", "n_cells", "iterations", "reduction_per_sweep",
+                     "rate_asserted", "notes", "protocol"):
+            assert getattr(r1, name) == getattr(r2, name)
 
     @pytest.mark.parametrize("sigma, kernel, n_ordinates, deepest, sweeps", [
         (CoefficientField.sinusoid(1.0, 0.5, 1.0, phase=0.8442354444173306),

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,13 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from translimit import (
+    CertReport,
+    ConvergenceReport,
+    FitResult,
+    IterationLog,
     KernelSpec,
     build_angular_quadrature,
     build_sphere_quadrature,
     diffusion_tensor,
     solve_transport,
 )
-from translimit.cli import CSV_BLOCK_ROWS, _write_csv, main
+from translimit.cli import CSV_BLOCK_ROWS, _json_data, _write_csv, main
 from translimit.config import load_config
 from translimit.csvtext import MIN_VALUES
 from conftest import cell_equation_residual, poison_sweep, spec_kernel
@@ -260,12 +265,16 @@ class TestCertify:
         payload = json.loads((tmp_path / "certification.json").read_text())
         assert abs(payload["c_K"] - 2.0) < 1e-10
 
-    def test_g_one_fails_with_exit_code_four(self, tmp_path):
+    def test_g_one_fails_with_exit_code_four(self, tmp_path, capsys):
         cfg = write(tmp_path, LINEAR_ONE)
         assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 4
         payload = json.loads((tmp_path / "certification.json").read_text())
         assert payload["null_space_dim"] == 2
         assert payload["all_passed"] is False
+        # the degenerate kernel's c_K is inf: null in strict JSON, inf on
+        # the console
+        assert payload["c_K"] is None
+        assert "c_K=inf  null_space_dim=2" in capsys.readouterr().out
 
     def test_g_factor_under_isotropic_kernel_exits_two(self, tmp_path, capsys):
         # without kernel = linear the g_factor would be dropped silently
@@ -276,6 +285,22 @@ class TestCertify:
 
 
 class TestTensor:
+    def test_non_finite_sigma_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        # sin(2 pi 1e308 x) overflows to sin(inf) = nan at every center
+        cfg = write(tmp_path, """
+[grid]
+n_cells = 8
+[coefficients.sigma]
+kind = sinusoid
+offset = 1
+amplitude = 0.5
+frequency = 1e308
+""")
+        out = tmp_path / "out"
+        assert main(["tensor", "--config", cfg, "--out", str(out)]) == 2
+        assert "sigma values must be finite" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_piecewise_sigma_tensor(self, tmp_path):
         cfg = write(tmp_path, """
 [grid]
@@ -698,7 +723,14 @@ class TestStudy:
         assert slopes["rate_asserted"] is True
         assert slopes["notes"] == []
         assert "err_total" in slopes["slopes"]
-        assert (tmp_path / "plot_err_total.dat").exists()
+        # one (log10 eps, log10 value) file per report column
+        assert sorted(p.name for p in tmp_path.glob("plot_*.dat")) == sorted(
+            f"plot_{name}.dat" for name in list(rows[0])[1:])
+        for name in list(rows[0])[1:]:
+            assert (tmp_path / f"plot_{name}.dat").read_text() == "".join(
+                "%.17g %.17g\n" % (math.log10(float(r["eps"])),
+                                    math.log10(float(r[name])))
+                for r in rows if float(r[name]) > 0.0)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "report.csv" in manifest["outputs"]
 
@@ -923,6 +955,72 @@ class TestOutputDirectory:
         assert rc == 2
         assert str(out / "manifest.json") in capsys.readouterr().err
         assert (out / "certification.json").is_file()
+
+
+def field_names(record_type):
+    return {f.name for f in dataclasses.fields(record_type)}
+
+
+class TestJsonData:
+    def test_numpy_scalars_become_python_numbers(self):
+        data = _json_data([np.float64(0.5), np.int64(3), np.bool_(True)])
+        assert data == [0.5, 3, True]
+        assert [type(v) for v in data] == [float, int, bool]
+
+    def test_ndarray_becomes_nested_lists(self):
+        data = _json_data(np.array([[1.0, np.nan], [np.inf, 2.0]]))
+        assert data == [[1.0, None], [None, 2.0]]
+        assert type(data[0][0]) is float
+
+    def test_nested_tuples_become_lists(self):
+        assert _json_data((1, (2.0, (np.float64(-np.inf),)))) == [1, [2.0, [None]]]
+
+    def test_fit_result_inside_a_dict(self):
+        data = _json_data({"err": FitResult(slope=1.0, intercept=np.float64(0.5),
+                                             stderr=float("nan"))})
+        assert data == {"err": {"slope": 1.0, "intercept": 0.5, "stderr": None}}
+        assert json.loads(json.dumps(data, allow_nan=False)) == data
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                       np.float64("nan"), np.float64("-inf")])
+    def test_non_finite_floats_become_null(self, value):
+        assert _json_data({"v": [value]}) == {"v": [None]}
+
+
+class TestJsonRecords:
+    """Each JSON file holds its record's fields, so a field added to a
+    record reaches its file."""
+
+    def test_iteration_log_holds_the_log_fields(self, tmp_path):
+        cfg = write(tmp_path, ISO)
+        assert main(["solve", "--config", cfg, "--mode", "transport",
+                     "--eps", "0.5", "--out", str(tmp_path)]) == 0
+        log = json.loads((tmp_path / "iteration_log.json").read_text())
+        assert set(log) == field_names(IterationLog)
+
+    def test_unconverged_log_holds_the_log_fields(self, tmp_path):
+        cfg = write(tmp_path, OVERFLOWING_INFLOW)
+        assert main(["solve", "--config", cfg, "--mode", "transport",
+                     "--out", str(tmp_path)]) == 3
+        log = json.loads((tmp_path / "iteration_log.json").read_text())
+        assert set(log) == field_names(IterationLog)
+        assert log["converged"] is False
+
+    def test_certification_holds_both_reports_fields(self, tmp_path):
+        cfg = write(tmp_path, LINEAR_HALF)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "certification.json").read_text())
+        sphere = payload.pop("sphere")
+        assert set(payload) == field_names(CertReport) | {"all_passed"}
+        assert set(sphere) == field_names(CertReport) | {"all_passed"}
+        assert payload["all_passed"] is sphere["all_passed"] is True
+
+    def test_slopes_holds_the_report_fields_but_columns(self, tmp_path):
+        cfg = write(tmp_path, SMOOTH_STUDY)
+        assert main(["study", "--config", cfg, "--out", str(tmp_path)]) == 0
+        slopes = json.loads((tmp_path / "slopes.json").read_text())
+        assert set(slopes) == field_names(ConvergenceReport) - {"columns"}
+        assert set(slopes["slopes"]["err_total"]) == field_names(FitResult)
 
 
 class TestManifest:

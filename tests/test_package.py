@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -76,3 +77,17 @@ def test_cli_import_builds_no_formatting_table():
         "import translimit.cli, translimit.csvtext as t; "
         "print(t._tables.cache_info().currsize)"
     ) == "0"
+
+
+def test_only_cli_and_config_open_files():
+    # config reads the config file; cli writes every output and hashes the
+    # config for the manifest.  The library returns records, so no other
+    # module opens a file.
+    opening = {
+        path.stem
+        for path in (SRC / "translimit").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"
+    }
+    assert opening == {"cli", "config"}

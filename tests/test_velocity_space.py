@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import tracemalloc
 import warnings
 
@@ -264,7 +263,6 @@ class TestCertifyAssumptions:
         assert report.c_K == np.inf
         assert not report.passed["solvability"]
         assert not report.passed["null_space"]
-        assert report.as_dict()["c_K"] is None
 
     def test_linear_c_k(self, quad8):
         op = assemble_scattering(kernel_linear(0.5), quad8)
@@ -307,11 +305,6 @@ class TestCertifyAssumptions:
                            match="failed certification: .*null space dimension 2") as err:
             bad.require()
         assert err.value.report is bad
-
-    def test_report_serializes(self, quad8):
-        report = certify_assumptions(assemble_scattering(kernel_isotropic(), quad8))
-        payload = json.loads(json.dumps(report.as_dict()))
-        assert {"c_K", "eigenvalues", "passed"} <= set(payload)
 
 
 class TestPinvApply:
@@ -495,6 +488,12 @@ class TestDiffusionTensor:
         op = assemble_scattering(kernel_isotropic(), sphere48)
         with pytest.raises(ValidationError):
             diffusion_tensor(op, [1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_sigma(self, sphere48, bad):
+        op = assemble_scattering(kernel_isotropic(), sphere48)
+        with pytest.raises(ValidationError, match="finite and strictly positive"):
+            diffusion_tensor(op, [1.0, bad])
 
 
 SLAB_ORDERS = st.integers(2, 16).map(lambda k: 2 * k)
