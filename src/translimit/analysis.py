@@ -278,8 +278,8 @@ def _study_row(mesh, eps, op, options, ps):
     # with the data scaled at eps; the source is isotropic, so fbar = f
     data = scaled_fields(local, eps, quad)
     k, m = quad.n_negative, quad.boundary_measure
-    g_sq = float(np.sum(m[k:] * data["g_left"]**2)
-                 + np.sum(m[:k] * data["g_right"]**2))
+    g = data["inflow"]
+    g_sq = float(np.sum(m[k:] * g[k:]**2) + np.sum(m[:k] * g[:k]**2))
     f_sq = grid.h * float(np.sum(data["source"]**2))
     lhs = trace_norm**2 + fluct_norm**2 / eps + eps * grid.h * float(np.sum(mean**2))
     row["energy_ratio"] = lhs / max(g_sq + f_sq / eps, 1e-300)

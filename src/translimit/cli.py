@@ -166,6 +166,8 @@ def cmd_certify(cfg, ns, written):
           f"null_space_dim={slab_report.null_space_dim}")
     for msg in slab_report.diagnostics + sphere_report.diagnostics:
         print(f"  diagnostic: {msg}")
+    for msg in slab_report.warnings + sphere_report.warnings:
+        print(f"  warning: {msg}")
     return EXIT_OK if ok else EXIT_CERTIFICATION
 
 

@@ -207,8 +207,10 @@ class ProblemSpec:
 
     The scattering kernel and the velocity quadrature are not part of it:
     both come with the ScatteringOperator each solver takes.  sigma and
-    gamma must be strictly positive; inflow data g_left/g_right may be
-    constants or callables of mu and default to zero.  At eps the solver
+    gamma must be strictly positive; the inflow data g_left (at x = 0) and
+    g_right (at x = L) are numbers or callables of mu returning shape () or
+    mu's shape, default to zero, and are checked and scaled, as one inflow
+    over all ordinates, by scaled_fields alone.  At eps the solver
     sees sigma_eps = sigma/eps, gamma_eps = eps*gamma, f_eps = eps*f and
     g_eps = eps*g; the eps-independent problem is the one at eps = 1.
     The fields at the cell centers are evaluated once per problem, on first
@@ -253,11 +255,18 @@ class ProblemSpec:
         return types.MappingProxyType(fields)
 
 
-def _eval_inflow(g, mu):
-    mu = np.asarray(mu, dtype=float)
-    if callable(g):
-        return np.asarray(g(mu), dtype=float) * np.ones_like(mu)
-    return np.full_like(mu, float(g))
+def _inflow(g, mu, name):
+    """Inflow datum g at the ordinates mu, as an array of mu's shape: g is a
+    number, or a callable of mu whose values have shape () or mu's;
+    ValidationError otherwise."""
+    try:
+        values = np.asarray(g if isinstance(g, numbers.Real) else g(mu), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(
+            f"{name} must be a number or a callable of mu: {exc}") from None
+    if values.shape not in ((), mu.shape):
+        raise ValidationError(f"{name}(mu) has shape {values.shape}, not () or {mu.shape}")
+    return np.broadcast_to(values, mu.shape)
 
 
 def _require_finite_fields(**fields):
@@ -278,11 +287,15 @@ def scaled_fields(problem, eps, quad):
     """The problem's fields as the solver sees them at eps.
 
     Returns a dict of new arrays: sigma / eps, eps * gamma and eps * source
-    from problem.cell_fields, so on problem.grid, and eps * g_left /
-    eps * g_right on the positive/negative ordinates of quad.  Raises
-    ValidationError when a cell field is not finite as given, or when it
-    overflows as scaled; that message names the scaling and eps, and numpy
-    warns nothing.
+    from problem.cell_fields, so on problem.grid, and inflow, the
+    (quad.n,) inflow in the quadrature's order: eps * g_right(mu) on the
+    leading mu < 0 ordinates, which enter at x = L, and eps * g_left(mu) on
+    the rest, which enter at x = 0.  Raises ValidationError when a cell
+    field is not finite as given, or when a field or the inflow is not
+    finite as scaled; that message names the scaling and eps, and numpy
+    warns nothing.  It raises ValidationError too when g_left or g_right is
+    neither a number nor a callable of mu whose values are numbers of shape
+    () or mu's.
     To scale on another grid, pass dataclasses.replace(problem, grid=grid).
     """
     if not (0.0 < eps < math.inf):
@@ -290,19 +303,21 @@ def scaled_fields(problem, eps, quad):
     eps = float(eps)
     cells = problem.cell_fields
     k = quad.n_negative
-    # the cell fields are finite, so a scaled one that is not has overflowed
+    # the cell fields are finite, so a scaled one that is not has overflowed,
+    # or, for the inflow, was not finite as given
     with np.errstate(over="ignore"):
         fields = {
             "sigma": cells["sigma"] / eps,
             "gamma": eps * cells["gamma"],
             "source": eps * cells["source"],
+            "inflow": eps * np.concatenate([
+                _inflow(problem.g_right, quad.nodes[:k], "g_right"),
+                _inflow(problem.g_left, quad.nodes[k:], "g_left")]),
         }
     for name, scaled in (("sigma", "sigma / eps"), ("gamma", "eps * gamma"),
-                         ("source", "eps * source")):
+                         ("source", "eps * source"), ("inflow", "eps * inflow")):
         if not np.isfinite(fields[name]).all():
             raise ValidationError(f"{scaled} is not finite at eps = {eps!r}")
-    fields["g_left"] = eps * _eval_inflow(problem.g_left, quad.nodes[k:])
-    fields["g_right"] = eps * _eval_inflow(problem.g_right, quad.nodes[:k])
     return fields
 
 

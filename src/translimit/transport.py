@@ -193,8 +193,8 @@ class SweepPlan:
     raises ValidationError unless every reciprocal is positive and finite
     (an infinite sigma_t fails here).  march() lays an (n_cells,
     n_ordinates) field out in march order, (n_ordinates, n_cells);
-    incoming() gathers the inflow of all ordinates; unpack() turns a
-    sweep's output back into cells and edges.
+    unpack() turns a sweep's output and its inflow (scaled_fields' inflow)
+    back into cells and edges.
     """
 
     def __init__(self, sigma_t, grid, quad, scheme="diamond"):
@@ -250,20 +250,6 @@ class SweepPlan:
         out[k:] = field[:, k:].T
         return out
 
-    def incoming(self, g_left, g_right):
-        """The (n_ordinates,) inflow from g_left and g_right, each a scalar
-        or an array over the positive or the negative ordinates."""
-        k = self.n_negative
-        incoming = np.empty(self.inflow.size)
-        for rows, g, name in ((slice(k, None), g_left, "g_left"),
-                              (slice(None, k), g_right, "g_right")):
-            g = np.asarray(g, dtype=float)
-            if g.shape not in ((), incoming[rows].shape):
-                raise ValidationError(
-                    f"{name} has shape {g.shape}, expected () or {incoming[rows].shape}")
-            incoming[rows] = g
-        return incoming
-
     def unpack(self, swept, incoming):
         """(n_cells, n_ordinates) cells and (n_cells + 1, n_ordinates) edges
         of a sweep's output and its inflow.  The diamond closure takes the
@@ -295,10 +281,13 @@ def sweep(plan, emission, incoming=None):
         the grid, the ordinates and the scheme
     emission : (n_ordinates, n_cells) C-order float array in march order
         (plan.march), the emission sigma_eps K u + f_eps
-    incoming : (n_ordinates,) inflow (plan.incoming), or None for zero
+    incoming : (n_ordinates,) inflow in the quadrature's order, the values
+        of the mu < 0 ordinates at x = L and of the others at x = 0
+        (scaled_fields' inflow), or None for zero
 
     Returns the outgoing edges in march order, in the emission's memory;
-    plan.unpack turns them into cells and edges.
+    plan.unpack turns them into cells and edges.  Raises ValidationError for
+    an emission or an inflow of any other shape.
     """
     shape = (plan.inflow.size, plan.n_cells)
     if not (isinstance(emission, np.ndarray) and emission.shape == shape
@@ -306,6 +295,8 @@ def sweep(plan, emission, incoming=None):
         raise ValidationError(
             f"emission must be a C-order float array of shape {shape}, got "
             f"{type(emission).__name__} {np.shape(emission)}")
+    if incoming is not None and np.shape(incoming) != shape[:1]:
+        raise ValidationError(f"incoming has shape {np.shape(incoming)}, not {shape[:1]}")
     emission *= plan.reciprocal
     if incoming is not None:
         emission[:, 0] += plan.inflow * incoming
@@ -387,26 +378,27 @@ _BALANCE_FLOOR = 16.0 * np.finfo(float).eps
 _CHANGE_FLOOR = 16.0 * np.finfo(float).eps
 
 
-def particle_balance(cells, edges, sigma_t, gamma_e, f_e, gl, gr, grid, quad):
+def particle_balance(cells, edges, sigma_t, gamma_e, f_e, grid, quad):
     """Relative defect of outflow - inflow + absorption - source, and the
     floor that rounding sets under it.
 
-    The identity holds for a converged solve because the row-normalized,
-    weighted-self-adjoint scattering operator is conservative.  Both are
-    relative to scale, the largest of the four terms.  In each cell the
-    removal sigma_t u and the scattering cancel, so the defect of a
-    converged solve is rounding of order u S, with S = sum_j h sigma_t,j
-    |ubar_j| and u the double-precision epsilon.  The floor is 16 u S /
-    scale; in thick cells S outgrows scale and the floor exceeds the
-    tolerance.
+    The outflow and the inflow are both read from the edges, which hold a
+    solve's inflow on the face each ordinate enters by (x = 0 for mu > 0,
+    x = L for mu < 0), as plan.unpack writes it.  The identity holds for a
+    converged solve because the row-normalized, weighted-self-adjoint
+    scattering operator is conservative.  Both are relative to scale, the
+    largest of the four terms.  In each cell the removal sigma_t u and the
+    scattering cancel, so the defect of a converged solve is rounding of
+    order u S, with S = sum_j h sigma_t,j |ubar_j| and u the double-precision
+    epsilon.  The floor is 16 u S / scale; in thick cells S outgrows scale
+    and the floor exceeds the tolerance.
     """
     w = quad.weights
     h = grid.h
-    k = quad.n_negative
-    m = quad.boundary_measure
+    k, m = quad.n_negative, quad.boundary_measure
     u_bar = cells @ w
     out = float(np.sum(m[k:] * edges[-1, k:]) + np.sum(m[:k] * edges[0, :k]))
-    inflow = float(np.sum(m[k:] * gl) + np.sum(m[:k] * gr))
+    inflow = float(np.sum(m[k:] * edges[0, k:]) + np.sum(m[:k] * edges[-1, :k]))
     absorption = float(np.sum(h * gamma_e * u_bar))
     source = float(np.sum(h * (f_e @ w)))
     scale = max(abs(out), abs(inflow), abs(absorption), abs(source), 1e-300)
@@ -512,8 +504,7 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
     plan = SweepPlan(sigma_t, grid, quad, options.scheme)
     thickness = float(np.max(sigma_t * grid.h))
     w = quad.weights
-    gl = fields["g_left"]
-    gr = fields["g_right"]
+    incoming = fields["inflow"]
 
     if source_override is not None:
         f_e = np.asarray(source_override, dtype=float)
@@ -530,7 +521,6 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
     z = op.mean_weights  # z @ M = u @ w
 
     source = plan.march(f_e)
-    incoming = plan.incoming(gl, gr)
     maps = _MarchMoments(op, plan, incoming)
     # every sweep's right-hand side, overwritten by its solution
     emission = np.empty((quad.n, grid.n_cells))
@@ -562,7 +552,7 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
         nonlocal balance
         if balance is None:
             balance = (np.inf, 0.0) if edges is None else particle_balance(
-                cells, edges, sigma_t, gamma_e, f_e, gl, gr, grid, quad)
+                cells, edges, sigma_t, gamma_e, f_e, grid, quad)
         return balance
 
     def log():

@@ -369,6 +369,7 @@ class ScatteringOperator:
             diagnostics=tuple(diagnostics),
             symmetry_defect=self.symmetry_defect,
             row_sum_max=self.row_sum_max,
+            warnings=self.warnings,
         )
 
 
@@ -593,6 +594,12 @@ class CertReport:
         when the null space has more than one dimension
     passed : per-assumption booleans (self_adjoint, contraction, null_space,
         solvability)
+    diagnostics : the checks' notes: why one failed, or a sup-norm row sum
+        above 1 that the spectral check certifies
+    symmetry_defect, row_sum_max : the operator's, as its assembly measured
+        them for the checks
+    warnings : what the operator's assembly recorded without rejecting it
+        (a negative kernel value, a row normalization far from 1)
     """
 
     eigenvalues: np.ndarray
@@ -602,6 +609,7 @@ class CertReport:
     diagnostics: tuple = ()
     symmetry_defect: float = 0.0
     row_sum_max: float = 1.0
+    warnings: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
@@ -750,14 +758,17 @@ def _diffusion_moment(op):
 def diffusion_tensor(op, sigma):
     """The diffusion tensor diffusion_moment(op) / sigma of each cell.
 
-    Requires a certified operator on a sphere quadrature and finite,
-    strictly positive sigma: NaN and inf raise ValidationError, as 0 does.
+    Requires a certified operator on a sphere quadrature and a nonempty
+    sigma of finite, strictly positive values: an empty sigma, NaN and inf
+    raise ValidationError, as 0 does.
     Coercivity of each cell tensor against |xi|^2 / (3 sigma) is enforced.
     """
     if not isinstance(op.quadrature, SphereQuadrature):
         raise ValidationError("diffusion_tensor requires a sphere quadrature")
     certify_assumptions(op).require()
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+    if sigma.size == 0:
+        raise ValidationError("sigma needs at least one value")
     if not np.all((sigma > 0.0) & (sigma < np.inf)):
         raise ValidationError("sigma values must be finite and strictly positive")
 

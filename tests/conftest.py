@@ -63,6 +63,18 @@ def make_problem(n_cells=100, sigma=1.0, gamma=1.0, source=1.0, length=1.0,
     )
 
 
+# inflow data that scaled_fields rejects with ValidationError on a
+# quadrature with four ordinates of each sign; a callable's values of shape
+# (1,) are not taken for a constant
+BAD_INFLOWS = {
+    "callable-length": lambda mu: np.ones(3),
+    "callable-one": lambda mu: np.ones(1),
+    "callable-text": lambda mu: "x",
+    "text": "x",
+    "array": np.ones(4),
+}
+
+
 @pytest.fixture
 def unit_problem():
     return make_problem
@@ -191,14 +203,13 @@ def cell_equation_residual(solution, problem, eps, kernel):
     data = scaled_fields(problem, eps, quad)
     u, edges = solution.u, solution.edges
     mu = quad.nodes
-    pos = mu > 0.0
     sigma_t = data["sigma"] + data["gamma"]
     matrix = dense_scattering(kernel, quad)
     balance = (mu * np.diff(edges, axis=0) / grid.h + sigma_t[:, None] * u
                - data["sigma"][:, None] * (u @ matrix.T) - data["source"][:, None])
     closure = u - 0.5 * (edges[:-1] + edges[1:])
-    inflow = np.concatenate([edges[0, pos] - data["g_left"],
-                             edges[-1, ~pos] - data["g_right"]])
+    # a mu > 0 ordinate enters at x = 0, a mu < 0 one at x = L
+    inflow = np.where(mu > 0.0, edges[0], edges[-1]) - data["inflow"]
     scale = float(np.max(np.abs(u)))
     return max(float(np.max(np.abs(balance))) / float(np.max(np.abs(sigma_t[:, None] * u))),
                float(np.max(np.abs(closure))) / scale,
@@ -244,9 +255,9 @@ def direct_solve(problem, eps, kernel, quad):
     rhs[p:p + n * m] = np.repeat(data["source"], m)
     left, right = np.arange(k, m), np.arange(k)
     put(left - k, left, 1.0)
-    rhs[:p] = data["g_left"]
+    rhs[:p] = data["inflow"][k:]
     put(p + n * m + right, n * m + right, 1.0)
-    rhs[p + n * m:] = data["g_right"]
+    rhs[p + n * m:] = data["inflow"][:k]
 
     # one step of iterative refinement takes the balance defect of the
     # 512-cell 1|4 slab from about 3e-12 to 1e-15; band's rows are the

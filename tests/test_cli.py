@@ -265,6 +265,18 @@ class TestCertify:
         payload = json.loads((tmp_path / "certification.json").read_text())
         assert abs(payload["c_K"] - 2.0) < 1e-10
 
+    def test_assembly_warnings_are_written_and_printed(self, tmp_path, capsys):
+        # the linear kernel at g = 0.5 is negative between nearly opposed
+        # directions; that is recorded but does not gate certification
+        cfg = write(tmp_path, LINEAR_HALF)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "certification.json").read_text())
+        assert payload["warnings"] == ["kernel takes negative values (min -0.383235)"]
+        assert payload["sphere"]["warnings"] == ["kernel takes negative values (min -0.5)"]
+        out = capsys.readouterr().out
+        assert "  warning: kernel takes negative values (min -0.383235)\n" in out
+        assert "  warning: kernel takes negative values (min -0.5)\n" in out
+
     def test_g_one_fails_with_exit_code_four(self, tmp_path, capsys):
         cfg = write(tmp_path, LINEAR_ONE)
         assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 4

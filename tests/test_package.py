@@ -79,15 +79,34 @@ def test_cli_import_builds_no_formatting_table():
     ) == "0"
 
 
+def modules_with(match):
+    """The names of the modules under src/translimit with a syntax node
+    for which match(node) is true."""
+    return {
+        path.stem
+        for path in (SRC / "translimit").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if match(node)
+    }
+
+
 def test_only_cli_and_config_open_files():
     # config reads the config file; cli writes every output and hashes the
     # config for the manifest.  The library returns records, so no other
     # module opens a file.
-    opening = {
-        path.stem
-        for path in (SRC / "translimit").glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Call)
+    assert modules_with(
+        lambda node: isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"
-    }
-    assert opening == {"cli", "config"}
+    ) == {"cli", "config"}
+
+
+def test_only_problem_reads_the_inflow_data():
+    # scaled_fields checks g_left and g_right and scales them into the one
+    # inflow vector that the solver and the analysis read; no other module
+    # reads them, as attributes or as keys
+    names = ("g_left", "g_right")
+    assert modules_with(
+        lambda node: isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.Subscript)
+        and getattr(node.slice, "value", None) in names
+    ) == {"problem"}

@@ -21,7 +21,7 @@ from translimit import (
     mms_transport_source,
     scaled_fields,
 )
-from conftest import make_problem
+from conftest import BAD_INFLOWS, make_problem
 
 
 class TestGrid:
@@ -171,8 +171,9 @@ class TestScale:
         np.testing.assert_array_equal(fields["sigma"], p.sigma(xc))
         np.testing.assert_array_equal(fields["gamma"], p.gamma(xc))
         np.testing.assert_array_equal(fields["source"], p.source(xc))
-        np.testing.assert_array_equal(fields["g_left"], np.full((mu > 0).sum(), 0.7))
-        np.testing.assert_array_equal(fields["g_right"], mu[mu < 0] ** 2)
+        k = quad8.n_negative
+        np.testing.assert_array_equal(fields["inflow"][k:], np.full((mu > 0).sum(), 0.7))
+        np.testing.assert_array_equal(fields["inflow"][:k], mu[mu < 0] ** 2)
 
     def test_multiplicative_composition(self, quad8):
         p = make_problem(sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0))
@@ -190,11 +191,12 @@ class TestScale:
         fields = scaled_fields(p, eps, quad8)
         xc = p.grid.centers
         pos = quad8.nodes > 0
+        k = quad8.n_negative
         np.testing.assert_array_equal(fields["sigma"], p.sigma(xc) / eps)
         np.testing.assert_array_equal(fields["gamma"], eps * p.gamma(xc))
         np.testing.assert_array_equal(fields["source"], eps * p.source(xc))
-        np.testing.assert_array_equal(fields["g_left"], np.full(pos.sum(), eps * 0.7))
-        np.testing.assert_array_equal(fields["g_right"],
+        np.testing.assert_array_equal(fields["inflow"][k:], np.full(pos.sum(), eps * 0.7))
+        np.testing.assert_array_equal(fields["inflow"][:k],
                                       np.full((~pos).sum(), eps * 1.3))
 
     def test_boundary_norm_scaling(self, quad8):
@@ -204,8 +206,9 @@ class TestScale:
         fields = scaled_fields(p, eps, quad8)
         mu, w = quad8.nodes, quad8.weights
         pos = mu > 0
-        gl = fields["g_left"]
-        gr = fields["g_right"]
+        k = quad8.n_negative
+        gl = fields["inflow"][k:]
+        gr = fields["inflow"][:k]
         norm_sq = np.sum(w[pos] * mu[pos] * gl**2) + np.sum(
             w[~pos] * (-mu[~pos]) * gr**2
         )
@@ -221,8 +224,17 @@ class TestScale:
         p = make_problem(g_left=lambda mu: mu, g_right=lambda mu: mu**2)
         fields = scaled_fields(p, 0.5, quad8)
         mu = quad8.nodes
-        np.testing.assert_array_equal(fields["g_left"], 0.5 * mu[mu > 0])
-        np.testing.assert_array_equal(fields["g_right"], 0.5 * mu[mu < 0] ** 2)
+        k = quad8.n_negative
+        np.testing.assert_array_equal(fields["inflow"][k:], 0.5 * mu[mu > 0])
+        np.testing.assert_array_equal(fields["inflow"][:k], 0.5 * mu[mu < 0] ** 2)
+
+    @pytest.mark.parametrize("side", ["g_left", "g_right"])
+    @pytest.mark.parametrize("bad", BAD_INFLOWS)
+    def test_malformed_inflow_rejected(self, quad8, side, bad):
+        # a number, or a callable of mu with values of shape () or mu's
+        problem = make_problem(n_cells=8, **{side: BAD_INFLOWS[bad]})
+        with pytest.raises(ValidationError, match=side):
+            scaled_fields(problem, 0.5, quad8)
 
     def test_invalid_eps(self, quad8):
         with pytest.raises(ValidationError):
@@ -243,7 +255,7 @@ class TestScale:
 
     @pytest.mark.parametrize("field, eps, scaled", [
         ("sigma", 1e-300, "sigma / eps"), ("gamma", 1e300, "eps * gamma"),
-        ("source", 1e300, "eps * source")])
+        ("source", 1e300, "eps * source"), ("g_left", 1e300, "eps * inflow")])
     def test_overflow_when_scaled_names_the_scaling(self, quad8, field, eps, scaled):
         # 1e10 is finite as given; scaled at eps it overflows
         problem = make_problem(n_cells=16, **{field: 1e10})
@@ -252,6 +264,11 @@ class TestScale:
             with pytest.raises(ValidationError) as info:
                 scaled_fields(problem, eps, quad8)
         assert str(info.value) == f"{scaled} is not finite at eps = {eps!r}"
+
+    @pytest.mark.parametrize("g", [np.inf, lambda mu: np.nan * mu], ids=["inf", "nan"])
+    def test_non_finite_inflow_rejected(self, quad8, g):
+        with pytest.raises(ValidationError, match=r"eps \* inflow is not finite"):
+            scaled_fields(make_problem(g_right=g), 0.5, quad8)
 
     def test_cell_fields_are_read_only_and_evaluated_once(self):
         p = make_problem(n_cells=8, sigma=CoefficientField.sinusoid(2.0, 0.5, 1.0),

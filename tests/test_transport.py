@@ -32,14 +32,25 @@ from translimit import (
 )
 from translimit.krylov import _gmres, _solve_upper
 from translimit.transport import _MarchMoments
-from conftest import (cell_equation_residual, dense_scattering, direct_solve, l2_error,
-                      make_problem, poison_sweep, smooth_benchmark)
+from conftest import (BAD_INFLOWS, cell_equation_residual, dense_scattering, direct_solve,
+                      l2_error, make_problem, poison_sweep, smooth_benchmark)
+
+
+def inflow_vector(plan, g_left, g_right):
+    """The (n_ordinates,) inflow a sweep takes, in the quadrature's order:
+    g_right on the leading mu < 0 ordinates, g_left on the rest, each a
+    scalar or an array over its ordinates."""
+    k = plan.n_negative
+    incoming = np.empty(plan.inflow.size)
+    incoming[:k] = g_right
+    incoming[k:] = g_left
+    return incoming
 
 
 def natural_sweep(plan, emission, g_left, g_right):
     """Cells and edges of one sweep of an (n_cells, n_ordinates) emission:
     laid out in march order, swept, and unpacked."""
-    incoming = plan.incoming(g_left, g_right)
+    incoming = inflow_vector(plan, g_left, g_right)
     return plan.unpack(sweep(plan, plan.march(emission), incoming), incoming)
 
 
@@ -116,28 +127,33 @@ class TestSweep:
     def test_solves_in_place(self, quad8):
         plan = SweepPlan(np.ones(10), Grid1D(1.0, 10), quad8)
         emission = np.ones((8, 10))
-        swept = sweep(plan, emission, plan.incoming(1.0, 0.5))
+        swept = sweep(plan, emission, inflow_vector(plan, 1.0, 0.5))
         assert np.shares_memory(swept, emission)
         assert swept.shape == (8, 10) and np.all(swept > 0.0)
 
-    @pytest.mark.parametrize("sigma_t, g_left, g_right, scheme", [
-        (np.ones(9), 0.0, 0.0, "diamond"),       # sigma_t longer than n_cells
-        (np.ones((4, 1)), 0.0, 0.0, "diamond"),
-        (-np.ones(4), 0.0, 0.0, "diamond"),
-        (np.array([1.0, np.inf, 1.0, 1.0]), 0.0, 0.0, "diamond"),
-        (np.array([1.0, np.inf, 1.0, 1.0]), 0.0, 0.0, "upwind"),
-        (np.ones(4), np.zeros(3), 0.0, "diamond"),  # 4 positive ordinates
-        (np.ones(4), 0.0, np.zeros(5), "diamond"),  # 4 negative ordinates
-        (np.ones(4), 0.0, 0.0, "magic"),
+    @pytest.mark.parametrize("sigma_t, scheme", [
+        (np.ones(9), "diamond"),       # sigma_t longer than n_cells
+        (np.ones((4, 1)), "diamond"),
+        (-np.ones(4), "diamond"),
+        (np.array([1.0, np.inf, 1.0, 1.0]), "diamond"),
+        (np.array([1.0, np.inf, 1.0, 1.0]), "upwind"),
+        (np.ones(4), "magic"),
     ], ids=["sigma-length", "sigma-2d", "sigma-negative", "sigma-inf",
-            "sigma-inf-upwind", "g-left-length",
-            "g-right-length", "scheme"])
-    def test_malformed_input_rejected(self, quad8, sigma_t, g_left, g_right,
-                                      scheme):
+            "sigma-inf-upwind", "scheme"])
+    def test_malformed_input_rejected(self, quad8, sigma_t, scheme):
         grid = Grid1D(1.0, 4)
         with pytest.raises(ValidationError):
             natural_sweep(SweepPlan(sigma_t, grid, quad8, scheme), np.zeros((4, 8)),
-                          g_left, g_right)
+                          0.0, 0.0)
+
+    @pytest.mark.parametrize("incoming", [np.zeros(7), np.zeros(9), np.zeros((8, 1)),
+                                          0.0],
+                             ids=["short", "long", "2d", "scalar"])
+    def test_rejects_incoming_of_wrong_shape(self, quad8, incoming):
+        # one inflow value per ordinate, in the quadrature's order
+        plan = SweepPlan(np.ones(4), Grid1D(1.0, 4), quad8)
+        with pytest.raises(ValidationError, match="incoming has shape"):
+            sweep(plan, np.zeros((8, 4)), incoming)
 
 
 def reference_sweep(sigma_t, emission, g_left, g_right, grid, quad, scheme):
@@ -266,12 +282,11 @@ def march_moment_inputs(draw):
                                    kernel_linear(draw(st.floats(0.0, 0.9)))]))
     tau = 10.0 ** draw(hnp.arrays(float, n, elements=st.floats(-3.0, 3.0)))
     emission = draw(hnp.arrays(float, (n, quad.n), elements=st.floats(-10.0, 10.0)))
-    k = quad.n_negative
     inflow = draw(st.booleans())
     g = (draw(hnp.arrays(float, quad.n, elements=st.floats(-10.0, 10.0)))
          if inflow else np.zeros(quad.n))
     plan = SweepPlan(tau / grid.h, grid, quad, draw(st.sampled_from(["diamond", "upwind"])))
-    return plan, assemble_scattering(kernel, quad), emission, g[k:], g[:k], inflow
+    return plan, assemble_scattering(kernel, quad), emission, g, inflow
 
 
 class TestMarchMoments:
@@ -281,8 +296,7 @@ class TestMarchMoments:
         # the moments a step reads from the march-order output are those of
         # the cells a full step unpacks; without inflow the step is a Krylov
         # step, which sweeps and reads without it
-        plan, op, emission, g_left, g_right, inflow = inputs
-        incoming = plan.incoming(g_left, g_right)
+        plan, op, emission, incoming, inflow = inputs
         maps = _MarchMoments(op, plan, incoming)
         swept = sweep(plan, plan.march(emission), incoming if inflow else None)
         got = maps.read(swept, inflow)
@@ -406,9 +420,20 @@ def piecewise_fields(draw, lo, hi):
     return CoefficientField.piecewise(breaks, values)
 
 
+def linear_in_mu(a, b):
+    """The mu-dependent inflow a + b mu."""
+    return lambda mu: a + b * mu
+
+
+def inflow_data(value=st.floats(-2.0, 2.0)):
+    """A constant inflow or a mu-dependent callable one."""
+    return st.one_of(value, st.builds(linear_in_mu, value, value))
+
+
 @st.composite
 def balance_problems(draw):
-    """Random positive coefficients and constant inflow on 8..128 cells."""
+    """Random positive coefficients and constant or mu-dependent inflow on
+    8..128 cells."""
     n = draw(st.integers(8, 128))
     # eps = 1 is the eps-independent problem
     eps = 2.0 ** -draw(st.integers(0, 4))
@@ -421,8 +446,8 @@ def balance_problems(draw):
                                    KernelSpec(kind="linear", g_factor=0.5)]))
     problem = make_problem(
         n_cells=n, sigma=sigma, gamma=gamma, source=source,
-        g_left=draw(st.floats(-2.0, 2.0)),
-        g_right=draw(st.floats(-2.0, 2.0)),
+        g_left=draw(inflow_data()),
+        g_right=draw(inflow_data()),
     )
     return problem, eps, kernel
 
@@ -440,15 +465,21 @@ class TestBalanceProperty:
                               SolverOptions(tolerance=tolerance))
         target = max(tolerance, sol.log.balance_floor)
         assert sol.log.balance_residual <= target
-        # the same identity from data scaled here, not by the solver
+        # the same identity from data scaled here, not by the solver; the
+        # balance reads the inflow from the solution's edges, so first check
+        # those against the inflow scaled here
         xc = problem.grid.centers
         mu = quad.nodes
+        for face, enters, g in ((0, mu > 0.0, problem.g_left),
+                                (-1, mu < 0.0, problem.g_right)):
+            nodes = mu[enters]
+            scaled = eps * (g(nodes) if callable(g) else np.full(nodes.size, g))
+            np.testing.assert_array_equal(sol.edges[face, enters], scaled)
         gamma_e = eps * problem.gamma(xc)
         res, _ = particle_balance(
             sol.u, sol.edges, problem.sigma(xc) / eps + gamma_e, gamma_e,
             np.repeat(eps * problem.source(xc)[:, None], quad.n, axis=1),
-            np.full((mu > 0).sum(), eps * problem.g_left),
-            np.full((mu < 0).sum(), eps * problem.g_right), problem.grid, quad)
+            problem.grid, quad)
         assert res <= target
 
 
@@ -506,6 +537,16 @@ class TestSolveTransport:
         assert sol.log.balance_residual <= 1e-10
         np.testing.assert_allclose(sol.u_bar, sol.u @ quad8.weights, atol=1e-15)
 
+    @pytest.mark.parametrize("side", ["g_left", "g_right"])
+    @pytest.mark.parametrize("bad", BAD_INFLOWS)
+    def test_malformed_inflow_rejected_before_any_sweep(self, monkeypatch, iso8,
+                                                       side, bad):
+        calls = poison_sweep(monkeypatch, 1)
+        problem = make_problem(n_cells=8, **{side: BAD_INFLOWS[bad]})
+        with pytest.raises(ValidationError, match=side):
+            solve_transport(problem, 0.5, iso8)
+        assert calls == []
+
     def test_balance_identity_recomputes(self, quad8, iso8):
         p = make_problem(n_cells=64)
         eps = 0.5
@@ -513,10 +554,8 @@ class TestSolveTransport:
         xc = p.grid.centers
         gamma_e = eps * p.gamma(xc)
         f_e = np.full((64, 8), eps * 1.0)
-        mu = quad8.nodes
         res, _ = particle_balance(sol.u, sol.edges, p.sigma(xc) / eps + gamma_e,
-                                  gamma_e, f_e, np.zeros((mu > 0).sum()),
-                                  np.zeros((mu < 0).sum()), p.grid, quad8)
+                                  gamma_e, f_e, p.grid, quad8)
         assert res <= 1e-10
 
     def test_balance_only_where_the_change_meets_the_tolerance(self, monkeypatch,

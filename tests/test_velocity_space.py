@@ -489,11 +489,16 @@ class TestDiffusionTensor:
         with pytest.raises(ValidationError):
             diffusion_tensor(op, [1.0, 0.0])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_sigma(self, sphere48, bad):
+    @pytest.mark.parametrize("sigma, message", [
+        ([1.0, np.nan], "finite and strictly positive"),
+        ([1.0, np.inf], "finite and strictly positive"),
+        ([], "at least one value"),
+    ], ids=["nan", "inf", "empty"])
+    def test_rejects_non_finite_sigma(self, sphere48, sigma, message):
+        # an empty sigma has no largest value to bound the coercivity by
         op = assemble_scattering(kernel_isotropic(), sphere48)
-        with pytest.raises(ValidationError, match="finite and strictly positive"):
-            diffusion_tensor(op, [1.0, bad])
+        with pytest.raises(ValidationError, match=message):
+            diffusion_tensor(op, sigma)
 
 
 SLAB_ORDERS = st.integers(2, 16).map(lambda k: 2 * k)
