@@ -374,10 +374,10 @@ class ScatteringOperator:
 
 
 # quadrature points on a side of a tile: assemble_scattering evaluates a
-# factored kernel on tiles of _TILE x _TILE and holds at most a row block of
-# _TILE x n, never the whole n x n table.  A multiple of 64, so that BLAS
-# groups the rows of a row block as it groups those of the whole table, and
-# every record keeps the whole table's bits
+# factored kernel on tiles of _TILE x _TILE and holds one row block of
+# _TILE x n and a few tiles, never the whole n x n table.  A multiple of 64,
+# so that BLAS groups the rows of a row block as it groups those of the
+# whole table, and every record keeps the whole table's bits
 _TILE = 128
 
 
@@ -400,13 +400,17 @@ def assemble_scattering(kernel, quad):
     k(v_i, v_j) = (Phi C Phi^T)_ij; the factor must reproduce the tabulated
     kernel to 1e-10 relative.  Such a kernel is never tabulated whole, and
     no n x n array is built.  It is evaluated on tiles of _TILE x _TILE
-    points in two passes.  Pass 1 fills one row block of _TILE x n at a
-    time, for the kernel's minimum, scale, row sums, factor defect and
-    sup-norm row sum, and the symmetry of its diagonal tile; pass 2 reads
-    the tile pairs I < J, for the asymmetry and the weighted self-adjointness
-    defect off the diagonal.  Each record equals the whole table's bit for
-    bit.  For a kernel without a factor, the tabulated kernel is its own
-    core, Phi = I, C = k, r = n, and the tiles are read from it.
+    points in one pass over the row blocks, which reuses one row block of
+    _TILE x n.  Row block J is filled tile by tile, each tile giving its
+    minimum, maximum and factor defect while it is small; then come its row
+    integrals D_J, the asymmetry and the weighted self-adjointness defect of
+    the mirror tiles k(I, J) of the earlier row blocks I < J against its own
+    k(J, I) and of its diagonal tile, and last, in place, |K| for the
+    sup-norm row sum.  The kernel is evaluated once on the row blocks and
+    once more on the tiles above the diagonal, and each record equals the
+    whole table's bit for bit.  For a kernel without a factor, the
+    tabulated kernel is its own core, Phi = I, C = k, r = n, and the tiles
+    are read from it.
 
     Raises ValidationError, in this order, for kernel values of the wrong
     shape (for a kernel with a factor, found on the first tile and named
@@ -437,32 +441,50 @@ def assemble_scattering(kernel, quad):
     tiles = _tiles(n)
     rows = np.empty(n)
     abs_row_sums = np.empty(n)
-    # pass 1, row blocks: every entry once, the diagonal tiles' symmetry too
-    kmins, kmaxs, defects, asyms, weighted = (list(records) for records in zip(*(
-        _row_block_records(block, b, tiles, w, rows, abs_row_sums, features, gram)
-        for b in tiles)))
-    normalizable = not np.any(rows <= 0.0)
-    # pass 2, tile pairs I < J: k_IJ against k_JI, once every D is known
-    for i, bi in enumerate(tiles):
-        for bj in tiles[i + 1:]:
-            pair_asym, pair_weighted = _tile_pair_records(block, bi, bj, w, rows,
-                                                          normalizable)
-            asyms.append(pair_asym)
-            weighted.append(pair_weighted)
+    row_block = np.empty((max(b.stop - b.start for b in tiles), n))
+    kmins, kmaxs, defects, asyms, weighted, positive = [], [], [], [], [], []
+    for j, bj in enumerate(tiles):
+        kb = row_block[:bj.stop - bj.start]
+        for cols in tiles:
+            tile = block(bj, cols)
+            kb[:, cols] = tile
+            kmins.append(tile.min())
+            kmaxs.append(tile.max())
+            if gram is not None:
+                d = features[bj] @ gram[:, cols]
+                d -= tile
+                defects.append(np.abs(d, out=d).max())
+        rows[bj] = kb @ w
+        positive.append(not (rows[bj] <= 0.0).any())
+        # k(I, J) against k(J, I) for I < J, then the diagonal tile
+        for i, bi in enumerate(tiles[:j + 1]):
+            kij = kb[:, bj] if i == j else block(bi, bj)
+            kji = kb[:, bi]
+            asyms.append(_max_asymmetry(kij, kji))
+            if positive[i] and positive[j]:
+                wij = _weighted(kij, bi, bj, w, rows)
+                weighted.append(_max_asymmetry(
+                    wij, wij if i == j else _weighted(kji, bj, bi, w, rows)))
+        if positive[j]:
+            # K = (k w) / D
+            kb *= w
+            kb /= rows[bj, None]
+            abs_row_sums[bj] = np.abs(kb, out=kb).sum(axis=1)
 
     asym = float(np.max(asyms))
-    scale = max(1.0, float(np.max(kmaxs)))
+    kmin = float(np.min(kmins))
+    # max |k| without an |k| pass
+    scale = max(1.0, float(np.maximum(np.max(kmaxs), -kmin)))
     if asym > 1e-10 * scale:
         raise ValidationError(f"kernel is not symmetric: max asymmetry {asym:.3e}")
 
     warnings = []
-    kmin = float(np.min(kmins))
     if kmin < 0.0:
         # pointwise negativity does not by itself break operator positivity
         # (certification checks the spectrum); record it instead of rejecting
         warnings.append(f"kernel takes negative values (min {kmin:.6g})")
 
-    if not normalizable:
+    if not all(positive):
         raise ValidationError("kernel row integral is not positive; cannot normalize")
     deviation = float(np.max(np.abs(rows - 1.0)))
     if deviation > 1e-6:
@@ -513,59 +535,6 @@ def _kernel_values(kernel, rows, cols):
         raise ValidationError(f"kernel values have shape {values.shape}, "
                               f"expected {(len(rows), len(cols))}")
     return values
-
-
-def _row_block_records(block, b, tiles, w, rows, abs_row_sums, features, gram):
-    """Pass 1 of assemble_scattering on the rows b of the kernel table.
-
-    Fills rows[b] with the row integrals D and, unless one of them is not
-    positive, abs_row_sums[b] with sum_j |K_ij|.  Returns the block's least
-    value, its largest magnitude, its factor defect for a factor's
-    gram = C Phi^T (None without one), and the asymmetry and the weighted
-    self-adjointness defect of the diagonal tile (b, b) (None for the
-    latter when a row integral is not positive).  The row block is filled
-    tile by tile, where the kernel's temporaries stay small; it and one
-    scratch array of its size are all this holds at once.
-    """
-    kb = np.empty((len(rows[b]), rows.size))
-    for cols in tiles:
-        kb[:, cols] = block(b, cols)
-    kmin = kb.min()
-    # max |k| without an |k| pass
-    kmax = np.maximum(kb.max(), -kmin)
-    rows[b] = kb @ w
-    diag = kb[:, b]
-    asym = _max_asymmetry(diag, diag)
-    positive = not (rows[b] <= 0.0).any()
-    weighted = None
-    if positive:
-        diag = _weighted(diag, b, b, w, rows)
-        weighted = _max_asymmetry(diag, diag)
-    buf = np.empty_like(kb)
-    defect = None
-    if gram is not None:
-        np.matmul(features[b], gram, out=buf)
-        buf -= kb
-        defect = np.abs(buf, out=buf).max()
-    if positive:
-        # K = (k w) / D
-        np.multiply(kb, w, out=buf)
-        buf /= rows[b, None]
-        abs_row_sums[b] = np.abs(buf, out=buf).sum(axis=1)
-    return kmin, kmax, defect, asym, weighted
-
-
-def _tile_pair_records(block, bi, bj, w, rows, normalizable):
-    """Pass 2 of assemble_scattering on the tiles (bi, bj) and (bj, bi) off
-    the diagonal: max |k_ij - k_ji| and, if every row integral is positive,
-    max |w_i K_ij - w_j K_ji| (else None)."""
-    kij = block(bi, bj)
-    kji = block(bj, bi)
-    asym = _max_asymmetry(kij, kji)
-    if not normalizable:
-        return asym, None
-    return asym, _max_asymmetry(_weighted(kij, bi, bj, w, rows),
-                                _weighted(kji, bj, bi, w, rows))
 
 
 def _weighted(k, bi, bj, w, rows):

@@ -383,8 +383,8 @@ amplitude = 0.5"""))
     def test_tracemalloc_peak_of_the_65536_cell_tensor(self, tmp_path):
         # the benchmark's limit-tensor config: a 1152-direction sphere rule
         # and 65536 cells.  A whole 1152^2 kernel table is 10.1 MiB and the
-        # (65536, 8) row table 4 MiB; the tiled assembly's row blocks are
-        # 1.1 MiB each, and this command peaks at 2.6 MiB
+        # (65536, 8) row table 4 MiB; the tiled assembly's one row block is
+        # 1.1 MiB, and this command peaks at 2.4 MiB
         cfg = write(tmp_path, """
 [grid]
 length = 1.0

@@ -746,6 +746,14 @@ class TestTiledAssembly:
         def zero(v, vp):
             return 0.0 * linear(v, vp)
 
+        # zero on the last three nodes, the last row block at n = 2 TILE + 3:
+        # the blocks before it have positive row integrals and are normalized
+        # before the zero rows are met
+        cut = 0.5 * (quad.nodes[-4] + quad.nodes[-3])
+
+        def last_rows_zero(v, vp):
+            return (v[..., 0] < cut) * (vp[..., 0] < cut) * linear(v, vp)
+
         # asymmetry comes before a non-positive row and a bad factor
         assert "not symmetric" in assert_same_error(with_factor(skewed, wrong_shapes), quad)
         assert "not symmetric" in assert_same_error(skewed, quad)
@@ -754,6 +762,8 @@ class TestTiledAssembly:
         assert "row integral" in assert_same_error(with_factor(zero, wrong_shapes), quad)
         assert "row integral" in assert_same_error(
             with_factor(zero, kernel_isotropic().factor), quad)
+        assert "row integral" in assert_same_error(
+            with_factor(last_rows_zero, kernel_linear(0.5).factor), quad)
         # factor shapes come before the factor's defect
         assert "factor has shapes" in assert_same_error(
             with_factor(linear, wrong_shapes), quad)
@@ -790,17 +800,21 @@ class TestTiledAssembly:
 
         k.factor = base.factor
         assemble_scattering(k, quad)
-        # pass 1 fills each row block tile by tile; pass 2 reads each tile
-        # pair I < J both ways
+        # one pass: row block J is filled tile by tile, then each mirror
+        # tile (I, J), I < J, is read to compare with the row block's (J, I)
         tiles = [TILE, TILE, 3]
-        row_blocks = [(a, b) for a in tiles for b in tiles]
-        pairs = [shape for i, a in enumerate(tiles) for b in tiles[i + 1:]
-                 for shape in ((a, b), (b, a))]
-        assert shapes == row_blocks + pairs
+        schedule = []
+        for j, b in enumerate(tiles):
+            schedule += [(b, c) for c in tiles] + [(a, b) for a in tiles[:j]]
+        assert shapes == schedule
+        # n^2 entries for the row blocks and one more visit of each tile
+        # above the diagonal, against 101,385 when each pair was read twice
+        assert sum(a * b for a, b in shapes) == 84_233
 
     def test_tracemalloc_peak_below_an_eighth_of_the_table(self):
         # n = 2304: the whole table is 40.5 MiB, and the dense assembly held
-        # about two of them; two row blocks of TILE x n are 4.5 MiB
+        # about two of them; the one row block of TILE x n is 2.25 MiB, and
+        # the assembly peaks at 3.35 MiB
         quad = build_sphere_quadrature(24, 96)
         kernel = kernel_linear(0.5)
         tracemalloc.start()
