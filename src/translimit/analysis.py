@@ -77,14 +77,21 @@ def space_velocity_norm(field, grid, quad, p=2):
     p = float(p)
     w = quad.weights
     with np.errstate(over="ignore"):
-        # f * f is |f| ** 2 bit for bit, without the |f| temporary
-        power = field * field if p == 2.0 else np.abs(field) ** p
+        # |f| and f * f are |f| ** 1 and |f| ** 2 bit for bit, at a small
+        # part of the cost of the power
+        if p == 1.0:
+            power = np.abs(field)
+        elif p == 2.0:
+            power = field * field
+        else:
+            power = np.abs(field) ** p
         power_sum = grid.h * np.sum(power @ w)
     if power_sum == 0.0 or power_sum == np.inf:
         field = np.abs(field)
         m = np.max(field)
         if 0.0 < m < np.inf:
-            return float(m * (grid.h * np.sum((field / m) ** p @ w)) ** (1.0 / p))
+            ratio = field / m if p == 1.0 else (field / m) ** p
+            return float(m * (grid.h * np.sum(ratio @ w)) ** (1.0 / p))
     return float(power_sum ** (1.0 / p))
 
 

@@ -58,7 +58,12 @@ EXIT_CERTIFICATION = 4
 
 # rows per block in _write_csv: 512 rows of 8 columns format fastest, and
 # their 1.1 MiB of transient arrays keep the tensor command's traced peak at
-# 2.4 MiB, near its 2.1 MiB assembly peak, where 1024 rows raise it to 3.5 MiB
+# 2.45 MiB, near its 2.1 MiB assembly peak, where 1024 rows raise it to
+# 3.6 MiB.  1024-row blocks also format the 65536-row tensor table in
+# 94 ms against 62 ms (medians of 20 interleaved passes, 2-core x86-64):
+# with malloc's mmap and trim thresholds raised they take 59 ms against
+# 64 ms, so the loss is each block's temporaries returned to the system and
+# page-faulted afresh.  256-row blocks take 74 ms.
 CSV_BLOCK_ROWS = 512
 
 

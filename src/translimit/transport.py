@@ -642,10 +642,13 @@ def solve_transport(problem, eps, op, options=None, source_override=None):
     if not converged:
         message = (f"transport iteration did not converge in {iterations} sweeps "
                    f"(last residual {history[-1]:.3e}, balance {full_balance()[0]:.3e})")
-        if options.tolerance < change <= _CHANGE_FLOOR:
-            message += (f"; the full-step change stalled at {change:.1e}, and the "
-                        f"tolerance {options.tolerance:.1e} lies below the sweep "
-                        f"change's rounding floor")
+        # GMRES can spend the budget before a full step reaches the floor,
+        # so the tolerance is named whatever the last change was
+        if options.tolerance < _CHANGE_FLOOR:
+            stalled = (f"the full-step change stalled at {change:.1e}, and "
+                       if options.tolerance < change <= _CHANGE_FLOOR else "")
+            message += (f"; {stalled}the tolerance {options.tolerance:.1e} lies "
+                        f"below the sweep change's rounding floor")
         raise ConvergenceError(message, log=log())
     return TransportSolution(
         grid=grid, quad=quad, eps=float(eps),

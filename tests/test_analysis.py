@@ -173,6 +173,42 @@ class TestNorms:
             want = (grid.h * np.sum(np.abs(field) ** float(p) @ quad16.weights)) ** (1.0 / p)
             assert space_velocity_norm(field, grid, quad16, p) == float(want)
 
+    def test_p_one_keeps_the_bits_of_the_power_form(self, quad16):
+        # the p = 1 branch uses |f| and f / m where the general form takes
+        # ** 1.0; fields of subnormal entries underflow the plain sum to 0
+        # and near-overflow ones take it to inf, so both branches run
+        def power_form(field, grid, quad):
+            w = quad.weights
+            with np.errstate(over="ignore"):
+                power_sum = grid.h * np.sum(np.abs(field) ** 1.0 @ w)
+            if power_sum == 0.0 or power_sum == np.inf:
+                m = np.max(np.abs(field))
+                if 0.0 < m < np.inf:
+                    return float(m * (grid.h * np.sum((np.abs(field) / m) ** 1.0 @ w)) ** 1.0)
+            return float(power_sum ** 1.0)
+
+        grid = Grid1D(1.0, 24)
+        rng = np.random.default_rng(11)
+        shape = (24, quad16.n)
+        # finite doubles of random bits, of both signs
+        bits = rng.integers(-2**63, 2**63 - 1, (2,) + shape, dtype=np.int64).view(float)
+        fields = [np.where(np.isfinite(bits[0]), bits[0], bits[1])]
+        for scale in (5e-324, 1e-310, 2.2e-308, 1.0, 1e300, 1.7e308):
+            fields.append(scale * rng.uniform(-1.0, 1.0, shape))
+        mixed = rng.standard_normal(shape)
+        mixed[3, 5], mixed[7, 1], mixed[0, 0] = 1.7e308, -4e-320, -1.79e308
+        fields.append(mixed)
+        plain = []
+        for field in fields:
+            assert np.isfinite(field).all()
+            assert np.array_equal(np.abs(field), np.abs(field) ** 1.0)
+            got = space_velocity_norm(field, grid, quad16, 1)
+            want = power_form(field, grid, quad16)
+            assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+            with np.errstate(over="ignore"):
+                plain.append(grid.h * np.sum(np.abs(field) @ quad16.weights))
+        assert 0.0 in plain and np.inf in plain
+
     @pytest.mark.parametrize("bad", [0, -1, 0.5, float("nan")])
     def test_exponent_below_one_rejected(self, quad8, iso8, bad):
         grid = Grid1D(1.0, 4)

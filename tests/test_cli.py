@@ -171,6 +171,16 @@ def dyadic_ties():
     return np.array(ties)
 
 
+def short_decimals():
+    """Short decimals and whole numbers in fixed notation, and the cell
+    centres (2i+1)/2^k of a unit slab: the values whose 17 digits end in
+    zeros, some of them before the point."""
+    short = [0.5, 0.125, 64.0, 1200.0, 123456.75, 2.0**53, 1e15 + 2]
+    centres = [(2 * i + 1) / 2**k for k in range(1, 12) for i in range(2**(k - 1))]
+    centres += [(2 * i + 1) / 2**17 for i in range(0, 2**16, 61)]
+    return np.array(short + centres)
+
+
 def edge_values():
     """+-1e-200, +-1e200 and their neighbours, subnormals, +-0, nan, +-inf."""
     edges = np.array([1e-200, 1e200])
@@ -187,6 +197,7 @@ FAMILIES = {
         np.nextafter(powers_of_ten(), 0.0), np.nextafter(powers_of_ten(), np.inf)]),
     "largest_below_powers": largest_below_powers_of_ten,
     "range_edges": edge_values,
+    "short_decimals": short_decimals,
 }
 
 

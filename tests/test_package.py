@@ -71,12 +71,17 @@ def test_cli_import_starts_no_process_machinery():
 
 
 def test_cli_import_builds_no_formatting_table():
-    # the CSV formatter's tables are built by the first large block, so a
-    # command's start-up does not pay for them
-    assert cold_import(
-        "import translimit.cli, translimit.csvtext as t; "
-        "print(t._tables.cache_info().currsize)"
-    ) == "0"
+    # cached tables, the CSV formatter's among them, are built on first use
+    # (its by the first large block), so a command's start-up does not pay
+    # for them; every module-level cache of the package is checked
+    sizes = ast.literal_eval(cold_import(
+        "import sys, translimit.cli; "
+        "print({f'{m}.{n}': f.cache_info().currsize "
+        "for m in sorted(sys.modules) if m.startswith('translimit') "
+        "for n, f in vars(sys.modules[m]).items() if hasattr(f, 'cache_info')})"
+    ))
+    assert "translimit.csvtext._tables" in sizes
+    assert {name: size for name, size in sizes.items() if size} == {}
 
 
 def modules_with(match):

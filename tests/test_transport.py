@@ -983,6 +983,20 @@ class TestThickCells:
         assert "tolerance 1.0e-18 lies below" in str(err.value)
         assert err.value.log.iterations == 30
 
+    def test_tolerance_below_the_floor_is_named_before_a_second_full_step(self, quad16):
+        # GMRES runs after the first full step to 0.1 * 1e-300 and spends
+        # the whole budget, so no full step reaches the floor
+        op = assemble_scattering(kernel_isotropic(), quad16)
+        opts = SolverOptions(tolerance=1e-300, max_iterations=30)
+        with pytest.raises(ConvergenceError) as err:
+            solve_transport(smooth_benchmark(), 0.5, op, opts)
+        message = str(err.value)
+        assert "tolerance 1.0e-300 lies below the sweep change's rounding floor" in message
+        assert "stalled" not in message
+        assert err.value.log.iterations == 30
+        assert err.value.log.residuals[0] == 1.0
+        assert min(err.value.log.residuals[1:]) < 1e-16
+
 
 class TestCurrentCorrection:
     """With a linear kernel the diamond DSA step corrects the current as well
