@@ -8,7 +8,8 @@ the library returns records, and each JSON file holds its record's fields
 precision: each CSV value is the exact %.17g text of its double, formatted
 a block of rows at a time by whole-array arithmetic (see csvtext).  Console
 summaries are rounded.  Each command that writes a file also writes one
-manifest.json, listing exactly the files it wrote.  Exit codes: 0 success,
+manifest.json, listing exactly the files it wrote, with its exit code, its
+wall time and the host's CPU count.  Exit codes: 0 success,
 2 validation error (an unreadable config, an unwritable --out and a problem
 too large for memory included), 3 convergence failure, 4 certification
 failure.
@@ -24,6 +25,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 import scipy
@@ -129,13 +131,16 @@ def _write_json(path, record, written):
         fh.write(text)
 
 
-def _write_manifest(out_dir, args, config_path, outputs):
+def _write_manifest(out_dir, args, config_path, outputs, exit_code, wall_s):
     with open(config_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     payload = {
         "command": list(args),
         "config": os.path.abspath(config_path),
         "config_sha256": digest,
+        "cpu_count": os.cpu_count(),
+        "exit_code": exit_code,
+        "wall_s": wall_s,
         "versions": {
             "translimit": __version__,
             "numpy": np.__version__,
@@ -423,22 +428,17 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    # every path the command writes; the manifest lists them once it ends,
-    # also when it ends in a convergence or certification failure
-    written = []
+def _run(ns, written):
+    cfg = load_config(ns.config)
+    os.makedirs(ns.out, exist_ok=True)
+    return ns.func(cfg, ns, written)
+
+
+def _exit_code(ns, action, *args):
+    """The exit code action(*args) returns (None for none), or that of the
+    failure it raises, whose message goes to stderr."""
     try:
-        cfg = load_config(ns.config)
-        os.makedirs(ns.out, exist_ok=True)
-        try:
-            return ns.func(cfg, ns, written)
-        finally:
-            if written:
-                _write_manifest(ns.out, ["translimit", *argv], ns.config,
-                                written)
+        return action(*args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"usage: run 'translimit {ns.command} --help' for details",
@@ -461,6 +461,27 @@ def main(argv=None):
         print(f"error: out of memory, the problem is too large for this "
               f"host: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+
+
+def main(argv=None):
+    start = time.perf_counter()
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    parser = build_parser()
+    ns = parser.parse_args(argv)
+    # every path the command writes; the manifest lists them once it ends,
+    # also when it ends in a failure, with the exit code main returns (null
+    # for an uncaught error) and the wall time so far
+    written = []
+    code = None
+    try:
+        code = _exit_code(ns, _run, ns, written)
+    finally:
+        # a manifest that cannot be written exits 2, as any output does
+        if written:
+            code = _exit_code(ns, _write_manifest, ns.out,
+                              ["translimit", *argv], ns.config, written, code,
+                              time.perf_counter() - start) or code
+    return code
 
 
 if __name__ == "__main__":

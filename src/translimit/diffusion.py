@@ -8,7 +8,9 @@ cell centers; interface diffusivities are harmonic averages, which keeps the
 flux single-valued at material jumps and the scheme second order.  The
 solution object also carries exact nodal values reconstructed from the
 fluxes (zero at the boundary nodes by construction), the interface fluxes,
-and flux-recovered cell gradients.
+and flux-recovered cell gradients.  The banded Cholesky factor and solve
+are scipy's LAPACK dpbtrf and dpbtrs, read from _lapack, which imports
+them on the first factorization.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
+from . import _lapack
 from .errors import ValidationError
 from .velocity_space import diffusion_moment
 
@@ -61,7 +63,7 @@ def factor_operator(a, gamma, h):
     ab = assemble_banded(a, gamma, h)
     if not np.isfinite(ab).all():
         raise ValidationError("banded diffusion operator is not finite")
-    factor, info = dpbtrf(ab, overwrite_ab=1)
+    factor, info = _lapack.dpbtrf(ab, overwrite_ab=1)
     if info != 0:
         raise ValidationError(
             f"banded diffusion factorization failed (dpbtrf info {info})")
@@ -70,7 +72,7 @@ def factor_operator(a, gamma, h):
 
 def solve_cells(factor, rhs):
     """Solve with the upper banded factor of factor_operator: one dpbtrs."""
-    u, info = dpbtrs(factor, rhs)
+    u, info = _lapack.dpbtrs(factor, rhs)
     if info != 0:
         raise ValidationError(f"banded diffusion solve failed (dpbtrs info {info})")
     return u

@@ -2,7 +2,8 @@
 
 The transport solve runs GMRES on its DSA-preconditioned step; nothing here
 depends on transport, so any affine fixed point on an array of unknowns can
-use it.
+use it.  The least-squares step's triangular solve is scipy's LAPACK
+dtrtrs, read from _lapack, which imports it on first use.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
+from . import _lapack
 from .errors import ValidationError
 
 
@@ -106,7 +107,7 @@ def _solve_upper(r, rhs):
     the LAPACK call scipy.linalg.solve_triangular(r, rhs) makes, so y has
     the same bits, without that function's checks and dispatch.
     """
-    y, info = dtrtrs(r.T, rhs, lower=1, trans=1)
+    y, info = _lapack.dtrtrs(r.T, rhs, lower=1, trans=1)
     if info != 0:
         raise ValidationError(f"GMRES triangular solve failed (dtrtrs info {info})")
     return y

@@ -25,8 +25,9 @@ a unit diagonal, keeping the reciprocals of the diagonal in the band's
 diagonal row, which a unit-diagonal solve never reads.  The iteration runs
 in that march order, an (ordinates, cells) array: a step forms its emission
 there with one product, a sweep multiplies it by the reciprocals and makes
-one LAPACK triangular banded solve (dtbtrs with diag="U") in place, which
-never divides, and the next moments are read from the solution with one
+one LAPACK triangular banded solve (scipy's dtbtrs with diag="U", read from
+_lapack, which imports it on the first sweep) in place, which never
+divides, and the next moments are read from the solution with one
 product.  Cells and edges in (cells, ordinates) layout are unpacked only in
 full steps.  There is no Python loop over cells.  The slab quadrature keeps
 its ordinates ascending, so the negative ones are a leading slice, and the
@@ -48,8 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
+from . import _lapack
 from .diffusion import face_fluxes, factor_operator, interface_diffusivity, solve_cells
 from .errors import ConvergenceError, ValidationError
 from .krylov import _gmres
@@ -300,8 +301,8 @@ def sweep(plan, emission, incoming=None):
     emission *= plan.reciprocal
     if incoming is not None:
         emission[:, 0] += plan.inflow * incoming
-    out, info = dtbtrs(plan.band, emission.reshape(-1, 1), uplo="L", diag="U",
-                       overwrite_b=1)
+    out, info = _lapack.dtbtrs(plan.band, emission.reshape(-1, 1), uplo="L",
+                               diag="U", overwrite_b=1)
     if info != 0:
         raise ValidationError(f"transport sweep solve failed (dtbtrs info {info})")
     return out.reshape(shape)

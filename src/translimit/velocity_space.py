@@ -14,6 +14,7 @@ through r kernel moments, the spectrum of I - K is that of an r x r core
 plus the eigenvalue 1 on the rest, and the pseudoinverse is a rank-r update
 of the identity, so none costs more than O(n r^2) after assembly.  A kernel
 with no factor is the full-rank case Phi = I, r = n of the same computation.
+Everything here runs on numpy alone, the core's eigensolver included.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CertificationError, SolvabilityError, ValidationError
 
@@ -284,7 +284,8 @@ class ScatteringOperator:
         With T = diag(t), t = sqrt(weights * row_sums), the similarity
         T K T^-1 = A C A^T, A = diag(sqrt(weights / row_sums)) Phi, is exact.
         A QR factorization A = B R reduces it to the core R C R^T, whose
-        eigenvalues mu give lam_core = 1 - mu (ascending) with orthonormal
+        eigenvalues mu (numpy's eigh, LAPACK's dsyevd) give
+        lam_core = 1 - mu (ascending) with orthonormal
         eigenvectors basis = B Y (n, r) in T-space; I - K is the identity on
         their complement.  lam holds all n eigenvalues ascending, and
         null_dim counts those below NULL_CUTOFF, which all lie in the core.
@@ -292,7 +293,7 @@ class ScatteringOperator:
         t = np.sqrt(self.weights * self.row_sums)
         a = np.sqrt(self.weights / self.row_sums)[:, None] * self.features
         b, r = np.linalg.qr(a)
-        mu, y = scipy.linalg.eigh(r @ self.core @ r.T)
+        mu, y = np.linalg.eigh(r @ self.core @ r.T)
         lam_core = 1.0 - mu[::-1]
         basis = b @ y[:, ::-1]
         lam = np.sort(np.concatenate([lam_core, np.ones(self.n - lam_core.size)]))

@@ -31,12 +31,11 @@ from conftest import make_problem, smooth_benchmark, split_energy_sq
 
 
 def count_eigh(monkeypatch):
-    """Record every scipy.linalg.eigh call: one per operator decomposed."""
-    import scipy.linalg
-
+    """Record every np.linalg.eigh call, the decomposition of
+    ScatteringOperator.spectrum: one per operator decomposed."""
     calls = []
-    eigh = scipy.linalg.eigh
-    monkeypatch.setattr(scipy.linalg, "eigh",
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
                         lambda *a, **k: calls.append(a) or eigh(*a, **k))
     return calls
 

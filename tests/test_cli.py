@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -1059,6 +1061,39 @@ class TestManifest:
         assert files
         assert manifest["outputs"] == files
         assert manifest["command"] == ["translimit", *argv]
+
+    @pytest.mark.parametrize("case", ["certify", "certify-g-one",
+                                      "transport-diverges"])
+    def test_records_the_exit_code_the_cpus_and_the_wall_time(self, tmp_path,
+                                                              case):
+        command, text, code = MANIFEST_CASES[case]
+        out = tmp_path / "out"
+        argv = [*command, "--config", write(tmp_path, text), "--out", str(out)]
+        start = time.perf_counter()
+        assert main(argv) == code
+        wall = time.perf_counter() - start
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_code"] == code
+        assert manifest["cpu_count"] == os.cpu_count()
+        assert 0.0 < manifest["wall_s"] < wall
+
+    def test_uncaught_error_records_a_null_exit_code(self, tmp_path,
+                                                     monkeypatch):
+        import translimit.cli as cli
+
+        certify = cli.cmd_certify
+
+        def failing(*args):
+            certify(*args)
+            raise RuntimeError("uncaught")
+
+        monkeypatch.setattr(cli, "cmd_certify", failing)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="uncaught"):
+            main(["certify", "--config", write(tmp_path, ISO), "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["certification.json"]
+        assert manifest["exit_code"] is None
 
 
 class TestThickCasesConverge:

@@ -17,7 +17,7 @@ from translimit import (
     mms_diffusion_source,
     solve_diffusion,
 )
-import translimit.diffusion as diffusion
+import translimit._lapack as _lapack
 from translimit.diffusion import assemble_banded, factor_operator, solve_cells
 from conftest import make_problem
 
@@ -162,7 +162,7 @@ class TestSolveCells:
         np.testing.assert_array_equal(solve_cells(factor, rhs), want)
 
     def test_nonzero_info_raises(self, monkeypatch):
-        monkeypatch.setattr(diffusion, "dpbtrs", lambda ab, b: (b, -1))
+        monkeypatch.setattr(_lapack, "dpbtrs", lambda ab, b: (b, -1))
         factor = factor_operator(np.ones(4), np.ones(4), 0.25)
         with pytest.raises(ValidationError, match="dpbtrs info -1"):
             solve_cells(factor, np.ones(4))
@@ -191,6 +191,6 @@ class TestFactorOperator:
 
     @pytest.mark.parametrize("info", [-1, 2])
     def test_nonzero_info_raises(self, monkeypatch, info):
-        monkeypatch.setattr(diffusion, "dpbtrf", lambda ab, **k: (ab, info))
+        monkeypatch.setattr(_lapack, "dpbtrf", lambda ab, **k: (ab, info))
         with pytest.raises(ValidationError, match=f"dpbtrf info {info}"):
             factor_operator(np.ones(4), np.ones(4), 0.25)

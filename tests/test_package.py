@@ -115,3 +115,61 @@ def test_only_problem_reads_the_inflow_data():
         or isinstance(node, ast.Subscript)
         and getattr(node.slice, "value", None) in names
     ) == {"problem"}
+
+
+LINEAR_SPHERE = """
+[grid]
+n_cells = 16
+[scattering]
+kernel = linear
+g_factor = 0.5
+n_ordinates = 8
+n_polar = 4
+n_azimuth = 8
+"""
+
+
+def loads_scipy_linalg_after(tmp_path, *commands):
+    """Whether a fresh interpreter that runs the cli commands, in order, on
+    a small linear-kernel config ends with scipy.linalg imported."""
+    config = tmp_path / "linear.ini"
+    config.write_text(LINEAR_SPHERE)
+    paths = ["--config", str(config), "--out", str(tmp_path / "out")]
+    runs = "; ".join(f"assert cli.main({[*command, *paths]!r}) == 0"
+                     for command in commands)
+    # the commands print their summaries first
+    return cold_import(
+        f"import sys, translimit.cli as cli; {runs}; "
+        "print('scipy.linalg' in sys.modules)").splitlines()[-1] == "True"
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # the LAPACK routines load on the first solve (translimit._lapack)
+    assert cold_import(
+        "import sys, translimit.cli; print('scipy.linalg' in sys.modules)"
+    ) == "False"
+
+
+def test_certify_and_tensor_run_without_scipy_linalg(tmp_path):
+    assert not loads_scipy_linalg_after(tmp_path, ["certify"], ["tensor"])
+
+
+def test_transport_solve_loads_scipy_linalg(tmp_path):
+    assert loads_scipy_linalg_after(tmp_path, ["solve", "--mode", "transport"])
+
+
+def test_only_the_lapack_module_imports_scipy_linalg():
+    # transport, diffusion and krylov read their routines from _lapack, so
+    # scipy.linalg stays out of every import but the first solve's
+    def is_linalg(name):
+        return name == "scipy.linalg" or name.startswith("scipy.linalg.")
+
+    assert modules_with(
+        lambda node: isinstance(node, ast.Import)
+        and any(is_linalg(alias.name) for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (is_linalg(node.module or "") or node.module == "scipy"
+             and any(alias.name == "linalg" for alias in node.names))
+        or isinstance(node, ast.Attribute) and node.attr == "linalg"
+        and getattr(node.value, "id", None) == "scipy"
+    ) == {"_lapack"}

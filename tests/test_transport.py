@@ -371,11 +371,12 @@ class TestSweepPlan:
     def test_one_dtbtrs_call_per_sweep(self, monkeypatch, iso8, acceleration,
                                        scheme):
         # both directions are one lower band, solved by one LAPACK call
+        import translimit._lapack as lapack
         import translimit.transport as transport
 
         solves = []
         per_sweep = []
-        original_sweep, original_dtbtrs = transport.sweep, transport.dtbtrs
+        original_sweep, original_dtbtrs = transport.sweep, lapack.dtbtrs
 
         def counting_dtbtrs(*args, **kwargs):
             solves.append(1)
@@ -387,7 +388,7 @@ class TestSweepPlan:
             per_sweep.append(len(solves) - before)
             return result
 
-        monkeypatch.setattr(transport, "dtbtrs", counting_dtbtrs)
+        monkeypatch.setattr(lapack, "dtbtrs", counting_dtbtrs)
         monkeypatch.setattr(transport, "sweep", counting_sweep)
         opts = SolverOptions(scheme=scheme, acceleration=acceleration)
         log = solve_transport(make_problem(n_cells=32), 0.5, iso8, opts).log
@@ -395,10 +396,10 @@ class TestSweepPlan:
         assert per_sweep == [1] * log.iterations
 
     def test_nonzero_info_raises(self, monkeypatch, quad8):
-        import translimit.transport as transport
+        import translimit._lapack as lapack
 
         plan = SweepPlan(np.ones(4), Grid1D(1.0, 4), quad8)
-        monkeypatch.setattr(transport, "dtbtrs", lambda band, b, **k: (b, 2))
+        monkeypatch.setattr(lapack, "dtbtrs", lambda band, b, **k: (b, 2))
         with pytest.raises(ValidationError, match="dtbtrs info 2"):
             sweep(plan, np.zeros((8, 4)))
 
@@ -852,9 +853,9 @@ class TestSolveUpper:
                                       scipy.linalg.solve_triangular(r, rhs))
 
     def test_nonzero_info_raises(self, monkeypatch):
-        import translimit.krylov as krylov
+        import translimit._lapack as lapack
 
-        monkeypatch.setattr(krylov, "dtrtrs", lambda a, b, **k: (b, 2))
+        monkeypatch.setattr(lapack, "dtrtrs", lambda a, b, **k: (b, 2))
         with pytest.raises(ValidationError, match="dtrtrs info 2"):
             _solve_upper(np.eye(3), np.ones(3))
 
